@@ -7,7 +7,7 @@ import numpy as np
 
 from .config import IdmParams, SimConfig
 from .nets import AdamState, MlpNet, opt_step
-from .simcore import normalize_state
+from .simcore import normalize_state, scale_action
 
 
 def idm_accel(v, v_l, g, p: IdmParams = None, a_min=-9.0, a_max=5.0):
@@ -50,16 +50,12 @@ class BcPolicy:
     net: MlpNet
     sim_cfg: SimConfig
 
-    def scale(self, u):
-        c = self.sim_cfg
-        return c.a_min + (u + 1.0) / 2.0 * (c.a_max - c.a_min)
-
     def act(self, v, a, v_l, g):
         obs = normalize_state(v, a, v_l, g, self.sim_cfg)
-        return float(self.scale(self.net.forward(obs)[0]))
+        return float(scale_action(self.net.forward(obs)[0], self.sim_cfg))
 
     def predict(self, states):
-        return self.scale(self.net.forward(states)[:, 0])
+        return scale_action(self.net.forward(states)[:, 0], self.sim_cfg)
 
 
 def bc_train(train_ds, epochs=20, seed=0, sim_cfg: SimConfig = None,
@@ -85,7 +81,7 @@ def bc_train(train_ds, epochs=20, seed=0, sim_cfg: SimConfig = None,
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             u, cache = net.forward(states[idx], cache=True)
-            pred = policy.scale(u)
+            pred = scale_action(u, sim_cfg)
             diff = pred - actions[idx]
             # d(mse)/du = 2*(pred - a)/m * d(pred)/du, d(pred)/du = half_range
             grads = net.backward(cache, 2.0 * diff * half_range / len(idx))

@@ -187,7 +187,8 @@ def cmd_report(args):
 
 
 def cmd_control(args):
-    model = PowertrainParams()
+    model = (load_config(args.config)["powertrain"] if args.config
+             else PowertrainParams())
     if args.control_cmd == "collect":
         samples = control.collect_reverse_data(model, args.duration_s, args.seed)
         control.write_reverse_csv(args.out, samples)

@@ -131,9 +131,12 @@ _SECTIONS = {
 }
 
 
-def _coerce(current, raw):
+def _coerce(current, raw, where):
     if isinstance(current, bool):
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        word = raw.strip().lower()
+        if word not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise ValueError(f"{where}: {raw!r} is not a boolean")
+        return configparser.ConfigParser.BOOLEAN_STATES[word]
     if isinstance(current, int) and not isinstance(current, bool):
         return int(raw)
     if isinstance(current, float):
@@ -166,7 +169,7 @@ def load_config(path):
             for key, raw in parser.items(name):
                 if key not in valid:
                     raise ValueError(f"unknown key '{key}' in section [{name}]")
-                kwargs[key] = _coerce(valid[key], raw)
+                kwargs[key] = _coerce(valid[key], raw, f"[{name}] {key}")
             defaults = dataclasses.replace(defaults, **kwargs)
         out[name] = defaults
     out["ddpg"] = dataclasses.replace(out["ddpg"], noise=out["noise_ou"])

@@ -128,11 +128,7 @@ def build_transitions(ep: FollowingEpisode, cfg: SimConfig, rcfg: RewardConfig):
 
 
 def relabel_episodes(episodes, cfg: SimConfig, rcfg: RewardConfig):
-    parts = [build_transitions(ep, cfg, rcfg) for ep in episodes]
-    return RelabeledDataset(
-        [tr for p in parts for tr in p.transitions],
-        [prov for p in parts for prov in p.provenance],
-        sum(p.clipped_actions for p in parts))
+    return merge_parts([build_transitions(ep, cfg, rcfg) for ep in episodes])
 
 
 def split_train_eval(parts, frac=0.95, seed=0):
@@ -235,13 +231,13 @@ def load_transition_store(path):
     path = os.fspath(path)
     if not os.path.exists(path) and os.path.exists(path + ".npz"):
         path = path + ".npz"
+    # read each member once: data[key] decompresses the whole member anew
     with np.load(path) as data:
-        transitions = [
-            Transition(data["states"][i], float(data["actions"][i]),
-                       float(data["rewards"][i]), data["next_states"][i],
-                       bool(data["dones"][i]))
-            for i in range(len(data["actions"]))
-        ]
+        states, next_states = data["states"], data["next_states"]
+        actions, rewards, dones = (data[k].tolist()
+                                   for k in ("actions", "rewards", "dones"))
+    transitions = [Transition(*row) for row in
+                   zip(states, actions, rewards, next_states, dones)]
     provenance, clipped = [], 0
     base = path[:-4] if path.endswith(".npz") else path
     manifest_path = base + ".manifest.json"

@@ -13,7 +13,8 @@ import numpy as np
 
 from .config import LEADER_OU, DdpgConfig, OuParams, RewardConfig, SimConfig
 from .nets import AdamState, MlpNet, opt_step, soft_update
-from .simcore import FollowEnv, OuNoise, gen_leader_profile, normalize_state
+from .simcore import (FollowEnv, OuNoise, gen_leader_profile, normalize_state,
+                      scale_action, unscale_action)
 
 # Adam turns a fresh critic's noise-sized dQ/da into full lr-sized actor
 # steps, which pinned the tanh actor at an action bound within its first
@@ -25,6 +26,8 @@ from .simcore import FollowEnv, OuNoise, gen_leader_profile, normalize_state
 ACTOR_LR = 1e-4
 ACTOR_DELAY = 5000
 PREACT_L2 = 1e-3
+
+_NETS = ("actor", "critic", "actor_target", "critic_target")
 
 
 @dataclass
@@ -106,11 +109,11 @@ class DdpgAgent:
         # actor that starts there never reaches the leader to learn from it.
         head_rng = np.random.default_rng(head_seed)
         for net in (self.actor, self.critic):
-            net.weights[-1] = head_rng.uniform(-3e-3, 3e-3,
-                                               net.weights[-1].shape)
-            net.biases[-1] = head_rng.uniform(-3e-3, 3e-3,
-                                              net.biases[-1].shape)
-        self.actor.biases[-1] += np.arctanh(self.unscale_action(0.0))
+            net.weights[-1][...] = head_rng.uniform(-3e-3, 3e-3,
+                                                    net.weights[-1].shape)
+            net.biases[-1][...] = head_rng.uniform(-3e-3, 3e-3,
+                                                   net.biases[-1].shape)
+        self.actor.biases[-1] += np.arctanh(unscale_action(0.0, self.sim_cfg))
         # once the actor learns, the heads no longer keep it out of
         # saturation: ACTOR_DELAY, ACTOR_LR and PREACT_L2 do (see above)
         self.actor_target = self.actor.copy()
@@ -121,21 +124,12 @@ class DdpgAgent:
         self.rng = np.random.default_rng(agent_seed)
         self.buffer = ReplayBuffer(self.cfg.buffer_size)
 
-    # -- action scaling ----------------------------------------------------
-    def scale_action(self, u):
-        c = self.sim_cfg
-        return c.a_min + (u + 1.0) / 2.0 * (c.a_max - c.a_min)
-
-    def unscale_action(self, a):
-        c = self.sim_cfg
-        return 2.0 * (a - c.a_min) / (c.a_max - c.a_min) - 1.0
-
     def select_action(self, obs, explore=False):
         """Greedy actor output mapped to [a_min, a_max]; with explore=True
         adds OU noise scaled to half the action range, then clips."""
         c = self.sim_cfg
         u = float(self.actor.forward(obs)[0])
-        a = self.scale_action(u)
+        a = scale_action(u, c)
         if explore:
             a += self.noise.sample(self.rng) * (c.a_max - c.a_min) / 2.0
         return min(max(a, c.a_min), c.a_max)
@@ -152,7 +146,7 @@ class DdpgAgent:
             raise ValueError("train_step needs a non-empty batch")
         n = len(batch)
         s = np.stack([tr.state for tr in batch])
-        a = np.array([[self.unscale_action(tr.action)] for tr in batch])
+        a = unscale_action(np.array([[tr.action] for tr in batch]), self.sim_cfg)
         r = np.array([[tr.reward] for tr in batch])
         s2 = np.stack([tr.next_state for tr in batch])
         live = np.array([[0.0 if tr.done else 1.0] for tr in batch])
@@ -172,14 +166,11 @@ class DdpgAgent:
         if update_actor:
             dq = self.critic.backward(ccache, np.full((n, 1), 1.0 / n))
             da = dq["input"][:, 4:]
-            # d/dz of -PREACT_L2 * mean(z^2) on the head's pre-activation
-            dpre = -2.0 * PREACT_L2 * acache["pre"][-1] / n
-            agrads = self.actor.backward(acache, da, dpre)
-            ascent = {
-                "weights": [-g for g in agrads["weights"]],
-                "biases": [-g for g in agrads["biases"]],
-            }
-            opt_step(self.actor, ascent, self.actor_opt)
+            # ascend on Q - PREACT_L2 * mean(z^2), z the head's
+            # pre-activation, by descending on its negative
+            dpre = 2.0 * PREACT_L2 * acache["pre"][-1] / n
+            opt_step(self.actor, self.actor.backward(acache, -da, dpre),
+                     self.actor_opt)
 
         soft_update(self.actor_target, self.actor, self.cfg.tau)
         soft_update(self.critic_target, self.critic, self.cfg.tau)
@@ -188,16 +179,21 @@ class DdpgAgent:
     # -- persistence ---------------------------------------------------------
     def save(self, out_dir):
         os.makedirs(out_dir, exist_ok=True)
-        self.actor.save(os.path.join(out_dir, "actor.bin"))
-        self.critic.save(os.path.join(out_dir, "critic.bin"))
-        self.actor_target.save(os.path.join(out_dir, "actor_target.bin"))
-        self.critic_target.save(os.path.join(out_dir, "critic_target.bin"))
+        for name in _NETS:
+            getattr(self, name).save(os.path.join(out_dir, name + ".bin"))
 
     def load(self, out_dir):
-        self.actor = MlpNet.load(os.path.join(out_dir, "actor.bin"))
-        self.critic = MlpNet.load(os.path.join(out_dir, "critic.bin"))
-        self.actor_target = MlpNet.load(os.path.join(out_dir, "actor_target.bin"))
-        self.critic_target = MlpNet.load(os.path.join(out_dir, "critic_target.bin"))
+        """Replace the four nets with the ones saved in out_dir; a net whose
+        layer sizes differ from this agent's is rejected."""
+        nets = {}
+        for name in _NETS:
+            path = os.path.join(out_dir, name + ".bin")
+            nets[name] = MlpNet.load(path)
+            if nets[name].sizes != getattr(self, name).sizes:
+                raise ValueError(f"{path}: layer sizes {nets[name].sizes} != "
+                                 f"this agent's {getattr(self, name).sizes}")
+        for name, net in nets.items():
+            setattr(self, name, net)
 
 
 @dataclass
@@ -223,8 +219,9 @@ def _episode_profile(rng, sim_cfg, leader_ou):
 def run_training_episode(agent, env, rng, sim_cfg, leader_ou, budget_left,
                          sample_fn, explore=True, actor_from=0):
     """One episode of Algorithm-1 style interaction: act, store, then one
-    gradient step per environment step once enough data is banked.  The
-    actor is held until the critic's optimizer has taken actor_from steps.
+    gradient step per environment step, on the batch sample_fn() returns,
+    once the agent's buffer holds a full batch.  The actor is held until
+    the critic's optimizer has taken actor_from steps.
 
     Returns the episode's EpisodeStats; the caller numbers it."""
     profile, _ = _episode_profile(rng, sim_cfg, leader_ou)
@@ -240,9 +237,8 @@ def run_training_episode(agent, env, rng, sim_cfg, leader_ou, budget_left,
         timeout = done and not info.collision and info.gap <= sim_cfg.g_max
         agent.buffer.add(Transition(obs, action, reward, next_obs,
                                     done and not timeout))
-        batch = sample_fn()
-        if batch is not None:
-            agent.train_step(batch, agent.critic_opt.t >= actor_from)
+        if len(agent.buffer) >= agent.cfg.batch_size:
+            agent.train_step(sample_fn(), agent.critic_opt.t >= actor_from)
         obs = next_obs
         total += reward
         steps += 1
@@ -256,6 +252,24 @@ def run_training_episode(agent, env, rng, sim_cfg, leader_ou, budget_left,
                         at_bound / steps)
 
 
+def _train_online(agent, budget, rng, rcfg, leader_ou, sample_fn, progress,
+                  **episode_kw):
+    """Run training episodes until budget env steps are used; returns the
+    per-episode history."""
+    env = FollowEnv(agent.sim_cfg, rcfg or RewardConfig())
+    history = []
+    used = 0
+    while used < budget:
+        stats = run_training_episode(agent, env, rng, agent.sim_cfg, leader_ou,
+                                     budget - used, sample_fn, **episode_kw)
+        stats.episode = len(history)
+        used += stats.steps
+        history.append(stats)
+        if progress:
+            progress(stats)
+    return history
+
+
 def train_stage1(agent: DdpgAgent, budget=None, seed=0, rcfg=None,
                  leader_ou: OuParams = LEADER_OU, progress=None):
     """Pure-simulator DDPG: fresh OU leader and random initial gap each
@@ -264,29 +278,13 @@ def train_stage1(agent: DdpgAgent, budget=None, seed=0, rcfg=None,
 
     Returns the per-episode reward history.
     """
-    cfg, sim_cfg = agent.cfg, agent.sim_cfg
+    cfg = agent.cfg
     budget = cfg.stage1_budget if budget is None else budget
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    env = FollowEnv(sim_cfg, rcfg or RewardConfig())
-
-    def sample_fn():
-        if len(agent.buffer) >= cfg.batch_size:
-            return agent.buffer.sample(rng, cfg.batch_size)
-        return None
-
-    actor_from = agent.critic_opt.t + ACTOR_DELAY
-    history = []
-    used = 0
-    while used < budget:
-        stats = run_training_episode(
-            agent, env, rng, sim_cfg, leader_ou, budget - used, sample_fn,
-            actor_from=actor_from)
-        stats.episode = len(history)
-        used += stats.steps
-        history.append(stats)
-        if progress:
-            progress(history[-1])
-    return history
+    return _train_online(
+        agent, budget, rng, rcfg, leader_ou,
+        lambda: agent.buffer.sample(rng, cfg.batch_size), progress,
+        actor_from=agent.critic_opt.t + ACTOR_DELAY)
 
 
 def train_stage2(agent: DdpgAgent, practical_buf: ReplayBuffer, ratio,
@@ -298,30 +296,15 @@ def train_stage2(agent: DdpgAgent, practical_buf: ReplayBuffer, ratio,
     gradients)."""
     if len(practical_buf) == 0 and ratio > 0:
         raise ValueError("practical buffer is empty")
-    cfg, sim_cfg = agent.cfg, agent.sim_cfg
+    cfg = agent.cfg
     budget = cfg.stage2_budget if budget is None else budget
     explore = cfg.stage2_explore if explore is None else explore
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    env = FollowEnv(sim_cfg, rcfg or RewardConfig())
-
-    def sample_fn():
-        if len(agent.buffer) >= cfg.batch_size:
-            return sample_mixed(agent.buffer, practical_buf, cfg.batch_size,
-                                ratio, rng)
-        return None
-
-    history = []
-    used = 0
-    while used < budget:
-        stats = run_training_episode(
-            agent, env, rng, sim_cfg, leader_ou, budget - used, sample_fn,
-            explore=explore)
-        stats.episode = len(history)
-        used += stats.steps
-        history.append(stats)
-        if progress:
-            progress(history[-1])
-    return history
+    return _train_online(
+        agent, budget, rng, rcfg, leader_ou,
+        lambda: sample_mixed(agent.buffer, practical_buf, cfg.batch_size,
+                             ratio, rng),
+        progress, explore=explore)
 
 
 def train_fully_offpolicy(agent: DdpgAgent, practical_buf: ReplayBuffer,

@@ -81,10 +81,6 @@ class Scenario:
     initial_gap: float
     follower_speed: float = 0.0
 
-    @property
-    def duration(self):
-        return (len(self.profile) - 1) * 0.1
-
 
 def run_scenario(agent, sc: Scenario, cfg: SimConfig = None,
                  rcfg: RewardConfig = None):

@@ -23,15 +23,28 @@ class MlpNet:
             raise ValueError("need at least input and output sizes")
         if out_activation not in _ACT_CODES:
             raise ValueError(f"unsupported output activation {out_activation!r}")
-        self.sizes = list(int(s) for s in sizes)
-        self.out_activation = out_activation
+        self._bind(sizes, out_activation, np.empty(_n_parameters(sizes)))
         rng = np.random.default_rng(seed)
-        self.weights = []
-        self.biases = []
+        for w, b in zip(self.weights, self.biases):
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
+
+    def _bind(self, sizes, out_activation, flat):
+        """Adopt ``flat`` as the parameter vector, laid out in file order
+        (W0, b0, W1, b1, ...); weights and biases are views into it, so
+        every write to them must be in place."""
+        self.sizes = [int(s) for s in sizes]
+        self.out_activation = out_activation
+        self.flat = flat
+        self.weights, self.biases = [], []
+        end = 0
         for n_in, n_out in zip(self.sizes[:-1], self.sizes[1:]):
-            bound = 1.0 / np.sqrt(n_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(n_in, n_out)))
-            self.biases.append(rng.uniform(-bound, bound, size=n_out))
+            start, end = end, end + n_in * n_out
+            self.weights.append(flat[start:end].reshape(n_in, n_out))
+            self.biases.append(flat[end:end + n_out])
+            end += n_out
+        return self
 
     @property
     def n_layers(self):
@@ -41,12 +54,8 @@ class MlpNet:
         return self.weights + self.biases
 
     def copy(self):
-        net = MlpNet.__new__(MlpNet)
-        net.sizes = list(self.sizes)
-        net.out_activation = self.out_activation
-        net.weights = [w.copy() for w in self.weights]
-        net.biases = [b.copy() for b in self.biases]
-        return net
+        return MlpNet.__new__(MlpNet)._bind(self.sizes, self.out_activation,
+                                            self.flat.copy())
 
     def forward(self, x, cache=False):
         """Forward pass for a single vector or a batch (rows = samples).
@@ -110,15 +119,13 @@ class MlpNet:
             fh.write(struct.pack("<I", len(self.sizes)))
             fh.write(struct.pack(f"<{len(self.sizes)}I", *self.sizes))
             fh.write(struct.pack("<I", _ACT_CODES[self.out_activation]))
-            for w, b in zip(self.weights, self.biases):
-                fh.write(np.ascontiguousarray(w).tobytes())
-                fh.write(np.ascontiguousarray(b).tobytes())
+            fh.write(self.flat.tobytes())
         manifest = {
             "format": "followrl-mlp-v1",
             "sizes": self.sizes,
             "out_activation": self.out_activation,
             "dtype": "float64",
-            "n_parameters": int(sum(p.size for p in self.parameters())),
+            "n_parameters": int(self.flat.size),
         }
         with open(str(path) + ".manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2)
@@ -131,12 +138,15 @@ class MlpNet:
             (n,) = struct.unpack("<I", fh.read(4))
             sizes = struct.unpack(f"<{n}I", fh.read(4 * n))
             (act,) = struct.unpack("<I", fh.read(4))
-            net = cls(sizes, out_activation=_ACT_NAMES[act], seed=0)
-            for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-                net.weights[i] = np.frombuffer(
-                    fh.read(8 * n_in * n_out)).reshape(n_in, n_out).copy()
-                net.biases[i] = np.frombuffer(fh.read(8 * n_out)).copy()
-        return net
+            flat = np.empty(_n_parameters(sizes))
+            if fh.readinto(flat) != flat.nbytes or fh.read(1):
+                raise ValueError(f"{path}: parameter bytes do not match the "
+                                 f"layer sizes {list(sizes)}")
+        return cls.__new__(cls)._bind(sizes, _ACT_NAMES[act], flat)
+
+
+def _n_parameters(sizes):
+    return sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
 
 
 class AdamState:
@@ -148,8 +158,8 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in net.parameters()]
-        self.v = [np.zeros_like(p) for p in net.parameters()]
+        self.m = np.zeros_like(net.flat)
+        self.v = np.zeros_like(net.flat)
 
 
 def opt_step(net: MlpNet, grads, state: AdamState):
@@ -158,24 +168,26 @@ def opt_step(net: MlpNet, grads, state: AdamState):
     params = net.parameters()
     if len(flat) != len(params):
         raise ValueError("gradient/parameter count mismatch")
+    if any(p.shape != g.shape for p, g in zip(params, flat)):
+        raise ValueError("gradient shape mismatch")
+    # in the layout of net.flat: W0, b0, W1, b1, ...
+    g = np.concatenate([x.ravel() for pair in zip(grads["weights"],
+                                                  grads["biases"]) for x in pair])
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
-    for p, g, m, v in zip(params, flat, state.m, state.v):
-        if p.shape != g.shape:
-            raise ValueError("gradient shape mismatch")
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    net.flat -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
 
 
 def hard_update(target: MlpNet, source: MlpNet):
     _check_same_arch(target, source)
-    for pt, ps in zip(target.parameters(), source.parameters()):
-        pt[...] = ps
+    target.flat[...] = source.flat
 
 
 def soft_update(target: MlpNet, source: MlpNet, tau):
@@ -183,9 +195,8 @@ def soft_update(target: MlpNet, source: MlpNet, tau):
     if not (0.0 <= tau <= 1.0):
         raise ValueError("tau must lie in [0, 1]")
     _check_same_arch(target, source)
-    for pt, ps in zip(target.parameters(), source.parameters()):
-        pt *= 1.0 - tau
-        pt += tau * ps
+    target.flat *= 1.0 - tau
+    target.flat += tau * source.flat
 
 
 def _check_same_arch(a: MlpNet, b: MlpNet):

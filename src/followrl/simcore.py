@@ -38,6 +38,16 @@ def normalize_state(v, a, v_l, g, cfg: SimConfig):
     ])
 
 
+def scale_action(u, cfg: SimConfig):
+    """Map a tanh output u in [-1, 1] linearly onto [a_min, a_max]."""
+    return cfg.a_min + (u + 1.0) / 2.0 * (cfg.a_max - cfg.a_min)
+
+
+def unscale_action(a, cfg: SimConfig):
+    """Inverse of scale_action: an acceleration in m/s^2 to [-1, 1]."""
+    return 2.0 * (a - cfg.a_min) / (cfg.a_max - cfg.a_min) - 1.0
+
+
 def ou_path(params: OuParams, n_steps, dt, seed=None, rng=None):
     """Euler-Maruyama discretization of an Ornstein-Uhlenbeck process:
     x_{k+1} = x_k + theta*(mu - x_k)*dt + sigma*sqrt(dt)*xi_k.

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from followrl.cli import main
+from followrl.config import load_config
 from followrl.datasets import load_transition_store
 from followrl.simcore import read_leader_csv
 
@@ -154,6 +155,15 @@ class TestControlCli:
         out = capsys.readouterr().out
         assert "throttle=" in out and "brake=" in out
 
+    def test_collect_reads_powertrain_config(self, tmp_path):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("[powertrain]\nc_throttle = 3.0\n")
+        outs = [tmp_path / "default.csv", tmp_path / "config.csv"]
+        run("control", "collect", "--duration-s", "20", "--out", str(outs[0]))
+        run("control", "collect", "--duration-s", "20", "--config", str(cfg),
+            "--out", str(outs[1]))
+        assert not filecmp.cmp(*outs, shallow=False)
+
 
 class TestConfigFile:
     def test_override_applies(self, tmp_path, capsys):
@@ -164,6 +174,18 @@ class TestConfigFile:
         out = capsys.readouterr().out
         line = [l for l in out.splitlines() if l.startswith("total")][0]
         assert float(line.split()[1]) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("raw, value", [("yes", True), ("Off", False)])
+    def test_boolean_words(self, tmp_path, raw, value):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text(f"[ddpg]\nstage2_explore = {raw}\n")
+        assert load_config(str(cfg))["ddpg"].stage2_explore is value
+
+    def test_unknown_boolean_rejected(self, tmp_path):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("[ddpg]\nstage2_explore = ture\n")
+        with pytest.raises(ValueError, match=r"\[ddpg\] stage2_explore"):
+            load_config(str(cfg))
 
     def test_calibrate_idm_runs(self, tmp_path, capsys):
         data = tmp_path / "data"

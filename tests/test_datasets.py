@@ -202,6 +202,17 @@ class TestStore:
             assert a.action == b.action and a.reward == b.reward
             assert a.done == b.done
 
+    def test_loaded_rows_share_one_array(self, tmp_path):
+        eps = make_synthetic(2, 5, CFG, RCFG)
+        from followrl.datasets import relabel_episodes
+        path = str(tmp_path / "store.npz")
+        save_transition_store(path, relabel_episodes(eps, CFG, RCFG))
+        back = load_transition_store(path).transitions
+        for field in ("state", "next_state"):
+            rows = [getattr(tr, field) for tr in back]
+            assert rows[0].base is not None
+            assert all(row.base is rows[0].base for row in rows)
+
     def test_ingest_glob(self, tmp_path):
         eps = make_synthetic(3, 6, CFG, RCFG)
         for ep in eps:

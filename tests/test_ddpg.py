@@ -4,6 +4,7 @@ import pytest
 from followrl import (DdpgAgent, DdpgConfig, ReplayBuffer, SimConfig,
                       Transition, sample_mixed)
 from followrl.ddpg import mix_count, train_stage1
+from followrl.simcore import unscale_action
 
 
 def make_transition(rng, done=False, reward=None):
@@ -155,7 +156,7 @@ class TestTrainStep:
         for _ in range(4000):
             agent.train_step(batch)
         s = np.stack([t.state for t in batch])
-        a = np.array([[agent.unscale_action(t.action)] for t in batch])
+        a = np.array([[unscale_action(t.action, agent.sim_cfg)] for t in batch])
         q = agent.critic.forward(np.hstack([s, a]))[:, 0]
         r = np.array([t.reward for t in batch])
         assert np.max(np.abs(q - r)) < 1e-3
@@ -189,6 +190,12 @@ class TestPersistence:
             assert np.array_equal(a, b)
         obs = np.array([0.4, 0.5, 0.0, 0.1])
         assert agent.select_action(obs) == other.select_action(obs)
+
+    def test_load_rejects_other_hidden_sizes(self, tmp_path):
+        DdpgAgent(DdpgConfig(hidden=(16, 16)), seed=0).save(str(tmp_path))
+        agent = DdpgAgent(DdpgConfig(hidden=(32, 32)), seed=0)
+        with pytest.raises(ValueError, match="actor.bin"):
+            agent.load(str(tmp_path))
 
 
 def probe_actions(agent):

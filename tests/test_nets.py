@@ -244,6 +244,56 @@ class TestSaveLoad:
         with pytest.raises(ValueError):
             MlpNet.load(str(path))
 
+    @pytest.mark.parametrize("cut, extra", [(8, b""), (3, b""),
+                                            (0, b"\x00" * 8), (0, b"\x01")])
+    def test_parameter_bytes_must_match_header(self, tmp_path, cut, extra):
+        path = tmp_path / "net.bin"
+        MlpNet([4, 8, 1], "tanh", seed=0).save(str(path))
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) - cut] + extra)
+        with pytest.raises(ValueError, match="net.bin"):
+            MlpNet.load(str(path))
+
+
+def assert_flat_views(net):
+    """Every weight and bias is a view into net.flat, and together they
+    cover each element of it exactly once."""
+    assert net.flat.dtype == np.float64 and net.flat.ndim == 1
+    base = net.flat.__array_interface__["data"][0]
+    hits = np.zeros(net.flat.size, dtype=int)
+    for p in net.parameters():
+        assert np.shares_memory(p, net.flat) and p.flags.c_contiguous
+        start = (p.__array_interface__["data"][0] - base) // 8
+        hits[start:start + p.size] += 1
+    assert np.all(hits == 1)
+
+
+class TestFlatParameters:
+    @pytest.mark.parametrize("sizes, act", ARCHS)
+    def test_views_after_every_operation(self, tmp_path, sizes, act):
+        net = MlpNet(sizes, act, seed=3)
+        assert_flat_views(net)
+        clone = net.copy()
+        assert_flat_views(clone)
+        assert not np.shares_memory(clone.flat, net.flat)
+        path = str(tmp_path / "net.bin")
+        net.save(path)
+        assert_flat_views(MlpNet.load(path))
+        _, cache = net.forward(np.ones(sizes[0]), cache=True)
+        opt_step(net, net.backward(cache, np.ones(sizes[-1])), AdamState(net))
+        assert_flat_views(net)
+        soft_update(clone, net, 0.5)
+        hard_update(clone, net)
+        assert_flat_views(clone)
+        assert np.array_equal(clone.flat, net.flat)
+
+    def test_agent_nets_are_views(self):
+        from followrl import DdpgAgent
+        agent = DdpgAgent(seed=0)
+        for net in (agent.actor, agent.critic,
+                    agent.actor_target, agent.critic_target):
+            assert_flat_views(net)
+
 
 def test_hard_update():
     src = MlpNet([2, 3, 1], "linear", seed=1)
