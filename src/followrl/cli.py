@@ -137,21 +137,28 @@ def cmd_train(args):
 
 
 def _load_agents(spec, sim_cfg, dcfg, idm_params):
+    """Agents by name: "idm", "bc", or a ddpg directory's basename.  The
+    names key the trace files, so a name given twice is an error."""
     agents = {}
     for entry in spec.split(","):
         entry = entry.strip()
         if entry == "idm":
-            agents["idm"] = baselines.IdmController(idm_params, sim_cfg)
+            name, agent = "idm", baselines.IdmController(idm_params, sim_cfg)
         elif entry.startswith("ddpg:"):
+            name = os.path.basename(entry[5:].rstrip("/")) or "ddpg"
             agent = ddpg.DdpgAgent(dcfg, sim_cfg, seed=0)
             agent.load(entry[5:])
-            agents[os.path.basename(entry[5:].rstrip("/")) or "ddpg"] = agent
         elif entry.startswith("bc:"):
             from .nets import MlpNet
-            net = MlpNet.load(entry[3:])
-            agents["bc"] = baselines.BcPolicy(net, sim_cfg)
+            name = "bc"
+            agent = baselines.BcPolicy(MlpNet.load(entry[3:]), sim_cfg)
         else:
             sys.exit(f"unknown agent spec {entry!r} (idm | ddpg:DIR | bc:FILE)")
+        if name in agents:
+            sys.exit(f"agent name {name!r} given twice in --agents {spec!r}: "
+                     "each agent needs its own name (ddpg dirs are named by "
+                     "their basename)")
+        agents[name] = agent
     return agents
 
 

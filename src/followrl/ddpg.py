@@ -6,6 +6,7 @@ relabeled human transitions and the live simulation buffer.  A fully
 off-policy mode (no interaction at all) demonstrates extrapolation error.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -29,8 +30,15 @@ PREACT_L2 = 1e-3
 
 _NETS = ("actor", "critic", "actor_target", "critic_target")
 
+# normalized state (v, a, v_l, g); see simcore.normalize_state
+STATE_DIM = 4
+# ReplayBuffer's column arrays: name, row shape, dtype
+_COLUMNS = (("states", (STATE_DIM,), float), ("actions", (), float),
+            ("rewards", (), float), ("next_states", (STATE_DIM,), float),
+            ("dones", (), bool))
 
-@dataclass
+
+@dataclass(slots=True)
 class Transition:
     state: np.ndarray
     action: float       # m/s^2, raw
@@ -39,8 +47,36 @@ class Transition:
     done: bool
 
 
+class Batch(list):
+    """Sampled transitions, the very objects the buffer holds, plus
+    ``columns``: their (states, actions, rewards, next_states, dones)
+    arrays, gathered from the buffers' columns when the batch was drawn.
+    Lists made from a Batch (slices, ``list(batch)``) carry no columns."""
+
+    def __init__(self, transitions, columns):
+        super().__init__(transitions)
+        self.columns = columns
+
+
+def _batch_columns(batch):
+    """(states (n,4), actions (n,), rewards (n,), next_states (n,4),
+    dones (n,)) of a batch: a Batch's own columns, or stacked from a list
+    of Transitions."""
+    if isinstance(batch, Batch):
+        return batch.columns
+    return (np.stack([tr.state for tr in batch]),
+            np.array([tr.action for tr in batch]),
+            np.array([tr.reward for tr in batch]),
+            np.stack([tr.next_state for tr in batch]),
+            np.array([tr.done for tr in batch], dtype=bool))
+
+
 class ReplayBuffer:
-    """Fixed-capacity ring buffer with FIFO eviction."""
+    """Fixed-capacity ring buffer with FIFO eviction.  ``storage`` holds
+    the Transition objects; the first len(self) rows of ``states``,
+    ``actions``, ``rewards``, ``next_states`` and ``dones`` hold the same
+    values as column arrays, row i for storage[i], so a sample gathers
+    its batch arrays directly."""
 
     def __init__(self, capacity):
         if capacity < 1:
@@ -48,16 +84,38 @@ class ReplayBuffer:
         self.capacity = capacity
         self.storage = []
         self.cursor = 0
+        self._grow(min(capacity, 1024))
+
+    def _grow(self, rows):
+        """Give the columns room for ``rows`` rows, keeping those filled.
+        They double as the buffer fills rather than taking the capacity up
+        front: with one capacity-sized allocation per buffer, the pages a
+        freed buffer had written stayed resident while the next buffer's
+        arrays landed elsewhere, and peak RSS crept up buffer by buffer."""
+        n = len(self.storage)
+        for name, width, dtype in _COLUMNS:
+            col = np.empty((rows,) + width, dtype)
+            if n:
+                col[:n] = getattr(self, name)[:n]
+            setattr(self, name, col)
 
     def __len__(self):
         return len(self.storage)
 
     def add(self, tr: Transition):
+        i = self.cursor
+        if i == len(self.actions):
+            self._grow(min(2 * i, self.capacity))
         if len(self.storage) < self.capacity:
             self.storage.append(tr)
         else:
-            self.storage[self.cursor] = tr
-        self.cursor = (self.cursor + 1) % self.capacity
+            self.storage[i] = tr
+        self.states[i] = tr.state
+        self.actions[i] = tr.action
+        self.rewards[i] = tr.reward
+        self.next_states[i] = tr.next_state
+        self.dones[i] = tr.done
+        self.cursor = (i + 1) % self.capacity
 
     def extend(self, transitions):
         for tr in transitions:
@@ -67,7 +125,10 @@ class ReplayBuffer:
         if not self.storage:
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.integers(0, len(self.storage), size=n)
-        return [self.storage[i] for i in idx]
+        columns = (self.states, self.actions, self.rewards, self.next_states,
+                   self.dones)
+        return Batch([self.storage[i] for i in idx.tolist()],
+                     tuple(col.take(idx, axis=0) for col in columns))
 
 
 def mix_count(r, batch_size):
@@ -82,13 +143,17 @@ def sample_mixed(sim_buf, practical_buf, batch_size, r, rng):
         raise ValueError("ratio r must lie in [0, 1]")
     n_prac = mix_count(r, batch_size)
     n_sim = batch_size - n_prac
-    batch = []
+    parts = []
     if n_prac:
-        batch += practical_buf.sample(rng, n_prac)
+        parts.append(practical_buf.sample(rng, n_prac))
     if n_sim:
-        batch += sim_buf.sample(rng, n_sim)
-    order = rng.permutation(len(batch))
-    return [batch[i] for i in order]
+        parts.append(sim_buf.sample(rng, n_sim))
+    order = rng.permutation(batch_size)
+    batch = [tr for part in parts for tr in part]
+    columns = zip(*(part.columns for part in parts))
+    return Batch([batch[i] for i in order.tolist()],
+                 tuple(np.concatenate(col).take(order, axis=0)
+                       for col in columns))
 
 
 class DdpgAgent:
@@ -100,8 +165,9 @@ class DdpgAgent:
         hidden = list(self.cfg.hidden)
         ss = np.random.SeedSequence(seed)
         actor_seed, critic_seed, agent_seed, head_seed = ss.spawn(4)
-        self.actor = MlpNet([4] + hidden + [1], "tanh", seed=actor_seed)
-        self.critic = MlpNet([5] + hidden + [1], "linear", seed=critic_seed)
+        self.actor = MlpNet([STATE_DIM] + hidden + [1], "tanh", seed=actor_seed)
+        self.critic = MlpNet([STATE_DIM + 1] + hidden + [1], "linear",
+                             seed=critic_seed)
         # near-zero output heads keep the initial Q surface flat and the
         # first actions nearly state-independent.  The actor head's bias then
         # starts at the pre-activation of 0 m/s^2: u = 0 maps to -2 m/s^2,
@@ -141,31 +207,34 @@ class DdpgAgent:
     # -- learning ----------------------------------------------------------
     def train_step(self, batch, update_actor=True):
         """One critic regression + actor ascent + target soft update.
-        With update_actor=False the actor (not its soft target) is held."""
+        With update_actor=False the actor (not its soft target) is held.
+        A non-finite critic loss raises ValueError before any net changes."""
         if not batch:
             raise ValueError("train_step needs a non-empty batch")
         n = len(batch)
-        s = np.stack([tr.state for tr in batch])
-        a = unscale_action(np.array([[tr.action] for tr in batch]), self.sim_cfg)
-        r = np.array([[tr.reward] for tr in batch])
-        s2 = np.stack([tr.next_state for tr in batch])
-        live = np.array([[0.0 if tr.done else 1.0] for tr in batch])
+        s, a, r, s2, done = _batch_columns(batch)
+        a = unscale_action(a[:, None], self.sim_cfg)
+        live = 1.0 - done[:, None]
 
         a2 = self.actor_target.forward(s2)
-        q2 = self.critic_target.forward(np.hstack([s2, a2]))
-        y = r + self.cfg.gamma * live * q2
+        q2 = self.critic_target.forward(np.concatenate((s2, a2), axis=1))
+        y = r[:, None] + self.cfg.gamma * live * q2
 
-        q, cache = self.critic.forward(np.hstack([s, a]), cache=True)
+        q, cache = self.critic.forward(np.concatenate((s, a), axis=1), cache=True)
         diff = q - y
-        critic_loss = float(np.mean(diff ** 2))
+        critic_loss = float((diff ** 2).sum() / n)
+        if not math.isfinite(critic_loss):
+            raise ValueError(f"non-finite critic loss {critic_loss}: the batch "
+                             "or the nets hold a non-finite value")
         grads = self.critic.backward(cache, 2.0 * diff / n)
         opt_step(self.critic, grads, self.critic_opt)
 
         u, acache = self.actor.forward(s, cache=True)
-        qa, ccache = self.critic.forward(np.hstack([s, u]), cache=True)
+        qa, ccache = self.critic.forward(np.concatenate((s, u), axis=1),
+                                         cache=True)
         if update_actor:
-            dq = self.critic.backward(ccache, np.full((n, 1), 1.0 / n))
-            da = dq["input"][:, 4:]
+            dq = self.critic.input_grad(ccache, np.full((n, 1), 1.0 / n))
+            da = dq[:, STATE_DIM:]
             # ascend on Q - PREACT_L2 * mean(z^2), z the head's
             # pre-activation, by descending on its negative
             dpre = 2.0 * PREACT_L2 * acache["pre"][-1] / n
@@ -174,7 +243,7 @@ class DdpgAgent:
 
         soft_update(self.actor_target, self.actor, self.cfg.tau)
         soft_update(self.critic_target, self.critic, self.cfg.tau)
-        return {"critic_loss": critic_loss, "actor_q": float(np.mean(qa))}
+        return {"critic_loss": critic_loss, "actor_q": float(qa.sum() / n)}
 
     # -- persistence ---------------------------------------------------------
     def save(self, out_dir):

@@ -68,10 +68,11 @@ class MlpNet:
         if h.shape[1] != self.sizes[0]:
             raise ValueError(f"input width {h.shape[1]} != {self.sizes[0]}")
         pre, post = [], [h]
+        last = self.n_layers - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = h @ w + b
             pre.append(z)
-            if i < self.n_layers - 1:
+            if i < last:
                 h = np.maximum(z, 0.0)
             elif self.out_activation == "tanh":
                 h = np.tanh(z)
@@ -87,29 +88,39 @@ class MlpNet:
         """Exact gradients for every parameter and the input, given the
         gradient of a scalar loss w.r.t. the network output.  ``dpre`` adds
         the gradient of an extra loss term on the head's pre-activation."""
+        dw, db, din = self._backprop(cache, dout, dpre, params=True)
+        return {"weights": dw, "biases": db, "input": din}
+
+    def input_grad(self, cache, dout):
+        """The "input" entry of backward(cache, dout), bit for bit, without
+        computing the parameter gradients."""
+        return self._backprop(cache, dout, None, params=False)[2]
+
+    def _backprop(self, cache, dout, dpre, params):
         if cache is None or "post" not in cache:
             raise ValueError("backward needs the cache from a forward call")
         dout = np.asarray(dout, dtype=float)
         if cache["squeeze"]:
             dout = dout.reshape(1, -1)
-        dw = [None] * self.n_layers
-        db = [None] * self.n_layers
+        last = self.n_layers - 1
+        dw = [None] * (last + 1)
+        db = [None] * (last + 1)
         grad = dout
-        for i in range(self.n_layers - 1, -1, -1):
-            z = cache["pre"][i]
-            if i == self.n_layers - 1:
+        for i in range(last, -1, -1):
+            if i == last:
                 if self.out_activation == "tanh":
-                    grad = grad * (1.0 - np.tanh(z) ** 2)
+                    # the cached output is tanh(z)
+                    grad = grad * (1.0 - cache["post"][i + 1] ** 2)
                 if dpre is not None:
                     grad = grad + dpre
             else:
-                grad = grad * (z > 0.0)
-            h_in = cache["post"][i]
-            dw[i] = h_in.T @ grad
-            db[i] = grad.sum(axis=0)
+                grad = grad * (cache["pre"][i] > 0.0)
+            if params:
+                dw[i] = cache["post"][i].T @ grad
+                db[i] = grad.sum(axis=0)
             grad = grad @ self.weights[i].T
         din = grad[0] if cache["squeeze"] else grad
-        return {"weights": dw, "biases": db, "input": din}
+        return dw, db, din
 
     def save(self, path):
         """Flat binary file: magic, layer count, sizes, activation code,
@@ -133,15 +144,25 @@ class MlpNet:
     @classmethod
     def load(cls, path):
         with open(path, "rb") as fh:
-            if fh.read(4) != MAGIC:
-                raise ValueError(f"{path} is not a followrl parameter file")
-            (n,) = struct.unpack("<I", fh.read(4))
-            sizes = struct.unpack(f"<{n}I", fh.read(4 * n))
-            (act,) = struct.unpack("<I", fh.read(4))
-            flat = np.empty(_n_parameters(sizes))
-            if fh.readinto(flat) != flat.nbytes or fh.read(1):
-                raise ValueError(f"{path}: parameter bytes do not match the "
-                                 f"layer sizes {list(sizes)}")
+            data = fh.read()
+        if data[:4] != MAGIC:
+            raise ValueError(f"{path} is not a followrl parameter file")
+        # unpack_from checks each length against the bytes read, so a bad
+        # header fails here instead of allocating what it asks for
+        try:
+            (n,) = struct.unpack_from("<I", data, 4)
+            sizes = struct.unpack_from(f"<{n}I", data, 8)
+            (act,) = struct.unpack_from("<I", data, 8 + 4 * n)
+        except struct.error:
+            raise ValueError(f"{path}: header is cut short") from None
+        if n < 2 or act not in _ACT_NAMES:
+            raise ValueError(f"{path}: bad header: layer sizes "
+                             f"{list(sizes)}, activation code {act}")
+        start = 12 + 4 * n
+        if len(data) - start != 8 * _n_parameters(sizes):
+            raise ValueError(f"{path}: parameter bytes do not match the "
+                             f"layer sizes {list(sizes)}")
+        flat = np.frombuffer(data, dtype=float, offset=start).copy()
         return cls.__new__(cls)._bind(sizes, _ACT_NAMES[act], flat)
 
 

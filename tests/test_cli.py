@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from followrl import DdpgAgent, MlpNet
 from followrl.cli import main
 from followrl.config import load_config
 from followrl.datasets import load_transition_store
@@ -140,6 +141,22 @@ class TestTrainEval:
                 "--out", str(rep))
             reps.append(rep / "builtin-s53" / "trace_idm.csv")
         assert filecmp.cmp(*reps, shallow=False)
+
+    @pytest.mark.parametrize("kind", ["bc", "ddpg"])
+    def test_eval_rejects_clashing_names(self, tmp_path, kind):
+        if kind == "bc":
+            path = tmp_path / "p.bin"
+            MlpNet([4, 8, 1], "tanh", seed=0).save(str(path))
+            spec, name = f"bc:{path},idm,bc:{path}", "bc"
+        else:
+            dirs = [tmp_path / parent / "run" for parent in ("a", "b")]
+            for d in dirs:
+                DdpgAgent(seed=0).save(str(d))
+            spec, name = ",".join(f"ddpg:{d}" for d in dirs), "run"
+        with pytest.raises(SystemExit, match=f"'{name}' given twice"):
+            run("eval", "--agents", spec, "--scenario", "builtin:s53",
+                "--out", str(tmp_path / "rep"))
+        assert not (tmp_path / "rep").exists()
 
 
 class TestControlCli:

@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from followrl import (DdpgAgent, DdpgConfig, ReplayBuffer, SimConfig,
-                      Transition, sample_mixed)
-from followrl.ddpg import mix_count, train_stage1
+from followrl import (DdpgAgent, DdpgConfig, ReplayBuffer, RewardConfig,
+                      SimConfig, Transition, datasets, sample_mixed)
+from followrl.ddpg import mix_count, train_stage1, train_stage2
 from followrl.simcore import unscale_action
 
 
@@ -20,6 +24,23 @@ def filled_buffer(n, seed=0, capacity=None, done=False):
     for _ in range(n):
         buf.add(make_transition(rng, done=done))
     return buf
+
+
+NETS = ("actor", "critic", "actor_target", "critic_target")
+
+
+def stacked(transitions):
+    """Reference columns of a list of transitions, one row per object."""
+    return (np.stack([t.state for t in transitions]),
+            np.array([t.action for t in transitions]),
+            np.array([t.reward for t in transitions]),
+            np.stack([t.next_state for t in transitions]),
+            np.array([t.done for t in transitions]))
+
+
+def assert_columns(columns, transitions):
+    for col, ref in zip(columns, stacked(transitions), strict=True):
+        assert np.array_equal(col, ref)
 
 
 class TestReplayBuffer:
@@ -39,6 +60,33 @@ class TestReplayBuffer:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             ReplayBuffer(5).sample(np.random.default_rng(0), 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(capacity=st.one_of(st.integers(1, 9), st.integers(1000, 1100)),
+           fill=st.floats(0.0, 2.5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_columns_match_storage(self, capacity, fill, seed):
+        # past the capacity the cursor wraps and rows are overwritten in
+        # place; past 1024 rows the columns grow
+        rng = np.random.default_rng(seed)
+        buf = ReplayBuffer(capacity)
+        n_add = int(fill * capacity)
+        for _ in range(n_add):
+            buf.add(make_transition(rng, done=bool(rng.integers(2))))
+        n = len(buf)
+        assert n == min(n_add, capacity)
+        if n:
+            assert_columns((buf.states[:n], buf.actions[:n], buf.rewards[:n],
+                            buf.next_states[:n], buf.dones[:n]), buf.storage)
+
+    def test_sample_matches_list_reference(self):
+        buf = filled_buffer(25, 20, capacity=20)      # wrapped once
+        rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+        for _ in range(20):
+            batch = buf.sample(rng, 32)
+            ref = [buf.storage[i]
+                   for i in ref_rng.integers(0, len(buf.storage), size=32)]
+            assert [id(t) for t in batch] == [id(t) for t in ref]
+            assert_columns(batch.columns, ref)
 
 
 class TestSampleMixed:
@@ -79,6 +127,24 @@ class TestSampleMixed:
         sigma = np.sqrt(draws * p * (1 - p))
         for c in counts.values():
             assert abs(c - draws * p) < 3.5 * sigma
+
+    @pytest.mark.parametrize("r", [0.0, 0.6, 1.0])
+    def test_matches_list_reference(self, r):
+        sim, prac = filled_buffer(45, 22, capacity=40), filled_buffer(30, 23)
+        rng, ref_rng = np.random.default_rng(24), np.random.default_rng(24)
+        for _ in range(20):
+            batch = sample_mixed(sim, prac, 32, r, rng)
+            # the draws of the list-only sampler: practical, sim, permutation
+            n_prac, ref = mix_count(r, 32), []
+            if n_prac:
+                ref += [prac.storage[i] for i in
+                        ref_rng.integers(0, len(prac), size=n_prac)]
+            if n_prac < 32:
+                ref += [sim.storage[i] for i in
+                        ref_rng.integers(0, len(sim), size=32 - n_prac)]
+            ref = [ref[i] for i in ref_rng.permutation(32)]
+            assert [id(t) for t in batch] == [id(t) for t in ref]
+            assert_columns(batch.columns, ref)
 
     def test_empty_required_buffer_rejected(self):
         sim = filled_buffer(10, 9)
@@ -177,6 +243,31 @@ class TestTrainStep:
         with pytest.raises(ValueError):
             DdpgAgent(seed=0).train_step([])
 
+    def test_list_and_batch_bit_identical(self):
+        sim, prac = filled_buffer(60, 14), filled_buffer(40, 15, done=True)
+        listed, batched = DdpgAgent(seed=8), DdpgAgent(seed=8)
+        rng = np.random.default_rng(16)
+        for k in range(6):
+            batch = sample_mixed(sim, prac, 32, 0.6, rng)
+            update_actor = k % 3 != 0
+            assert (listed.train_step(list(batch), update_actor)
+                    == batched.train_step(batch, update_actor))
+            for name in NETS:
+                assert np.array_equal(getattr(listed, name).flat,
+                                      getattr(batched, name).flat)
+
+    def test_non_finite_loss_rejected_before_any_write(self):
+        agent = DdpgAgent(seed=9)
+        rng = np.random.default_rng(17)
+        batch = [make_transition(rng) for _ in range(32)]
+        batch[5] = make_transition(rng, reward=float("nan"))
+        before = {name: getattr(agent, name).flat.copy() for name in NETS}
+        with pytest.raises(ValueError, match="non-finite"):
+            agent.train_step(batch)
+        for name in NETS:
+            assert np.array_equal(getattr(agent, name).flat, before[name])
+        assert agent.critic_opt.t == agent.actor_opt.t == 0
+
 
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
@@ -245,3 +336,26 @@ class TestStage1Saturation:
         at_bound = (acts <= sim.a_min + margin) | (acts >= sim.a_max - margin)
         assert not at_bound.all(), acts
         assert np.ptp(acts) > 1.0, acts
+
+
+# sha256 of the four nets' parameter vectors after 300 stage-1 steps and
+# 300 stage-2 steps at r = 0.6, taken before the replay buffer kept column
+# arrays.  Training is deterministic under a seed, so a change to the
+# update's arithmetic moves it.  So can a numpy or BLAS upgrade, which may
+# change rounding in matmul or reductions: record any such move, with the
+# versions, in CHANGES.md.
+GOLDEN_SHA256 = "2189227a7f336893e02c8ef6705b39ab4d3c33b20f9ee09985ef4f1448461d07"
+
+
+def test_golden_two_stage_parameters():
+    sim, rcfg = SimConfig(), RewardConfig()
+    practical = datasets.relabel_episodes(
+        datasets.make_synthetic(2, 0, sim, rcfg, duration=20.0),
+        sim, rcfg).to_buffer()
+    agent = DdpgAgent(seed=0)
+    train_stage1(agent, 300, seed=0)
+    train_stage2(agent, practical, 0.6, 300, seed=0)
+    h = hashlib.sha256()
+    for name in NETS:
+        h.update(getattr(agent, name).flat.tobytes())
+    assert h.hexdigest() == GOLDEN_SHA256

@@ -254,6 +254,22 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="net.bin"):
             MlpNet.load(str(path))
 
+    def test_header_cut_short_names_file(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"FRLN\x02")
+        with pytest.raises(ValueError, match="short.bin"):
+            MlpNet.load(str(path))
+
+    def test_unknown_activation_names_file(self, tmp_path):
+        path = tmp_path / "act.bin"
+        MlpNet([4, 8, 1], "tanh", seed=0).save(str(path))
+        data = bytearray(path.read_bytes())
+        # magic, layer count, three sizes, then the activation code
+        data[20:24] = (7).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="act.bin"):
+            MlpNet.load(str(path))
+
 
 def assert_flat_views(net):
     """Every weight and bias is a view into net.flat, and together they
