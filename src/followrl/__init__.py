@@ -14,7 +14,7 @@ from .datasets import (FollowingEpisode, RelabeledDataset, TrajectoryRecord,
 from .baselines import (BcPolicy, IdmController, bc_train, idm_accel,
                         idm_equilibrium_gap)
 from .control import (ControlNet, accel_to_pedals, collect_reverse_data,
-                      powertrain_step, stanley_steering, train_control_net)
+                      powertrain_step, train_control_net)
 from .evaluate import (RunTrace, Scenario, TtcSummary, compare_report,
                        run_scenario, self_defined_profile, synthetic_suite,
                        ttc, ttc_summary)

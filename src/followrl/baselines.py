@@ -72,8 +72,8 @@ def bc_train(train_ds, epochs=20, seed=0, sim_cfg: SimConfig = None,
     rng = np.random.default_rng(shuffle_seed)
     policy = BcPolicy(net, sim_cfg)
 
-    states = np.stack([tr.state for tr in train_ds.transitions])
-    actions = np.array([[tr.action] for tr in train_ds.transitions])
+    states = train_ds.transitions.states
+    actions = train_ds.transitions.actions[:, None]
     n = len(actions)
     half_range = (sim_cfg.a_max - sim_cfg.a_min) / 2.0
     for _ in range(epochs):
@@ -90,9 +90,8 @@ def bc_train(train_ds, epochs=20, seed=0, sim_cfg: SimConfig = None,
 
 
 def bc_mse(policy: BcPolicy, ds):
-    states = np.stack([tr.state for tr in ds.transitions])
-    actions = np.array([tr.action for tr in ds.transitions])
-    return float(np.mean((policy.predict(states) - actions) ** 2))
+    rows = ds.transitions
+    return float(np.mean((policy.predict(rows.states) - rows.actions) ** 2))
 
 
 def calibrate_idm(episodes, cfg: SimConfig, base: IdmParams = None,

@@ -1,6 +1,5 @@
-"""Surrogate longitudinal powertrain, reverse-data collection, the inverse
-control network mapping (v_next, v, a) -> (throttle, brake), and the
-Stanley lateral steering law.
+"""Surrogate longitudinal powertrain, reverse-data collection and the inverse
+control network mapping (v_next, v, a) -> (throttle, brake).
 
 The powertrain stands in for a full vehicle-physics engine: a monotone
 drive force fading with speed, constant brake authority, rolling
@@ -9,7 +8,6 @@ invertibility oracle for the control net.
 """
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,9 +156,3 @@ def track_accel_commands(cn: ControlNet, model: PowertrainParams, commands,
         achieved.append(accel)
         speeds.append(v)
     return np.array(achieved), np.array(speeds)
-
-
-def stanley_steering(theta_p, d_f, v, k_v=2.5, v_floor=0.1):
-    """Stanley lateral law: heading error plus arctangent of the
-    normalized front-axle lateral error, with a small speed floor."""
-    return theta_p + math.atan(k_v * d_f / max(v, v_floor))

@@ -1,24 +1,25 @@
 """Car-following trajectory ingestion and relabeling into RL transitions.
 
 Recorded (leader speed, follower speed, gap) rows at 10 Hz become
-(s, a, r, s', done) tuples: actions recovered by forward-differencing the
-follower speed, rewards recomputed with the exact reward code path used
-online, episode boundaries marked terminal so learning never bootstraps
-across recordings.
+(s, a, r, s', done) transitions, the rows of one ddpg.Batch: actions
+recovered by forward-differencing the follower speed, rewards recomputed
+with the exact reward code path used online, episode boundaries marked
+terminal so learning never bootstraps across recordings.
 """
 
 import csv
 import glob
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .config import RewardConfig, SimConfig
-from .ddpg import ReplayBuffer, Transition
+from .baselines import IdmController
+from .config import LEADER_OU, RewardConfig, SimConfig
+from .ddpg import STATE_DIM, Batch, ReplayBuffer
 from .reward import reward_total
-from .simcore import normalize_state
+from .simcore import FollowEnv, gen_leader_profile, normalize_state
 
 HEADER = ["t_s", "v_leader_mps", "v_follower_mps", "gap_m"]
 
@@ -43,7 +44,7 @@ class FollowingEpisode:
 
 @dataclass
 class RelabeledDataset:
-    transitions: list
+    transitions: Batch
     provenance: list = field(default_factory=list)  # (episode_id, count)
     clipped_actions: int = 0
 
@@ -51,7 +52,7 @@ class RelabeledDataset:
         return len(self.transitions)
 
     def to_buffer(self):
-        buf = ReplayBuffer(max(1, len(self.transitions)))
+        buf = ReplayBuffer(max(1, len(self)))
         buf.extend(self.transitions)
         return buf
 
@@ -116,15 +117,17 @@ def build_transitions(ep: FollowingEpisode, cfg: SimConfig, rcfg: RewardConfig):
     clipped = int(np.sum((accel < cfg.a_min) | (accel > cfg.a_max)))
     accel = np.clip(accel, cfg.a_min, cfg.a_max)
 
-    transitions = []
-    for t in range(1, n - 1):
-        a_t = float(accel[t])
-        jerk = (accel[t] - accel[t - 1]) / dt
-        state = normalize_state(v[t], accel[t - 1], v_l[t], gap[t], cfg)
-        next_state = normalize_state(v[t + 1], a_t, v_l[t + 1], gap[t + 1], cfg)
-        r = reward_total(v[t + 1], v_l[t + 1], gap[t + 1], float(jerk), rcfg).total
-        transitions.append(Transition(state, a_t, r, next_state, t == n - 2))
-    return RelabeledDataset(transitions, [(ep.id, len(transitions))], clipped)
+    jerk = (accel[1:] - accel[:-1]) / dt                # jerk[t-1] at row t
+    out = Batch.empty(n - 2)
+    for i, t in enumerate(range(1, n - 1)):
+        out.states[i] = normalize_state(v[t], accel[t - 1], v_l[t], gap[t], cfg)
+        out.next_states[i] = normalize_state(v[t + 1], float(accel[t]),
+                                             v_l[t + 1], gap[t + 1], cfg)
+        out.rewards[i] = reward_total(v[t + 1], v_l[t + 1], gap[t + 1],
+                                      float(jerk[i]), rcfg).total
+    out.actions[:] = accel[1:]
+    out.dones[:] = np.arange(n - 2) == n - 3
+    return RelabeledDataset(out, [(ep.id, n - 2)], clipped)
 
 
 def relabel_episodes(episodes, cfg: SimConfig, rcfg: RewardConfig):
@@ -154,21 +157,21 @@ def split_train_eval(parts, frac=0.95, seed=0):
         if not eval_parts:
             eval_parts.append(train_parts.pop())
         return merge_parts(train_parts), merge_parts(eval_parts)
-    train, evl = RelabeledDataset([]), RelabeledDataset([])
+    train, evl = [], []
     for p in parts:
         cut = int(round(frac * len(p)))
         cut = min(max(cut, 0), len(p) - 1) if len(p) > 1 else len(p)
-        train.transitions += p.transitions[:cut]
-        evl.transitions += p.transitions[cut:]
-        train.provenance += [(p.provenance[0][0], cut)]
-        evl.provenance += [(p.provenance[0][0], len(p) - cut)]
-        train.clipped_actions += p.clipped_actions
-    return train, evl
+        eid = p.provenance[0][0]
+        train.append(RelabeledDataset(p.transitions.take(slice(cut)),
+                                      [(eid, cut)], p.clipped_actions))
+        evl.append(RelabeledDataset(p.transitions.take(slice(cut, None)),
+                                    [(eid, len(p) - cut)]))
+    return merge_parts(train), merge_parts(evl)
 
 
 def merge_parts(parts):
     return RelabeledDataset(
-        [tr for p in parts for tr in p.transitions],
+        Batch.concat([p.transitions for p in parts]),
         [prov for p in parts for prov in p.provenance],
         sum(p.clipped_actions for p in parts))
 
@@ -179,18 +182,16 @@ def reward_histogram(ds: RelabeledDataset, bin_width=0.05, lo=-1.0, hi=0.5):
     zero reward."""
     if len(ds) == 0:
         raise ValueError("empty dataset")
-    rewards = np.array([tr.reward for tr in ds.transitions])
+    rewards = ds.transitions.rewards
     n_bins = int(round((hi - lo) / bin_width))
     edges = lo + bin_width * np.arange(n_bins + 1)
-    counts = np.zeros(n_bins + 2, dtype=int)     # [underflow, bins..., overflow]
-    for r in rewards:
-        if r < lo:
-            counts[0] += 1
-        elif r > hi:
-            counts[-1] += 1
-        else:
-            # hi itself (the attainable maximum) falls in the top regular bin
-            counts[1 + min(n_bins - 1, int((r - lo) / bin_width))] += 1
+    # [underflow, bins..., overflow]; hi itself (the attainable maximum)
+    # falls in the top regular bin
+    scaled = (np.clip(rewards, lo, hi) - lo) / bin_width
+    bins = 1 + np.minimum(scaled, n_bins - 1).astype(int)
+    bins[rewards < lo] = 0
+    bins[rewards > hi] = n_bins + 1
+    counts = np.bincount(bins, minlength=n_bins + 2)
     return {
         "edges": edges,
         "counts": counts,
@@ -200,17 +201,13 @@ def reward_histogram(ds: RelabeledDataset, bin_width=0.05, lo=-1.0, hi=0.5):
 
 
 def save_transition_store(path, ds: RelabeledDataset):
-    """Binary transition store (.npz) plus a text manifest next to it."""
+    """Binary transition store (.npz) plus a text manifest next to it.
+    Transitions holding a non-finite value are refused, as on loading."""
     path = os.fspath(path)
-    np.savez(
-        path,
-        states=np.stack([tr.state for tr in ds.transitions]),
-        actions=np.array([tr.action for tr in ds.transitions]),
-        rewards=np.array([tr.reward for tr in ds.transitions]),
-        next_states=np.stack([tr.next_state for tr in ds.transitions]),
-        dones=np.array([tr.done for tr in ds.transitions]),
-    )
+    if not all(np.isfinite(col).all() for col in ds.transitions.columns):
+        raise ValueError(f"{path}: non-finite value in the transitions")
     hist = reward_histogram(ds)
+    np.savez(path, **vars(ds.transitions))
     manifest = {
         "n_transitions": len(ds),
         "episodes": [{"id": eid, "transitions": n} for eid, n in ds.provenance],
@@ -228,16 +225,26 @@ def save_transition_store(path, ds: RelabeledDataset):
 
 
 def load_transition_store(path):
+    """Read a store written by save_transition_store.  A missing member,
+    columns of unequal length, states not shaped (n, 4) or a non-finite
+    value raise ValueError naming the file."""
     path = os.fspath(path)
     if not os.path.exists(path) and os.path.exists(path + ".npz"):
         path = path + ".npz"
+    names = [f.name for f in fields(Batch)]
     # read each member once: data[key] decompresses the whole member anew
     with np.load(path) as data:
-        states, next_states = data["states"], data["next_states"]
-        actions, rewards, dones = (data[k].tolist()
-                                   for k in ("actions", "rewards", "dones"))
-    transitions = [Transition(*row) for row in
-                   zip(states, actions, rewards, next_states, dones)]
+        missing = [k for k in names if k not in data.files]
+        if missing:
+            raise ValueError(f"{path}: missing member(s) {', '.join(missing)}")
+        batch = Batch(*(data[k] for k in names))
+    shapes = [col.shape for col in batch.columns]
+    n = batch.actions.size
+    if shapes != [(n, STATE_DIM), (n,), (n,), (n, STATE_DIM), (n,)]:
+        raise ValueError(f"{path}: column shapes {shapes}; want one length n, "
+                         f"(n, {STATE_DIM}) states and next_states, (n,) others")
+    if not all(np.isfinite(col).all() for col in batch.columns):
+        raise ValueError(f"{path}: non-finite value in the store")
     provenance, clipped = [], 0
     base = path[:-4] if path.endswith(".npz") else path
     manifest_path = base + ".manifest.json"
@@ -246,7 +253,7 @@ def load_transition_store(path):
             manifest = json.load(fh)
         provenance = [(e["id"], e["transitions"]) for e in manifest["episodes"]]
         clipped = manifest["clipped_actions"]
-    return RelabeledDataset(transitions, provenance, clipped)
+    return RelabeledDataset(batch, provenance, clipped)
 
 
 def ingest(pattern, cfg: SimConfig, rcfg: RewardConfig, dt=0.1):
@@ -263,8 +270,6 @@ def rollout_episode(controller, profile, cfg: SimConfig, rcfg: RewardConfig,
                     initial_gap, follower_speed=0.0, episode_id="synthetic"):
     """Roll a controller with an act(v, a, v_l, g) interface through the
     simulator and record the trajectory rows the relabeler expects."""
-    from .simcore import FollowEnv
-
     env = FollowEnv(cfg, rcfg)
     env.reset(profile, initial_gap=initial_gap, follower_speed=follower_speed)
     records = [TrajectoryRecord(0.0, env.leader.speed, env.follower.speed, env.gap)]
@@ -286,14 +291,8 @@ def make_synthetic(n_episodes, seed, cfg: SimConfig, rcfg: RewardConfig,
     """Fabricate a stand-in human dataset by rolling out IDM (or any
     act-style controller) behind OU leaders.  ``duration`` (seconds)
     optionally shortens the episode horizon."""
-    import dataclasses
-
-    from .baselines import IdmController
-    from .config import LEADER_OU
-    from .simcore import gen_leader_profile
-
     if duration is not None:
-        cfg = dataclasses.replace(cfg, max_steps=int(round(duration / cfg.dt)))
+        cfg = replace(cfg, max_steps=int(round(duration / cfg.dt)))
     controller = controller or IdmController()
     leader_ou = leader_ou or LEADER_OU
     rng = np.random.default_rng(seed)

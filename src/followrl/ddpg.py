@@ -32,10 +32,6 @@ _NETS = ("actor", "critic", "actor_target", "critic_target")
 
 # normalized state (v, a, v_l, g); see simcore.normalize_state
 STATE_DIM = 4
-# ReplayBuffer's column arrays: name, row shape, dtype
-_COLUMNS = (("states", (STATE_DIM,), float), ("actions", (), float),
-            ("rewards", (), float), ("next_states", (STATE_DIM,), float),
-            ("dones", (), bool))
 
 
 @dataclass(slots=True)
@@ -47,74 +43,88 @@ class Transition:
     done: bool
 
 
-class Batch(list):
-    """Sampled transitions, the very objects the buffer holds, plus
-    ``columns``: their (states, actions, rewards, next_states, dones)
-    arrays, gathered from the buffers' columns when the batch was drawn.
-    Lists made from a Batch (slices, ``list(batch)``) carry no columns."""
+@dataclass(eq=False)
+class Batch:
+    """Transitions as column arrays, row i of each for transition i:
+    states (n, 4), actions (n,) in m/s^2, rewards (n,), next_states (n, 4)
+    and dones (n,) bool.  Iterating yields one Transition per row."""
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
+    dones: np.ndarray
 
-    def __init__(self, transitions, columns):
-        super().__init__(transitions)
-        self.columns = columns
+    @classmethod
+    def empty(cls, n):
+        """n rows, uninitialised until written with ``put``."""
+        return cls(np.empty((n, STATE_DIM)), np.empty(n), np.empty(n),
+                   np.empty((n, STATE_DIM)), np.empty(n, dtype=bool))
 
+    @classmethod
+    def stack(cls, transitions):
+        out = cls.empty(len(transitions))
+        for i, tr in enumerate(transitions):
+            out.put(i, tr)
+        return out
 
-def _batch_columns(batch):
-    """(states (n,4), actions (n,), rewards (n,), next_states (n,4),
-    dones (n,)) of a batch: a Batch's own columns, or stacked from a list
-    of Transitions."""
-    if isinstance(batch, Batch):
-        return batch.columns
-    return (np.stack([tr.state for tr in batch]),
-            np.array([tr.action for tr in batch]),
-            np.array([tr.reward for tr in batch]),
-            np.stack([tr.next_state for tr in batch]),
-            np.array([tr.done for tr in batch], dtype=bool))
+    @classmethod
+    def concat(cls, batches):
+        return cls(*(np.concatenate(cols)
+                     for cols in zip(*(b.columns for b in batches))))
 
-
-class ReplayBuffer:
-    """Fixed-capacity ring buffer with FIFO eviction.  ``storage`` holds
-    the Transition objects; the first len(self) rows of ``states``,
-    ``actions``, ``rewards``, ``next_states`` and ``dones`` hold the same
-    values as column arrays, row i for storage[i], so a sample gathers
-    its batch arrays directly."""
-
-    def __init__(self, capacity):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.storage = []
-        self.cursor = 0
-        self._grow(min(capacity, 1024))
-
-    def _grow(self, rows):
-        """Give the columns room for ``rows`` rows, keeping those filled.
-        They double as the buffer fills rather than taking the capacity up
-        front: with one capacity-sized allocation per buffer, the pages a
-        freed buffer had written stayed resident while the next buffer's
-        arrays landed elsewhere, and peak RSS crept up buffer by buffer."""
-        n = len(self.storage)
-        for name, width, dtype in _COLUMNS:
-            col = np.empty((rows,) + width, dtype)
-            if n:
-                col[:n] = getattr(self, name)[:n]
-            setattr(self, name, col)
+    @property
+    def columns(self):
+        return (self.states, self.actions, self.rewards, self.next_states,
+                self.dones)
 
     def __len__(self):
-        return len(self.storage)
+        return len(self.actions)
 
-    def add(self, tr: Transition):
-        i = self.cursor
-        if i == len(self.actions):
-            self._grow(min(2 * i, self.capacity))
-        if len(self.storage) < self.capacity:
-            self.storage.append(tr)
-        else:
-            self.storage[i] = tr
+    def __iter__(self):
+        return map(Transition, self.states, self.actions.tolist(),
+                   self.rewards.tolist(), self.next_states, self.dones.tolist())
+
+    def put(self, i, tr: Transition):
         self.states[i] = tr.state
         self.actions[i] = tr.action
         self.rewards[i] = tr.reward
         self.next_states[i] = tr.next_state
         self.dones[i] = tr.done
+
+    def take(self, idx):
+        """Rows idx, an index array or a slice, copied into a new Batch."""
+        if isinstance(idx, slice):
+            idx = np.arange(len(self))[idx]
+        return Batch(*(col.take(idx, axis=0) for col in self.columns))
+
+
+class ReplayBuffer:
+    """Fixed-capacity ring buffer with FIFO eviction.  The first len(self)
+    rows of ``rows`` hold the stored transitions; ``cursor`` is the row the
+    next add writes."""
+
+    def __init__(self, capacity):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self.size = 0
+        self.cursor = 0
+        self.rows = Batch.empty(min(capacity, 1024))
+
+    def __len__(self):
+        return self.size
+
+    def add(self, tr: Transition):
+        i = self.cursor
+        if i == len(self.rows):
+            # the rows double up to the capacity: with one capacity-sized
+            # allocation per buffer, peak RSS crept up buffer by buffer
+            grown = Batch.empty(min(2 * i, self.capacity))
+            for new, old in zip(grown.columns, self.rows.columns):
+                new[:i] = old
+            self.rows = grown
+        self.rows.put(i, tr)
+        self.size = min(self.size + 1, self.capacity)
         self.cursor = (i + 1) % self.capacity
 
     def extend(self, transitions):
@@ -122,13 +132,9 @@ class ReplayBuffer:
             self.add(tr)
 
     def sample(self, rng, n):
-        if not self.storage:
+        if not self.size:
             raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(0, len(self.storage), size=n)
-        columns = (self.states, self.actions, self.rewards, self.next_states,
-                   self.dones)
-        return Batch([self.storage[i] for i in idx.tolist()],
-                     tuple(col.take(idx, axis=0) for col in columns))
+        return self.rows.take(rng.integers(0, self.size, size=n))
 
 
 def mix_count(r, batch_size):
@@ -148,12 +154,7 @@ def sample_mixed(sim_buf, practical_buf, batch_size, r, rng):
         parts.append(practical_buf.sample(rng, n_prac))
     if n_sim:
         parts.append(sim_buf.sample(rng, n_sim))
-    order = rng.permutation(batch_size)
-    batch = [tr for part in parts for tr in part]
-    columns = zip(*(part.columns for part in parts))
-    return Batch([batch[i] for i in order.tolist()],
-                 tuple(np.concatenate(col).take(order, axis=0)
-                       for col in columns))
+    return Batch.concat(parts).take(rng.permutation(batch_size))
 
 
 class DdpgAgent:
@@ -207,12 +208,15 @@ class DdpgAgent:
     # -- learning ----------------------------------------------------------
     def train_step(self, batch, update_actor=True):
         """One critic regression + actor ascent + target soft update.
-        With update_actor=False the actor (not its soft target) is held.
+        batch is a Batch or a list of Transitions.  With update_actor=False
+        the actor (not its soft target) is held.
         A non-finite critic loss raises ValueError before any net changes."""
         if not batch:
             raise ValueError("train_step needs a non-empty batch")
+        if not isinstance(batch, Batch):
+            batch = Batch.stack(batch)
         n = len(batch)
-        s, a, r, s2, done = _batch_columns(batch)
+        s, a, r, s2, done = batch.columns
         a = unscale_action(a[:, None], self.sim_cfg)
         live = 1.0 - done[:, None]
 

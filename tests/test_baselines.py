@@ -108,8 +108,7 @@ class TestBehaviorCloning:
     def test_fits_constant_target(self):
         # All actions identical: the regressor should approach that value.
         ds, cfg = _tiny_dataset()
-        for tr in ds.transitions:
-            tr.action = 1.5
+        ds.transitions.actions[:] = 1.5
         policy = bc_train(ds, epochs=60, seed=0, sim_cfg=cfg)
         assert bc_mse(policy, ds) < 0.01
 

@@ -1,7 +1,5 @@
-"""Surrogate powertrain, reverse-data pipeline, inverse control net and
-Stanley steering tests."""
-
-import math
+"""Surrogate powertrain, reverse-data pipeline and inverse control net
+tests."""
 
 import numpy as np
 import pytest
@@ -9,9 +7,8 @@ import pytest
 from followrl.config import PowertrainParams
 from followrl.control import (ControlNet, accel_to_pedals,
                               collect_reverse_data, powertrain_step,
-                              read_reverse_csv, stanley_steering,
-                              track_accel_commands, train_control_net,
-                              write_reverse_csv)
+                              read_reverse_csv, track_accel_commands,
+                              train_control_net, write_reverse_csv)
 
 
 class TestPowertrain:
@@ -161,30 +158,3 @@ class TestControlNet:
         assert rmse < 0.3
         assert np.all(speeds > 0.0)
         assert len(achieved) == len(commands) == len(speeds)
-
-
-class TestStanley:
-    def test_zero_errors_zero_steer(self):
-        assert stanley_steering(0.0, 0.0, 10.0) == 0.0
-
-    def test_pure_heading_error_passthrough(self):
-        assert stanley_steering(0.3, 0.0, 10.0) == pytest.approx(0.3)
-
-    def test_crosstrack_term_value(self):
-        # atan(k_v * d / v) with k_v = 2.5
-        assert stanley_steering(0.0, 1.0, 5.0) == pytest.approx(
-            math.atan(2.5 * 1.0 / 5.0), rel=1e-12)
-
-    def test_speed_floor(self):
-        # v = 0 uses the 0.1 m/s floor rather than dividing by zero.
-        assert stanley_steering(0.0, 1.0, 0.0) == pytest.approx(
-            math.atan(2.5 / 0.1), rel=1e-12)
-
-    def test_crosstrack_gain_shrinks_with_speed(self):
-        s_slow = stanley_steering(0.0, 0.5, 2.0)
-        s_fast = stanley_steering(0.0, 0.5, 20.0)
-        assert 0 < s_fast < s_slow
-
-    def test_odd_in_crosstrack_error(self):
-        assert stanley_steering(0.0, -0.7, 8.0) == pytest.approx(
-            -stanley_steering(0.0, 0.7, 8.0), rel=1e-12)

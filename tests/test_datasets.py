@@ -6,7 +6,8 @@ from followrl.baselines import IdmController
 from followrl.datasets import (FollowingEpisode, RelabeledDataset,
                                TrajectoryRecord, build_transitions, ingest,
                                load_transition_store, make_synthetic,
-                               rollout_episode, save_transition_store,
+                               relabel_episodes, rollout_episode,
+                               save_transition_store,
                                split_train_eval, write_trajectory_csv)
 from followrl.simcore import gen_leader_profile
 
@@ -75,8 +76,7 @@ class TestBuildTransitions:
         assert all(tr.action == 0.0 for tr in ds.transitions)
         rewards = {tr.reward for tr in ds.transitions}
         assert len(rewards) == 1    # constant state -> constant reward
-        assert ds.transitions[-1].done
-        assert not ds.transitions[0].done
+        assert ds.transitions.dones.tolist() == [False] * 17 + [True]
 
     def test_count_is_n_minus_2(self):
         for n in (3, 10, 101):
@@ -134,11 +134,17 @@ class TestSplit:
         assert len(train.provenance) == 19 and len(evl.provenance) == 1
 
     def test_deterministic(self):
-        rng = np.random.default_rng(2)
-        parts = self.parts(30, rng)
+        parts = self.parts(30, np.random.default_rng(2))
+        start = 0
+        for p in parts:         # each row known by its reward
+            p.transitions.rewards[:] = np.arange(start, start + len(p))
+            start += len(p)
         t1, e1 = split_train_eval(parts, 0.95, seed=5)
         t2, e2 = split_train_eval(parts, 0.95, seed=5)
-        assert [id(x) for x in t1.transitions] == [id(x) for x in t2.transitions]
+        t3, _ = split_train_eval(parts, 0.95, seed=6)
+        assert np.array_equal(t1.transitions.rewards, t2.transitions.rewards)
+        assert np.array_equal(e1.transitions.rewards, e2.transitions.rewards)
+        assert not np.array_equal(t1.transitions.rewards, t3.transitions.rewards)
 
     def test_share_within_band(self):
         rng = np.random.default_rng(3)
@@ -178,7 +184,6 @@ class TestHistogram:
     def test_mass_conservation(self):
         rng = np.random.default_rng(4)
         eps = make_synthetic(3, 11, CFG, RCFG)
-        from followrl.datasets import relabel_episodes
         ds = relabel_episodes(eps, CFG, RCFG)
         hist = reward_histogram(ds)
         assert int(np.sum(hist["counts"])) == len(ds)
@@ -191,7 +196,6 @@ class TestHistogram:
 class TestStore:
     def test_save_load_round_trip(self, tmp_path):
         eps = make_synthetic(2, 5, CFG, RCFG)
-        from followrl.datasets import relabel_episodes
         ds = relabel_episodes(eps, CFG, RCFG)
         path = str(tmp_path / "store.npz")
         save_transition_store(path, ds)
@@ -204,7 +208,6 @@ class TestStore:
 
     def test_loaded_rows_share_one_array(self, tmp_path):
         eps = make_synthetic(2, 5, CFG, RCFG)
-        from followrl.datasets import relabel_episodes
         path = str(tmp_path / "store.npz")
         save_transition_store(path, relabel_episodes(eps, CFG, RCFG))
         back = load_transition_store(path).transitions
@@ -212,6 +215,37 @@ class TestStore:
             rows = [getattr(tr, field) for tr in back]
             assert rows[0].base is not None
             assert all(row.base is rows[0].base for row in rows)
+
+    @pytest.mark.parametrize("defect", ["missing member", "short column",
+                                        "3-wide states", "NaN reward"])
+    def test_broken_store_rejected(self, tmp_path, defect):
+        ds = relabel_episodes(make_synthetic(1, 5, CFG, RCFG, duration=5.0),
+                              CFG, RCFG)
+        assert len(ds) == 49
+        save_transition_store(tmp_path / "good.npz", ds)
+        with np.load(tmp_path / "good.npz") as data:
+            cols = {key: data[key] for key in data.files}
+        if defect == "missing member":
+            del cols["dones"]
+        elif defect == "short column":
+            cols["actions"] = cols["actions"][:-5]
+        elif defect == "3-wide states":
+            cols["states"] = cols["states"][:, :3]
+        else:
+            cols["rewards"][7] = np.nan
+        path = tmp_path / "broken.npz"
+        np.savez(path, **cols)
+        with pytest.raises(ValueError, match="broken.npz"):
+            load_transition_store(path)
+
+    def test_save_rejects_non_finite(self, tmp_path):
+        ds = relabel_episodes(make_synthetic(1, 5, CFG, RCFG, duration=5.0),
+                              CFG, RCFG)
+        ds.transitions.rewards[3] = np.nan
+        path = tmp_path / "nan.npz"
+        with pytest.raises(ValueError, match="nan.npz: non-finite"):
+            save_transition_store(path, ds)
+        assert not path.exists()
 
     def test_ingest_glob(self, tmp_path):
         eps = make_synthetic(3, 6, CFG, RCFG)

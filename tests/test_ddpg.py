@@ -1,13 +1,15 @@
 import hashlib
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from followrl import (DdpgAgent, DdpgConfig, ReplayBuffer, RewardConfig,
                       SimConfig, Transition, datasets, sample_mixed)
-from followrl.ddpg import mix_count, train_stage1, train_stage2
+from followrl.baselines import bc_train
+from followrl.ddpg import Batch, mix_count, train_stage1, train_stage2
 from followrl.simcore import unscale_action
 
 
@@ -29,6 +31,28 @@ def filled_buffer(n, seed=0, capacity=None, done=False):
 NETS = ("actor", "critic", "actor_target", "critic_target")
 
 
+def tagged_rows(n, seed, start=0):
+    """n random transitions, each known by its reward: start + its index."""
+    rng = np.random.default_rng(seed)
+    return [make_transition(rng, done=bool(rng.integers(2)),
+                            reward=float(start + k)) for k in range(n)]
+
+
+def buffer_of(rows, capacity=None):
+    buf = ReplayBuffer(capacity or len(rows))
+    buf.extend(rows)
+    return buf
+
+
+def ring(rows, capacity):
+    """Reference ring buffer: row i holds the last added row k with
+    k % capacity == i."""
+    ref = rows[:capacity]
+    for k in range(capacity, len(rows)):
+        ref[k % capacity] = rows[k]
+    return ref
+
+
 def stacked(transitions):
     """Reference columns of a list of transitions, one row per object."""
     return (np.stack([t.state for t in transitions]),
@@ -40,22 +64,19 @@ def stacked(transitions):
 
 def assert_columns(columns, transitions):
     for col, ref in zip(columns, stacked(transitions), strict=True):
-        assert np.array_equal(col, ref)
+        assert col.dtype == ref.dtype and np.array_equal(col, ref)
+
+
+def stored(buf):
+    """The buffer's filled rows, column by column."""
+    return [col[:len(buf)] for col in buf.rows.columns]
 
 
 class TestReplayBuffer:
     def test_fifo_eviction(self):
-        buf = ReplayBuffer(10)
-        rng = np.random.default_rng(0)
-        trs = [make_transition(rng) for _ in range(15)]
-        for tr in trs:
-            buf.add(tr)
+        buf = buffer_of(tagged_rows(15, 0), capacity=10)
         assert len(buf) == 10
-        stored = {id(t) for t in buf.storage}
-        for tr in trs[:5]:
-            assert id(tr) not in stored
-        for tr in trs[5:]:
-            assert id(tr) in stored
+        assert sorted(buf.rows.rewards[:10].tolist()) == list(range(5, 15))
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -64,86 +85,127 @@ class TestReplayBuffer:
     @settings(max_examples=60, deadline=None)
     @given(capacity=st.one_of(st.integers(1, 9), st.integers(1000, 1100)),
            fill=st.floats(0.0, 2.5), seed=st.integers(0, 2 ** 32 - 1))
+    @example(capacity=1100, fill=1.5, seed=0)
     def test_columns_match_storage(self, capacity, fill, seed):
         # past the capacity the cursor wraps and rows are overwritten in
-        # place; past 1024 rows the columns grow
-        rng = np.random.default_rng(seed)
-        buf = ReplayBuffer(capacity)
-        n_add = int(fill * capacity)
-        for _ in range(n_add):
-            buf.add(make_transition(rng, done=bool(rng.integers(2))))
-        n = len(buf)
-        assert n == min(n_add, capacity)
-        if n:
-            assert_columns((buf.states[:n], buf.actions[:n], buf.rewards[:n],
-                            buf.next_states[:n], buf.dones[:n]), buf.storage)
+        # place; past 1024 rows the columns grow (the explicit example
+        # grows them, then wraps)
+        rows = tagged_rows(int(fill * capacity), seed)
+        buf = buffer_of(rows, capacity)
+        assert len(buf) == min(len(rows), capacity)
+        if rows:
+            assert_columns(stored(buf), ring(rows, capacity))
 
     def test_sample_matches_list_reference(self):
-        buf = filled_buffer(25, 20, capacity=20)      # wrapped once
+        rows = tagged_rows(25, 20)
+        buf, ref_rows = buffer_of(rows, 20), ring(rows, 20)   # wrapped once
         rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
         for _ in range(20):
             batch = buf.sample(rng, 32)
-            ref = [buf.storage[i]
-                   for i in ref_rng.integers(0, len(buf.storage), size=32)]
-            assert [id(t) for t in batch] == [id(t) for t in ref]
+            ref = [ref_rows[i] for i in ref_rng.integers(0, 20, size=32)]
             assert_columns(batch.columns, ref)
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+vectors = st.lists(finite, min_size=4, max_size=4).map(np.array)
+transitions = st.builds(Transition, vectors, finite, finite, vectors,
+                        st.booleans())
+
+
+def same(a, b):
+    """Bit-exact equality of two Batches, dtypes and shapes included."""
+    return all(x.dtype == y.dtype and x.shape == y.shape
+               and x.tobytes() == y.tobytes()
+               for x, y in zip(a.columns, b.columns, strict=True))
+
+
+class TestBatch:
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.lists(transitions, max_size=50), cut=st.integers(0, 50))
+    def test_round_trips(self, rows, cut):
+        batch = Batch.stack(rows)
+        n = len(rows)
+        assert [col.shape for col in batch.columns] == [(n, 4), (n,), (n,),
+                                                       (n, 4), (n,)]
+        assert [col.dtype for col in batch.columns] == [float] * 4 + [bool]
+        back = list(batch)
+        assert all(a.state.tobytes() == b.state.tobytes()
+                   and a.next_state.tobytes() == b.next_state.tobytes()
+                   and (a.action, a.reward, a.done) == (b.action, b.reward, b.done)
+                   for a, b in zip(back, rows, strict=True))
+        assert same(Batch.stack(back), batch)
+        assert same(batch.take(slice(cut)), Batch.stack(rows[:cut]))
+        assert same(batch.take(np.arange(n)[::-1]), Batch.stack(rows[::-1]))
+        assert same(Batch.concat([batch.take(slice(cut)),
+                                  batch.take(slice(cut, None))]), batch)
+        if n:           # a store holds at least one transition
+            with tempfile.TemporaryDirectory() as tmp:
+                path = f"{tmp}/store.npz"
+                datasets.save_transition_store(
+                    path, datasets.RelabeledDataset(batch, [("rows", n)]))
+                assert same(datasets.load_transition_store(path).transitions,
+                            batch)
+
+
 class TestSampleMixed:
+    # simulation rows carry rewards 0.., practical rows 100..
     def test_all_practical(self):
-        sim, prac = filled_buffer(50, 1), filled_buffer(50, 2)
+        sim = buffer_of(tagged_rows(50, 1))
+        prac = buffer_of(tagged_rows(50, 2, start=100))
         batch = sample_mixed(sim, prac, 32, 1.0, np.random.default_rng(0))
-        ids = {id(t) for t in prac.storage}
-        assert len(batch) == 32 and all(id(t) in ids for t in batch)
+        assert len(batch) == 32
+        assert all(100 <= r < 150 for r in batch.rewards)
 
     def test_rounding_19_13(self):
         assert mix_count(0.6, 32) == 19
 
     @pytest.mark.parametrize("r", [i / 10 for i in range(11)])
     def test_exact_composition(self, r):
-        sim, prac = filled_buffer(40, 3), filled_buffer(40, 4)
-        sim_ids = {id(t) for t in sim.storage}
-        prac_ids = {id(t) for t in prac.storage}
+        sim = buffer_of(tagged_rows(40, 3))
+        prac = buffer_of(tagged_rows(40, 4, start=100))
         rng = np.random.default_rng(5)
         expect = int(np.floor(r * 32 + 0.5))
         for _ in range(50):
-            batch = sample_mixed(sim, prac, 32, r, rng)
-            n_prac = sum(id(t) in prac_ids for t in batch)
-            n_sim = sum(id(t) in sim_ids for t in batch)
+            rewards = sample_mixed(sim, prac, 32, r, rng).rewards
+            n_prac = int(np.sum((rewards >= 100) & (rewards < 140)))
+            n_sim = int(np.sum(rewards < 40))
             assert n_prac == expect and n_sim == 32 - expect
 
     def test_uniform_sampling_frequency(self):
         # each practical transition drawn ~ uniformly over many batches
-        sim, prac = filled_buffer(20, 6), filled_buffer(20, 7)
+        sim = buffer_of(tagged_rows(20, 6))
+        prac = buffer_of(tagged_rows(20, 7, start=100))
         rng = np.random.default_rng(8)
-        counts = {id(t): 0 for t in prac.storage}
+        counts = np.zeros(20, dtype=int)
         n_batches = 10 ** 4
         for _ in range(n_batches):
-            for t in sample_mixed(sim, prac, 32, 0.5, rng):
-                if id(t) in counts:
-                    counts[id(t)] += 1
+            rewards = sample_mixed(sim, prac, 32, 0.5, rng).rewards
+            counts += np.bincount(rewards[rewards >= 100].astype(int) - 100,
+                                  minlength=20)
         draws = n_batches * 16
+        assert counts.sum() == draws
         p = 1 / 20
         sigma = np.sqrt(draws * p * (1 - p))
-        for c in counts.values():
+        for c in counts:
             assert abs(c - draws * p) < 3.5 * sigma
 
     @pytest.mark.parametrize("r", [0.0, 0.6, 1.0])
     def test_matches_list_reference(self, r):
-        sim, prac = filled_buffer(45, 22, capacity=40), filled_buffer(30, 23)
+        sim_rows, prac_rows = tagged_rows(45, 22), tagged_rows(30, 23, start=100)
+        sim, prac = buffer_of(sim_rows, capacity=40), buffer_of(prac_rows)
+        sim_rows = ring(sim_rows, 40)
         rng, ref_rng = np.random.default_rng(24), np.random.default_rng(24)
         for _ in range(20):
             batch = sample_mixed(sim, prac, 32, r, rng)
             # the draws of the list-only sampler: practical, sim, permutation
             n_prac, ref = mix_count(r, 32), []
             if n_prac:
-                ref += [prac.storage[i] for i in
-                        ref_rng.integers(0, len(prac), size=n_prac)]
+                ref += [prac_rows[i] for i in
+                        ref_rng.integers(0, len(prac_rows), size=n_prac)]
             if n_prac < 32:
-                ref += [sim.storage[i] for i in
-                        ref_rng.integers(0, len(sim), size=32 - n_prac)]
+                ref += [sim_rows[i] for i in
+                        ref_rng.integers(0, len(sim_rows), size=32 - n_prac)]
             ref = [ref[i] for i in ref_rng.permutation(32)]
-            assert [id(t) for t in batch] == [id(t) for t in ref]
             assert_columns(batch.columns, ref)
 
     def test_empty_required_buffer_rejected(self):
@@ -359,3 +421,37 @@ def test_golden_two_stage_parameters():
     for name in NETS:
         h.update(getattr(agent, name).flat.tobytes())
     assert h.hexdigest() == GOLDEN_SHA256
+
+
+# sha256 of the data path's outputs, taken before transitions became column
+# arrays: the transition store relabeled from four synthetic episodes (its
+# five arrays with dtype and shape, and its manifest), and the BC net
+# trained for five epochs on the reloaded store.  The same pipeline through
+# the CLI writes the same store arrays and bc.bin.  As above, record any
+# move of these hashes with a numpy or BLAS upgrade in CHANGES.md.
+GOLDEN_STORE_SHA256 = \
+    "a196bfd4805158d2553d5b1f503226823d6d6b54a41a47c3e19628055185da9d"
+GOLDEN_BC_SHA256 = \
+    "a322a3a84200718b09f05d29937232de9bd6fb48872459d85374bd968dcf0fba"
+
+
+def test_golden_data_path(tmp_path):
+    sim, rcfg = SimConfig(), RewardConfig()
+    for ep in datasets.make_synthetic(4, 0, sim, rcfg):
+        datasets.write_trajectory_csv(tmp_path / f"{ep.id}.csv", ep)
+    store = tmp_path / "store.npz"
+    datasets.save_transition_store(store, datasets.merge_parts(
+        datasets.ingest(str(tmp_path / "*.csv"), sim, rcfg)))
+    h = hashlib.sha256()
+    with np.load(store) as data:
+        for key in sorted(data.files):
+            arr = data[key]
+            h.update(f"{key} {arr.dtype} {arr.shape}".encode())
+            h.update(arr.tobytes())
+    h.update((tmp_path / "store.manifest.json").read_bytes())
+    assert h.hexdigest() == GOLDEN_STORE_SHA256
+    policy = bc_train(datasets.load_transition_store(store), epochs=5, seed=0,
+                      sim_cfg=sim)
+    policy.net.save(tmp_path / "bc.bin")
+    assert (hashlib.sha256((tmp_path / "bc.bin").read_bytes()).hexdigest()
+            == GOLDEN_BC_SHA256)
