@@ -8,9 +8,9 @@ from .nets import AdamState, MlpNet, opt_step, soft_update
 from .ddpg import (DdpgAgent, ReplayBuffer, Transition, greedy_eval,
                    sample_mixed, train_fully_offpolicy, train_stage1,
                    train_stage2)
-from .datasets import (FollowingEpisode, RelabeledDataset, TrajectoryRecord,
-                       build_transitions, make_synthetic, parse_trajectory_csv,
-                       reward_histogram, split_train_eval)
+from .datasets import (FollowingEpisode, RelabeledDataset, build_transitions,
+                       make_synthetic, parse_trajectory_csv, reward_histogram,
+                       split_train_eval)
 from .baselines import (BcPolicy, IdmController, bc_train, idm_accel,
                         idm_equilibrium_gap)
 from .control import (ControlNet, accel_to_pedals, collect_reverse_data,

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import IdmParams, SimConfig
-from .nets import AdamState, MlpNet, opt_step
+from .nets import MlpNet, fit_mse
 from .simcore import normalize_state, scale_action
 
 
@@ -58,35 +58,16 @@ class BcPolicy:
         return scale_action(self.net.forward(states)[:, 0], self.sim_cfg)
 
 
-def bc_train(train_ds, epochs=20, seed=0, sim_cfg: SimConfig = None,
-             batch_size=32, lr=0.001, hidden=(32, 32)):
+def bc_train(train_ds, epochs=20, seed=0, sim_cfg: SimConfig = None):
     """Behavior cloning: regress dataset actions (m/s^2) from observations
     by MSE over shuffled minibatches.  Deterministic under the seed."""
     if len(train_ds) == 0:
         raise ValueError("empty training split")
     sim_cfg = sim_cfg or SimConfig()
-    ss = np.random.SeedSequence(seed)
-    net_seed, shuffle_seed = ss.spawn(2)
-    net = MlpNet([4] + list(hidden) + [1], "tanh", seed=net_seed)
-    opt = AdamState(net, lr=lr)
-    rng = np.random.default_rng(shuffle_seed)
-    policy = BcPolicy(net, sim_cfg)
-
-    states = train_ds.transitions.states
-    actions = train_ds.transitions.actions[:, None]
-    n = len(actions)
-    half_range = (sim_cfg.a_max - sim_cfg.a_min) / 2.0
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            u, cache = net.forward(states[idx], cache=True)
-            pred = scale_action(u, sim_cfg)
-            diff = pred - actions[idx]
-            # d(mse)/du = 2*(pred - a)/m * d(pred)/du, d(pred)/du = half_range
-            grads = net.backward(cache, 2.0 * diff * half_range / len(idx))
-            opt_step(net, grads, opt)
-    return policy
+    rows = train_ds.transitions
+    net = fit_mse([4, 32, 32, 1], rows.states, rows.actions[:, None],
+                  sim_cfg.a_min, sim_cfg.a_max, epochs, seed)
+    return BcPolicy(net, sim_cfg)
 
 
 def bc_mse(policy: BcPolicy, ds):

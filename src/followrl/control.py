@@ -5,15 +5,19 @@ The powertrain stands in for a full vehicle-physics engine: a monotone
 drive force fading with speed, constant brake authority, rolling
 resistance and quadratic drag.  Its closed form gives a ground-truth
 invertibility oracle for the control net.
+
+Reverse data is one (n, 5) float array of (v_next, v, a, throttle, brake)
+rows, the columns of REVERSE_HEADER, read from and written to CSV through
+simcore's numeric codec.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import PowertrainParams
-from .nets import AdamState, MlpNet, opt_step
+from .nets import MlpNet, fit_mse
+from .simcore import read_csv, write_csv
 
 REVERSE_HEADER = ["v_next_mps", "v_mps", "a_mps2", "throttle", "brake"]
 
@@ -33,20 +37,12 @@ def powertrain_step(model: PowertrainParams, throttle, brake, v, dt):
     return accel, v_next
 
 
-@dataclass
-class ControlSample:
-    v_next: float
-    v: float
-    a: float
-    throttle: float
-    brake: float
-
-
 def collect_reverse_data(model: PowertrainParams, duration, seed, dt=0.1,
                          dwell_range=(0.5, 3.0)):
     """Drive the surrogate with a seeded piecewise-constant random pedal
     policy (never pressing both pedals; brake released at standstill,
-    where it carries no information) and record one sample per dt."""
+    where it carries no information) and record one sample per dt: an
+    (n, 5) array in REVERSE_HEADER order."""
     if duration <= 0:
         raise ValueError("duration must be positive")
     rng = np.random.default_rng(seed)
@@ -67,27 +63,18 @@ def collect_reverse_data(model: PowertrainParams, duration, seed, dt=0.1,
                 throttle = brake = 0.0
         t_eff, b_eff = (throttle, brake) if v > 0 else (throttle, 0.0)
         accel, v_next = powertrain_step(model, t_eff, b_eff, v, dt)
-        samples.append(ControlSample(v_next, v, accel, t_eff, b_eff))
+        samples.append((v_next, v, accel, t_eff, b_eff))
         v = v_next
         dwell_left -= 1
-    return samples
+    return np.array(samples).reshape(n, len(REVERSE_HEADER))
 
 
 def write_reverse_csv(path, samples):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(REVERSE_HEADER)
-        for s in samples:
-            w.writerow([repr(float(s.v_next)), repr(float(s.v)), repr(float(s.a)),
-                        repr(float(s.throttle)), repr(float(s.brake))])
+    write_csv(path, REVERSE_HEADER, samples)
 
 
 def read_reverse_csv(path):
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        if next(r) != REVERSE_HEADER:
-            raise ValueError(f"unexpected reverse-data header in {path}")
-        return [ControlSample(*(float(x) for x in row)) for row in r]
+    return read_csv(path, REVERSE_HEADER)
 
 
 @dataclass
@@ -107,33 +94,17 @@ class ControlNet:
         return pedals[0] if squeeze else pedals
 
 
-def train_control_net(samples, epochs=40, seed=0, hidden=(16, 16),
-                      batch_size=32, lr=0.001):
-    """Supervised MSE regression of pedals from (v_next, v, a)."""
+def train_control_net(samples, epochs=40, seed=0):
+    """Supervised MSE regression of pedals from (v_next, v, a), given
+    reverse data as an (n, 5) array in REVERSE_HEADER order."""
+    samples = np.asarray(samples, dtype=float)
     if len(samples) < 1000:
         raise ValueError("need at least 1000 samples")
-    x = np.array([[s.v_next, s.v, s.a] for s in samples])
-    y = np.array([[s.throttle, s.brake] for s in samples])
+    x, y = samples[:, :3], samples[:, 3:]
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std[std < 1e-9] = 1.0
-    z = (x - mean) / std
-
-    ss = np.random.SeedSequence(seed)
-    net_seed, shuffle_seed = ss.spawn(2)
-    net = MlpNet([3] + list(hidden) + [2], "tanh", seed=net_seed)
-    opt = AdamState(net, lr=lr)
-    rng = np.random.default_rng(shuffle_seed)
-    n = len(y)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            u, cache = net.forward(z[idx], cache=True)
-            pred = (u + 1.0) / 2.0
-            diff = pred - y[idx]
-            grads = net.backward(cache, diff / len(idx))   # 2*(1/2) factor
-            opt_step(net, grads, opt)
+    net = fit_mse([3, 16, 16, 2], (x - mean) / std, y, 0.0, 1.0, epochs, seed)
     return ControlNet(net, mean, std)
 
 

@@ -1,13 +1,14 @@
 """Car-following trajectory ingestion and relabeling into RL transitions.
 
-Recorded (leader speed, follower speed, gap) rows at 10 Hz become
+A recorded episode is one (n, 4) float array of (t, leader speed,
+follower speed, gap) rows at 10 Hz, the columns of HEADER, read from and
+written to CSV through simcore's numeric codec.  Relabeling turns it into
 (s, a, r, s', done) transitions, the rows of one ddpg.Batch: actions
 recovered by forward-differencing the follower speed, rewards recomputed
 with the exact reward code path used online, episode boundaries marked
 terminal so learning never bootstraps across recordings.
 """
 
-import csv
 import glob
 import json
 import os
@@ -19,24 +20,16 @@ from .baselines import IdmController
 from .config import LEADER_OU, RewardConfig, SimConfig
 from .ddpg import STATE_DIM, Batch, ReplayBuffer
 from .reward import reward_total
-from .simcore import FollowEnv, gen_leader_profile, normalize_state
+from .simcore import (FollowEnv, gen_leader_profile, normalize_state, read_csv,
+                      write_csv)
 
 HEADER = ["t_s", "v_leader_mps", "v_follower_mps", "gap_m"]
 
 
-@dataclass
-class TrajectoryRecord:
-    t: float
-    v_leader: float
-    v_follower: float
-    gap: float
-
-
-@dataclass
+@dataclass(eq=False)
 class FollowingEpisode:
     id: str
-    records: list
-    source: str = "synthetic"   # napoli-format | ngsim-format | synthetic
+    records: np.ndarray     # (n, 4) float64, columns in HEADER order
 
     def __len__(self):
         return len(self.records)
@@ -57,45 +50,28 @@ class RelabeledDataset:
         return buf
 
 
-def parse_trajectory_csv(path, dt=0.1, source="napoli-format"):
-    """Read one leader-follower episode; rejects malformed rows (naming
-    the line number), negative speeds/gaps, and non-uniform timestamps
-    (tolerance 1e-6 s against the expected dt)."""
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != HEADER:
-            raise ValueError(f"{path}: expected header {','.join(HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ValueError(f"{path}: line {lineno}: expected 4 fields")
-            try:
-                t, v_l, v_f, g = (float(x) for x in row)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
-            if v_l < 0 or v_f < 0:
-                raise ValueError(f"{path}: line {lineno}: negative speed")
-            if g < 0:
-                raise ValueError(f"{path}: line {lineno}: negative gap")
-            if records and abs((t - records[-1].t) - dt) > 1e-6:
-                raise ValueError(
-                    f"{path}: line {lineno}: timestamp spacing "
-                    f"{t - records[-1].t:.6g} s != {dt} s (use --dt to override)")
-            records.append(TrajectoryRecord(t, v_l, v_f, g))
+def parse_trajectory_csv(path, dt=0.1):
+    """Read one leader-follower episode.  Besides what read_csv rejects,
+    rejects negative speeds/gaps and non-uniform timestamps (tolerance
+    1e-6 s against the expected dt), naming the line number."""
+    records = read_csv(path, HEADER)
+    for lineno, (t, v_l, v_f, g) in enumerate(records.tolist(), start=2):
+        if v_l < 0 or v_f < 0:
+            raise ValueError(f"{path}: line {lineno}: negative speed")
+        if g < 0:
+            raise ValueError(f"{path}: line {lineno}: negative gap")
+        if lineno > 2 and abs((t - t_prev) - dt) > 1e-6:
+            raise ValueError(
+                f"{path}: line {lineno}: timestamp spacing "
+                f"{t - t_prev:.6g} s != {dt} s (use --dt to override)")
+        t_prev = t
     if len(records) < 2:
         raise ValueError(f"{path}: an episode needs at least 2 rows")
-    return FollowingEpisode(os.path.splitext(os.path.basename(path))[0],
-                            records, source)
+    return FollowingEpisode(os.path.splitext(os.path.basename(path))[0], records)
 
 
 def write_trajectory_csv(path, episode: FollowingEpisode):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(HEADER)
-        for rec in episode.records:
-            w.writerow([repr(float(rec.t)), repr(float(rec.v_leader)),
-                        repr(float(rec.v_follower)), repr(float(rec.gap))])
+    write_csv(path, HEADER, episode.records)
 
 
 def build_transitions(ep: FollowingEpisode, cfg: SimConfig, rcfg: RewardConfig):
@@ -110,9 +86,7 @@ def build_transitions(ep: FollowingEpisode, cfg: SimConfig, rcfg: RewardConfig):
     if n < 3:
         raise ValueError("episode too short to relabel (need >= 3 rows)")
     dt = cfg.dt
-    v = np.array([r.v_follower for r in ep.records])
-    v_l = np.array([r.v_leader for r in ep.records])
-    gap = np.array([r.gap for r in ep.records])
+    _, v_l, v, gap = ep.records.T
     accel = (v[1:] - v[:-1]) / dt                       # a_t for t in [0, N-2]
     clipped = int(np.sum((accel < cfg.a_min) | (accel > cfg.a_max)))
     accel = np.clip(accel, cfg.a_min, cfg.a_max)
@@ -272,7 +246,7 @@ def rollout_episode(controller, profile, cfg: SimConfig, rcfg: RewardConfig,
     simulator and record the trajectory rows the relabeler expects."""
     env = FollowEnv(cfg, rcfg)
     env.reset(profile, initial_gap=initial_gap, follower_speed=follower_speed)
-    records = [TrajectoryRecord(0.0, env.leader.speed, env.follower.speed, env.gap)]
+    records = [(0.0, env.leader.speed, env.follower.speed, env.gap)]
     rewards = []
     done = False
     while not done:
@@ -281,9 +255,9 @@ def rollout_episode(controller, profile, cfg: SimConfig, rcfg: RewardConfig,
         _, reward, done, info = env.step(action)
         if info.collision:
             break   # a gap <= 0 row would not be a valid trajectory record
-        records.append(TrajectoryRecord(info.t, info.v_l, info.v, info.gap))
+        records.append((info.t, info.v_l, info.v, info.gap))
         rewards.append(reward)
-    return FollowingEpisode(episode_id, records, "synthetic"), rewards
+    return FollowingEpisode(episode_id, np.array(records)), rewards
 
 
 def make_synthetic(n_episodes, seed, cfg: SimConfig, rcfg: RewardConfig,

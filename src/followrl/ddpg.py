@@ -185,8 +185,7 @@ class DdpgAgent:
         # saturation: ACTOR_DELAY, ACTOR_LR and PREACT_L2 do (see above)
         self.actor_target = self.actor.copy()
         self.critic_target = self.critic.copy()
-        self.actor_opt = AdamState(self.actor, lr=ACTOR_LR)
-        self.critic_opt = AdamState(self.critic, lr=self.cfg.lr)
+        self._reset_optimizers()
         self.noise = OuNoise(self.cfg.noise, self.sim_cfg.dt)
         self.rng = np.random.default_rng(agent_seed)
         self.buffer = ReplayBuffer(self.cfg.buffer_size)
@@ -256,8 +255,9 @@ class DdpgAgent:
             getattr(self, name).save(os.path.join(out_dir, name + ".bin"))
 
     def load(self, out_dir):
-        """Replace the four nets with the ones saved in out_dir; a net whose
-        layer sizes differ from this agent's is rejected."""
+        """Replace the four nets with the ones saved in out_dir and restart
+        both optimizers at t = 0 with zero moments; a net whose layer sizes
+        differ from this agent's is rejected."""
         nets = {}
         for name in _NETS:
             path = os.path.join(out_dir, name + ".bin")
@@ -267,6 +267,13 @@ class DdpgAgent:
                                  f"this agent's {getattr(self, name).sizes}")
         for name, net in nets.items():
             setattr(self, name, net)
+        self._reset_optimizers()
+
+    def _reset_optimizers(self):
+        """Adam at step 0 with zero moments: no state is saved with the
+        nets, and moments built for other parameters would mislead."""
+        self.actor_opt = AdamState(self.actor, lr=ACTOR_LR)
+        self.critic_opt = AdamState(self.critic, lr=self.cfg.lr)
 
 
 @dataclass
@@ -362,7 +369,7 @@ def train_stage1(agent: DdpgAgent, budget=None, seed=0, rcfg=None,
 
 def train_stage2(agent: DdpgAgent, practical_buf: ReplayBuffer, ratio,
                  budget=None, seed=0, rcfg=None, leader_ou: OuParams = LEADER_OU,
-                 explore=None, progress=None):
+                 progress=None):
     """Resume training with mixed batches: round(r*B) practical transitions
     per batch, the rest fresh simulator experience.  r = 1.0 reproduces the
     offline-degradation regime (interaction continues but contributes no
@@ -371,13 +378,12 @@ def train_stage2(agent: DdpgAgent, practical_buf: ReplayBuffer, ratio,
         raise ValueError("practical buffer is empty")
     cfg = agent.cfg
     budget = cfg.stage2_budget if budget is None else budget
-    explore = cfg.stage2_explore if explore is None else explore
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     return _train_online(
         agent, budget, rng, rcfg, leader_ou,
         lambda: sample_mixed(agent.buffer, practical_buf, cfg.batch_size,
                              ratio, rng),
-        progress, explore=explore)
+        progress, explore=cfg.stage2_explore)
 
 
 def train_fully_offpolicy(agent: DdpgAgent, practical_buf: ReplayBuffer,

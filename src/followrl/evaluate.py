@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import LEADER_OU, RewardConfig, SimConfig
-from .simcore import FollowEnv, gen_leader_profile
+from .simcore import FollowEnv, gen_leader_profile, write_csv
 
 
 def ttc(gap, v_f, v_l):
@@ -163,16 +163,15 @@ def synthetic_suite(n_scenarios=20, seed=0, cfg: SimConfig = None,
 def scenario_from_episode(ep, name=None):
     """Replay scenario: recorded leader speeds with the recorded initial
     gap and follower speed."""
-    profile = np.array([r.v_leader for r in ep.records])
-    return Scenario(name or f"replay-{ep.id}", profile,
-                    initial_gap=ep.records[0].gap,
-                    follower_speed=ep.records[0].v_follower)
+    _, v_l, v_f, gap = ep.records.T
+    return Scenario(name or f"replay-{ep.id}", v_l.copy(),
+                    initial_gap=float(gap[0]), follower_speed=float(v_f[0]))
 
 
 def replay_gap_rmse(agent, ep, cfg: SimConfig = None):
     """Gap RMSE of a simulated follower against the recorded follower."""
     trace = run_scenario(agent, scenario_from_episode(ep), cfg)
-    recorded = np.array([r.gap for r in ep.records[1:len(trace.t) + 1]])
+    recorded = ep.records[1:len(trace.t) + 1, 3]
     return float(np.sqrt(np.mean((trace.gap - recorded) ** 2)))
 
 
@@ -198,14 +197,8 @@ def compare_report(traces, out_dir, threshold=10.0, sample_std=False):
                         repr(float(s.std)), s.count_below_2s, s.n_samples,
                         int(trace.collided), repr(trace.mean_gap())])
     for name, trace in traces.items():
-        with open(os.path.join(out_dir, f"trace_{name}.csv"), "w",
-                  newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(TRACE_COLUMNS)
-            for row in zip(trace.t, trace.v_leader, trace.v_follower,
-                           trace.gap, trace.accel, trace.jerk, trace.reward,
-                           trace.ttc):
-                w.writerow([repr(float(x)) for x in row])
+        write_csv(os.path.join(out_dir, f"trace_{name}.csv"), TRACE_COLUMNS,
+                  np.column_stack([getattr(trace, c) for c in TRACE_COLUMNS]))
     with open(os.path.join(out_dir, "long.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "agent", "series", "value"])
@@ -214,12 +207,3 @@ def compare_report(traces, out_dir, threshold=10.0, sample_std=False):
                 for t, x in zip(trace.t, getattr(trace, series)):
                     w.writerow([repr(float(t)), name, series, repr(float(x))])
     return summary_path
-
-
-def read_trace_csv(path, agent="loaded"):
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        if next(r) != TRACE_COLUMNS:
-            raise ValueError(f"unexpected trace header in {path}")
-        cols = [np.array(c, dtype=float) for c in zip(*list(r))]
-    return RunTrace(agent, *cols)

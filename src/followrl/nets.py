@@ -206,6 +206,31 @@ def opt_step(net: MlpNet, grads, state: AdamState):
     net.flat -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
 
 
+FIT_BATCH = 32
+FIT_LR = 0.001
+
+
+def fit_mse(sizes, x, y, lo, hi, epochs, seed):
+    """Fit a tanh-headed MlpNet, its output mapped linearly onto [lo, hi],
+    to targets y (n, sizes[-1]) from inputs x by MSE over shuffled
+    minibatches of FIT_BATCH rows.  Deterministic under the seed."""
+    net_seed, shuffle_seed = np.random.SeedSequence(seed).spawn(2)
+    net = MlpNet(sizes, "tanh", seed=net_seed)
+    opt = AdamState(net, lr=FIT_LR)
+    rng = np.random.default_rng(shuffle_seed)
+    n = len(y)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, FIT_BATCH):
+            idx = order[start:start + FIT_BATCH]
+            u, cache = net.forward(x[idx], cache=True)
+            diff = lo + (u + 1.0) / 2.0 * (hi - lo) - y[idx]
+            # d(mse)/du = 2*diff/m * d(pred)/du, d(pred)/du = (hi - lo)/2
+            grads = net.backward(cache, 2.0 * diff * ((hi - lo) / 2.0) / len(idx))
+            opt_step(net, grads, opt)
+    return net
+
+
 def hard_update(target: MlpNet, source: MlpNet):
     _check_same_arch(target, source)
     target.flat[...] = source.flat

@@ -101,21 +101,51 @@ def gen_leader_profile(seed, duration, cfg: SimConfig, ou: OuParams = LEADER_OU)
     return v
 
 
-def write_leader_csv(path, profile, dt):
+def write_csv(path, header, rows):
+    """Numeric CSV: the header line, then one line per row of ``rows``, an
+    (n, len(header)) array, each value written as repr(float) so that it
+    reads back bit-exactly."""
+    rows = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["t_s", "v_mps"])
-        for k, v in enumerate(profile):
-            w.writerow([repr(k * dt), repr(float(v))])
+        w.writerow(header)
+        w.writerows(map(repr, row) for row in rows.tolist())
+
+
+def read_csv(path, header):
+    """Read a numeric CSV into an (n, len(header)) float array.  A header
+    other than ``header``, a row of another width, a non-numeric field or
+    a non-finite one raises ValueError naming the file and the line."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != list(header):
+            raise ValueError(f"{path}: line 1: expected header {','.join(header)}")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {lineno}: expected "
+                                 f"{len(header)} fields, got {len(row)}")
+            try:
+                values = [float(x) for x in row]
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}: line {lineno}: non-finite field")
+            rows.append(values)
+    return np.array(rows, dtype=float).reshape(-1, len(header))
+
+
+LEADER_HEADER = ["t_s", "v_mps"]
+
+
+def write_leader_csv(path, profile, dt):
+    write_csv(path, LEADER_HEADER,
+              np.column_stack((np.arange(len(profile)) * dt, profile)))
 
 
 def read_leader_csv(path):
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header != ["t_s", "v_mps"]:
-            raise ValueError(f"unexpected leader CSV header: {header}")
-        return np.array([float(row[1]) for row in r])
+    """Leader speeds (m/s) from a CSV written by write_leader_csv."""
+    return read_csv(path, LEADER_HEADER)[:, 1].copy()
 
 
 @dataclass

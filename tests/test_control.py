@@ -55,32 +55,36 @@ class TestCollection:
     def test_deterministic(self):
         s1 = collect_reverse_data(PowertrainParams(), 20.0, seed=3)
         s2 = collect_reverse_data(PowertrainParams(), 20.0, seed=3)
-        assert all(a == b for a, b in zip(s1, s2))
+        assert np.array_equal(s1, s2)
 
     def test_self_consistency(self):
         # Re-feeding each recorded pedal pair through the plant reproduces
         # the recorded (a, v_next) exactly.
         model = PowertrainParams()
-        for s in collect_reverse_data(model, 120.0, seed=1):
-            a, v_next = powertrain_step(model, s.throttle, s.brake, s.v, 0.1)
-            assert a == s.a
-            assert v_next == s.v_next
+        samples = collect_reverse_data(model, 120.0, seed=1)
+        for v_next_rec, v, a_rec, throttle, brake in samples.tolist():
+            a, v_next = powertrain_step(model, throttle, brake, v, 0.1)
+            assert a == a_rec
+            assert v_next == v_next_rec
 
     def test_no_brake_at_standstill(self):
-        for s in collect_reverse_data(PowertrainParams(), 300.0, seed=2):
-            if s.v == 0.0:
-                assert s.brake == 0.0
+        for _, v, _, _, brake in collect_reverse_data(PowertrainParams(), 300.0,
+                                                      seed=2).tolist():
+            if v == 0.0:
+                assert brake == 0.0
 
     def test_never_both_pedals(self):
-        for s in collect_reverse_data(PowertrainParams(), 300.0, seed=4):
-            assert s.throttle == 0.0 or s.brake == 0.0
+        for *_, throttle, brake in collect_reverse_data(PowertrainParams(), 300.0,
+                                                        seed=4).tolist():
+            assert throttle == 0.0 or brake == 0.0
 
     def test_csv_round_trip(self, tmp_path):
         samples = collect_reverse_data(PowertrainParams(), 30.0, seed=5)
         path = tmp_path / "rev.csv"
         write_reverse_csv(path, samples)
         loaded = read_reverse_csv(path)
-        assert all(a == b for a, b in zip(samples, loaded))
+        assert samples.shape == (300, 5)
+        assert np.array_equal(samples, loaded)
 
     def test_duration_rejected(self):
         with pytest.raises(ValueError):
@@ -112,8 +116,7 @@ class TestControlNet:
         # Generalization check against a fresh seeded collection run.
         model, cn = trained_net
         held = collect_reverse_data(model, 200.0, seed=99)
-        x = np.array([[s.v_next, s.v, s.a] for s in held])
-        y = np.array([[s.throttle, s.brake] for s in held])
+        x, y = held[:, :3], held[:, 3:]
         mse = float(np.mean((cn.predict(x) - y) ** 2))
         assert mse < 0.01
 

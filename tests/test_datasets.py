@@ -4,7 +4,7 @@ import pytest
 from followrl import RewardConfig, SimConfig, parse_trajectory_csv, reward_histogram
 from followrl.baselines import IdmController
 from followrl.datasets import (FollowingEpisode, RelabeledDataset,
-                               TrajectoryRecord, build_transitions, ingest,
+                               build_transitions, ingest,
                                load_transition_store, make_synthetic,
                                relabel_episodes, rollout_episode,
                                save_transition_store,
@@ -20,8 +20,8 @@ def write_rows(path, rows, header="t_s,v_leader_mps,v_follower_mps,gap_m"):
 
 
 def constant_episode(n, v=8.0, gap=14.0):
-    recs = [TrajectoryRecord(0.1 * k, v, v, gap) for k in range(n)]
-    return FollowingEpisode("const", recs)
+    recs = [(0.1 * k, v, v, gap) for k in range(n)]
+    return FollowingEpisode("const", np.array(recs))
 
 
 class TestParse:
@@ -30,7 +30,7 @@ class TestParse:
         write_rows(p, ["0.0,5.0,4.0,10.0", "0.1,5.0,4.1,10.0"])
         ep = parse_trajectory_csv(str(p))
         assert len(ep) == 2
-        assert ep.records[1].v_follower == 4.1
+        assert ep.records[1, 2] == 4.1
 
     def test_negative_gap_names_line(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -57,16 +57,14 @@ class TestParse:
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        recs = [TrajectoryRecord(0.1 * k, rng.uniform(0, 20), rng.uniform(0, 20),
-                                 rng.uniform(1, 100)) for k in range(50)]
-        ep = FollowingEpisode("rt", recs)
+        recs = [(0.1 * k, rng.uniform(0, 20), rng.uniform(0, 20),
+                 rng.uniform(1, 100)) for k in range(50)]
+        ep = FollowingEpisode("rt", np.array(recs))
         p = tmp_path / "rt.csv"
         write_trajectory_csv(str(p), ep)
         back = parse_trajectory_csv(str(p))
-        for a, b in zip(ep.records, back.records):
-            assert abs(a.v_leader - b.v_leader) < 1e-9
-            assert abs(a.v_follower - b.v_follower) < 1e-9
-            assert abs(a.gap - b.gap) < 1e-9
+        assert back.records.shape == (50, 4)
+        assert np.array_equal(back.records, ep.records)
 
 
 class TestBuildTransitions:
@@ -110,11 +108,12 @@ class TestBuildTransitions:
         assert np.allclose(relabeled, env_rewards[1:len(relabeled) + 1], atol=1e-9)
 
     def test_clipping_reported(self):
-        recs = [TrajectoryRecord(0.0, 5, 0.0, 20),
-                TrajectoryRecord(0.1, 5, 1.0, 20),   # a = 10 -> clipped
-                TrajectoryRecord(0.2, 5, 1.0, 20),
-                TrajectoryRecord(0.3, 5, 1.0, 20)]
-        ds = build_transitions(FollowingEpisode("clip", recs), CFG, RCFG)
+        recs = [(0.0, 5, 0.0, 20),
+                (0.1, 5, 1.0, 20),   # a = 10 -> clipped
+                (0.2, 5, 1.0, 20),
+                (0.3, 5, 1.0, 20)]
+        ds = build_transitions(FollowingEpisode("clip", np.array(recs, dtype=float)),
+                               CFG, RCFG)
         assert ds.clipped_actions == 1
         assert all(CFG.a_min <= tr.action <= CFG.a_max for tr in ds.transitions)
 

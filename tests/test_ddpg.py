@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 
 from followrl import (DdpgAgent, DdpgConfig, ReplayBuffer, RewardConfig,
                       SimConfig, Transition, datasets, sample_mixed)
-from followrl.baselines import bc_train
+from followrl.baselines import IdmController, bc_train, calibrate_idm
+from followrl.config import IdmParams, PowertrainParams
+from followrl.control import (collect_reverse_data, read_reverse_csv,
+                              train_control_net, write_reverse_csv)
 from followrl.ddpg import Batch, mix_count, train_stage1, train_stage2
-from followrl.simcore import unscale_action
+from followrl.evaluate import compare_report, run_scenario, self_defined_profile
+from followrl.simcore import gen_leader_profile, unscale_action, write_leader_csv
 
 
 def make_transition(rng, done=False, reward=None):
@@ -350,6 +354,18 @@ class TestPersistence:
         with pytest.raises(ValueError, match="actor.bin"):
             agent.load(str(tmp_path))
 
+    def test_load_resets_optimizers(self, tmp_path):
+        DdpgAgent(seed=3).save(str(tmp_path))
+        agent = DdpgAgent(seed=4)
+        rng = np.random.default_rng(18)
+        for _ in range(50):
+            agent.train_step([make_transition(rng) for _ in range(32)])
+        assert agent.critic_opt.t == agent.actor_opt.t == 50
+        agent.load(str(tmp_path))
+        assert agent.critic_opt.t == agent.actor_opt.t == 0
+        for opt in (agent.critic_opt, agent.actor_opt):
+            assert not opt.m.any() and not opt.v.any()
+
 
 def probe_actions(agent):
     """Greedy actions on a fixed 3x3 grid of speeds and gaps."""
@@ -455,3 +471,45 @@ def test_golden_data_path(tmp_path):
     policy.net.save(tmp_path / "bc.bin")
     assert (hashlib.sha256((tmp_path / "bc.bin").read_bytes()).hexdigest()
             == GOLDEN_BC_SHA256)
+
+
+# sha256 of the file formats, taken before recorded data became arrays: the
+# leader CSV of a 30 s profile, the reverse-data CSV of 120 s of pedal
+# driving, the control net trained for five epochs on that CSV re-read, the
+# IDM report files on the built-in scenario, and an IDM calibration over a
+# small grid.  As above, record any move with a numpy or BLAS upgrade in
+# CHANGES.md.
+GOLDEN_FORMATS_SHA256 = \
+    "011be800d1ab12ec72b39e958f643ac08feee70bb2762aaaddf0a9295ccb33f3"
+
+
+def test_golden_file_formats(tmp_path):
+    sim, rcfg = SimConfig(), RewardConfig()
+    h = hashlib.sha256()
+
+    def add_file(path):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+
+    write_leader_csv(tmp_path / "leader.csv",
+                     gen_leader_profile(42, 30.0, sim), sim.dt)
+    add_file(tmp_path / "leader.csv")
+    model = PowertrainParams()
+    write_reverse_csv(tmp_path / "reverse.csv",
+                      collect_reverse_data(model, 120.0, seed=0))
+    add_file(tmp_path / "reverse.csv")
+    cn = train_control_net(read_reverse_csv(tmp_path / "reverse.csv"),
+                           epochs=5, seed=0)
+    cn.net.save(tmp_path / "control.bin")
+    add_file(tmp_path / "control.bin")
+    h.update(cn.mean.tobytes() + cn.std.tobytes())
+    sc = self_defined_profile(sim.dt)
+    report = tmp_path / "report"
+    compare_report({"idm": run_scenario(IdmController(IdmParams(), sim), sc,
+                                        sim, rcfg)}, report)
+    for path in sorted(report.iterdir()):
+        add_file(path)
+    eps = datasets.make_synthetic(2, 0, sim, rcfg, duration=30.0)
+    h.update(repr(calibrate_idm(eps, sim, T_grid=[1.0, 2.0],
+                                g_min_grid=[2.5], a_grid=[2.0])).encode())
+    assert h.hexdigest() == GOLDEN_FORMATS_SHA256

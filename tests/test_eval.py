@@ -7,8 +7,8 @@ import pytest
 
 from followrl.baselines import IdmController, idm_equilibrium_gap
 from followrl.config import RewardConfig, SimConfig
-from followrl.evaluate import (RunTrace, Scenario, compare_report,
-                               read_trace_csv, replay_gap_rmse, run_scenario,
+from followrl.evaluate import (TRACE_COLUMNS, RunTrace, Scenario,
+                               compare_report, replay_gap_rmse, run_scenario,
                                scenario_from_episode, self_defined_profile,
                                synthetic_suite, ttc, ttc_summary)
 
@@ -136,7 +136,7 @@ class TestScenarios:
         cfg, rcfg = SimConfig(), RewardConfig()
         ep = make_synthetic(1, 9, cfg, rcfg, duration=30.0)[0]
         sc = scenario_from_episode(ep)
-        assert sc.initial_gap == ep.records[0].gap
+        assert sc.initial_gap == ep.records[0, 3]
         assert replay_gap_rmse(IdmController(), ep, cfg) < 1e-9
 
 
@@ -144,12 +144,15 @@ class TestReports:
     def test_round_trip(self, tmp_path):
         trace = run_scenario(IdmController(), self_defined_profile())
         path = compare_report({"idm": trace}, tmp_path / "rep")
-        loaded = read_trace_csv(tmp_path / "rep" / "trace_idm.csv", "idm")
-        assert np.array_equal(trace.t, loaded.t)
-        assert np.array_equal(trace.gap, loaded.gap)
-        assert np.array_equal(trace.reward, loaded.reward)
+        trace_csv = tmp_path / "rep" / "trace_idm.csv"
+        assert trace_csv.read_text().splitlines()[0] == ",".join(TRACE_COLUMNS)
+        loaded = dict(zip(TRACE_COLUMNS, np.loadtxt(trace_csv, delimiter=",",
+                                                    skiprows=1).T))
+        assert np.array_equal(trace.t, loaded["t"])
+        assert np.array_equal(trace.gap, loaded["gap"])
+        assert np.array_equal(trace.reward, loaded["reward"])
         # NaN TTC survives the round trip as NaN
-        assert np.array_equal(np.isnan(trace.ttc), np.isnan(loaded.ttc))
+        assert np.array_equal(np.isnan(trace.ttc), np.isnan(loaded["ttc"]))
         with open(path) as fh:
             lines = fh.read().splitlines()
         assert lines[0].startswith("agent,")

@@ -5,6 +5,9 @@ import pytest
 
 from followrl import FollowEnv, OuParams, SimConfig, gen_leader_profile, normalize_state, ou_path
 from followrl.config import LEADER_OU
+from followrl.control import REVERSE_HEADER, read_reverse_csv
+from followrl.datasets import HEADER, parse_trajectory_csv
+from followrl.simcore import LEADER_HEADER, read_leader_csv
 
 CFG = SimConfig()
 
@@ -209,3 +212,46 @@ class TestStep:
         while not done:
             assert 0.0 <= obs[1] <= 1.0 and 0.0 <= obs[3] <= 1.0
             obs, _, done, _ = env.step(rng.uniform(-9, 5))
+
+
+# Each reader of the numeric CSV codec, with a valid three-row file.
+CSV_READERS = {
+    "trajectory": (lambda path: parse_trajectory_csv(path).records, HEADER,
+                   ["0.0,5.0,4.0,10.0", "0.1,5.0,4.1,10.0", "0.2,5.0,4.2,10.0"]),
+    "reverse": (read_reverse_csv, REVERSE_HEADER,
+                ["0.1,0.0,1.0,0.25,0.0", "0.2,0.1,1.0,0.25,0.0",
+                 "0.1,0.2,-1.0,0.0,0.5"]),
+    "leader": (read_leader_csv, LEADER_HEADER, ["0.0,0.0", "0.1,0.5", "0.2,1.0"]),
+}
+# (line broken, fields -> broken fields); line 1 is the header
+CSV_BREAKS = {
+    "wrong-header": (1, lambda f: ["x"] + f[1:]),
+    "short-row": (3, lambda f: f[:-1]),
+    "long-row": (3, lambda f: f + ["1.0"]),
+    "non-numeric": (3, lambda f: f[:-1] + ["abc"]),
+    "nan": (3, lambda f: f[:-1] + ["nan"]),
+    "inf": (3, lambda f: f[:-1] + ["inf"]),
+}
+
+
+def test_csv_readers_accept_valid_files(tmp_path):
+    for name, (read, header, rows) in CSV_READERS.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join([",".join(header)] + rows) + "\n")
+        values = np.array([[float(x) for x in row.split(",")] for row in rows])
+        # the leader reader returns the speed column alone
+        want = values[:, 1] if name == "leader" else values
+        assert np.array_equal(read(path), want)
+
+
+@pytest.mark.parametrize("fault", CSV_BREAKS)
+@pytest.mark.parametrize("reader", CSV_READERS)
+def test_bad_csv_rejected(tmp_path, reader, fault):
+    read, header, rows = CSV_READERS[reader]
+    line, broken = CSV_BREAKS[fault]
+    lines = [",".join(header)] + rows
+    lines[line - 1] = ",".join(broken(lines[line - 1].split(",")))
+    path = tmp_path / f"{reader}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"{reader}\.csv: line {line}\b"):
+        read(path)
