@@ -6,6 +6,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import IdmParams, SimConfig
+from .evaluate import replay_gap_rmse
 from .nets import MlpNet, fit_mse
 from .simcore import normalize_state, scale_action
 
@@ -81,8 +82,6 @@ def calibrate_idm(episodes, cfg: SimConfig, base: IdmParams = None,
     simulated IDM follower against the recorded follower over the given
     episodes.  Not the (undocumented) procedure used for Table-3 values.
     """
-    from .evaluate import replay_gap_rmse
-
     base = base or IdmParams()
     T_grid = T_grid if T_grid is not None else [0.6, 0.8, 1.0, 1.2, 1.5, 2.0]
     g_min_grid = g_min_grid if g_min_grid is not None else [1.5, 2.0, 2.5, 3.0]

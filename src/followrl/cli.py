@@ -21,67 +21,50 @@ import sys
 import numpy as np
 
 from . import baselines, control, datasets, ddpg, evaluate, simcore
-from .config import (LEADER_OU, DdpgConfig, IdmParams, PowertrainParams,
-                     RewardConfig, SimConfig, load_config)
+from .config import load_config
+from .nets import MlpNet
+from .reward import reward_total
 
 
-def _configs(args):
-    if getattr(args, "config", None):
-        cfgs = load_config(args.config)
-        return cfgs["sim"], cfgs["reward"], cfgs["ddpg"], cfgs["idm"], cfgs["leader_ou"]
-    return SimConfig(), RewardConfig(), DdpgConfig(), IdmParams(), LEADER_OU
-
-
-def _snapshot(path, **objs):
-    snap = {k: dataclasses.asdict(v) for k, v in objs.items()}
-    with open(path, "w") as fh:
-        json.dump(snap, fh, indent=2, default=str)
-
-
-def cmd_gen_leader(args):
-    sim_cfg, _, _, _, leader_ou = _configs(args)
-    profile = simcore.gen_leader_profile(args.seed, args.duration_s, sim_cfg,
-                                         leader_ou)
-    simcore.write_leader_csv(args.out, profile, sim_cfg.dt)
+def cmd_gen_leader(args, cfg):
+    profile = simcore.gen_leader_profile(args.seed, args.duration_s, cfg["sim"],
+                                         cfg["leader_ou"])
+    simcore.write_leader_csv(args.out, profile, cfg["sim"].dt)
     print(f"wrote {len(profile)} samples to {args.out}")
 
 
-def cmd_reward_probe(args):
-    from .reward import reward_total
-    _, rcfg, _, _, _ = _configs(args)
-    br = reward_total(args.v, args.vl, args.g, args.jerk, rcfg)
+def cmd_reward_probe(args, cfg):
+    br = reward_total(args.v, args.vl, args.g, args.jerk, cfg["reward"])
     for key, val in dataclasses.asdict(br).items():
         print(f"{key:8s} {val: .6f}")
 
 
-def cmd_make_synthetic(args):
-    sim_cfg, rcfg, _, idm_params, leader_ou = _configs(args)
+def cmd_make_synthetic(args, cfg):
+    idm_params = cfg["idm"]
     if args.idm_time_gap is not None:
         idm_params = dataclasses.replace(idm_params, T=args.idm_time_gap)
-    controller = baselines.IdmController(idm_params, sim_cfg)
-    episodes = datasets.make_synthetic(args.episodes, args.seed, sim_cfg, rcfg,
-                                       controller, leader_ou)
+    controller = baselines.IdmController(idm_params, cfg["sim"])
+    episodes = datasets.make_synthetic(args.episodes, args.seed, cfg["sim"],
+                                       cfg["reward"], controller,
+                                       cfg["leader_ou"])
     os.makedirs(args.out, exist_ok=True)
     for ep in episodes:
         datasets.write_trajectory_csv(os.path.join(args.out, f"{ep.id}.csv"), ep)
     print(f"wrote {len(episodes)} episodes to {args.out}")
 
 
-def cmd_ingest(args):
-    sim_cfg, rcfg, _, _, _ = _configs(args)
-    parts = datasets.ingest(args.inputs, sim_cfg, rcfg, dt=args.dt)
+def cmd_ingest(args, cfg):
+    parts = datasets.ingest(args.inputs, cfg["sim"], cfg["reward"])
     merged = datasets.merge_parts(parts)
     datasets.save_transition_store(args.out, merged)
     print(f"{len(merged)} transitions from {len(parts)} episodes "
           f"({merged.clipped_actions} clipped actions) -> {args.out}")
 
 
-def cmd_calibrate_idm(args):
-    sim_cfg, _, _, idm_params, _ = _configs(args)
-    import glob as _glob
-    paths = sorted(_glob.glob(args.dataset)) or [args.dataset]
-    episodes = [datasets.parse_trajectory_csv(p) for p in paths]
-    best, rmse = baselines.calibrate_idm(episodes, sim_cfg, idm_params)
+def cmd_calibrate_idm(args, cfg):
+    episodes = [datasets.parse_trajectory_csv(p, cfg["sim"].dt)
+                for p in datasets.matching_files(args.dataset)]
+    best, rmse = baselines.calibrate_idm(episodes, cfg["sim"], cfg["idm"])
     print(f"best parameters (gap RMSE {rmse:.3f} m):")
     for key, val in dataclasses.asdict(best).items():
         print(f"  {key} = {val}")
@@ -95,45 +78,39 @@ def _write_history(path, history):
             w.writerow([h.episode, h.steps, repr(float(h.mean_reward)), h.collisions])
 
 
-def cmd_train(args):
-    sim_cfg, rcfg, dcfg, _, leader_ou = _configs(args)
+def cmd_train(args, cfg):
     os.makedirs(args.out, exist_ok=True)
-    budget = args.budget
-
     if args.mode == "bc":
         if not args.dataset:
             sys.exit("--dataset is required for BC")
         ds = datasets.load_transition_store(args.dataset)
         policy = baselines.bc_train(ds, epochs=args.epochs, seed=args.seed,
-                                    sim_cfg=sim_cfg)
+                                    sim_cfg=cfg["sim"])
         policy.net.save(os.path.join(args.out, "bc.bin"))
         print(f"BC policy trained on {len(ds)} transitions "
               f"(final MSE {baselines.bc_mse(policy, ds):.4f})")
     else:
-        agent = ddpg.DdpgAgent(dcfg, sim_cfg, seed=args.seed)
+        agent = ddpg.DdpgAgent(cfg["ddpg"], cfg["sim"], seed=args.seed)
+        kw = dict(seed=args.seed, rcfg=cfg["reward"], leader_ou=cfg["leader_ou"])
         if args.mode == "pure":
-            history = ddpg.train_stage1(agent, budget, seed=args.seed,
-                                        rcfg=rcfg, leader_ou=leader_ou)
+            history = ddpg.train_stage1(agent, args.budget, **kw)
         elif args.mode == "two-stage":
             if not (args.dataset and args.resume_from):
                 sys.exit("two-stage needs --dataset and --from")
             agent.load(args.resume_from)
             buf = datasets.load_transition_store(args.dataset).to_buffer()
-            history = ddpg.train_stage2(agent, buf, args.ratio, budget,
-                                        seed=args.seed, rcfg=rcfg,
-                                        leader_ou=leader_ou)
+            history = ddpg.train_stage2(agent, buf, args.ratio, args.budget, **kw)
         elif args.mode == "off-policy":
             if not args.dataset:
                 sys.exit("--dataset is required for off-policy")
             buf = datasets.load_transition_store(args.dataset).to_buffer()
-            history = ddpg.train_fully_offpolicy(agent, buf, budget,
-                                                 seed=args.seed, rcfg=rcfg,
-                                                 leader_ou=leader_ou)
+            history = ddpg.train_fully_offpolicy(agent, buf, args.budget, **kw)
         agent.save(args.out)
         _write_history(os.path.join(args.out, "rewards.csv"), history)
         print(f"trained mode={args.mode}; {len(history)} reward rows -> {args.out}")
-    _snapshot(os.path.join(args.out, "config.json"),
-              sim=sim_cfg, reward=rcfg, ddpg=dcfg)
+    snapshot = {k: dataclasses.asdict(cfg[k]) for k in ("sim", "reward", "ddpg")}
+    with open(os.path.join(args.out, "config.json"), "w") as fh:
+        json.dump(snapshot, fh, indent=2, default=str)
 
 
 def _load_agents(spec, sim_cfg, dcfg, idm_params):
@@ -149,7 +126,6 @@ def _load_agents(spec, sim_cfg, dcfg, idm_params):
             agent = ddpg.DdpgAgent(dcfg, sim_cfg, seed=0)
             agent.load(entry[5:])
         elif entry.startswith("bc:"):
-            from .nets import MlpNet
             name = "bc"
             agent = baselines.BcPolicy(MlpNet.load(entry[3:]), sim_cfg)
         else:
@@ -162,29 +138,29 @@ def _load_agents(spec, sim_cfg, dcfg, idm_params):
     return agents
 
 
-def cmd_eval(args):
-    sim_cfg, rcfg, dcfg, idm_params, leader_ou = _configs(args)
-    agents = _load_agents(args.agents, sim_cfg, dcfg, idm_params)
+def cmd_eval(args, cfg):
+    sim_cfg = cfg["sim"]
+    agents = _load_agents(args.agents, sim_cfg, cfg["ddpg"], cfg["idm"])
     kind, _, arg = args.scenario.partition(":")
     if kind == "builtin":
         scenarios = [evaluate.self_defined_profile(sim_cfg.dt)]
     elif kind == "replay":
-        ep = datasets.parse_trajectory_csv(arg)
+        ep = datasets.parse_trajectory_csv(arg, sim_cfg.dt)
         scenarios = [evaluate.scenario_from_episode(ep)]
     elif kind == "suite":
         scenarios = evaluate.synthetic_suite(args.n_scenarios, args.seed,
-                                             sim_cfg, leader_ou)
+                                             sim_cfg, cfg["leader_ou"])
     else:
         sys.exit("scenario must be builtin:s53, replay:FILE, or suite:synthetic")
     os.makedirs(args.out, exist_ok=True)
     for sc in scenarios:
-        traces = {name: evaluate.run_scenario(agent, sc, sim_cfg, rcfg)
+        traces = {name: evaluate.run_scenario(agent, sc, sim_cfg, cfg["reward"])
                   for name, agent in agents.items()}
         evaluate.compare_report(traces, os.path.join(args.out, sc.name))
     print(f"evaluated {len(agents)} agents on {len(scenarios)} scenarios -> {args.out}")
 
 
-def cmd_report(args):
+def cmd_report(args, cfg):
     for root, _, files in sorted(os.walk(args.indir)):
         if "ttc_summary.csv" in files:
             print(f"== {root}")
@@ -193,9 +169,8 @@ def cmd_report(args):
                     print("  " + line.rstrip())
 
 
-def cmd_control(args):
-    model = (load_config(args.config)["powertrain"] if args.config
-             else PowertrainParams())
+def cmd_control(args, cfg):
+    model = cfg["powertrain"]
     if args.control_cmd == "collect":
         samples = control.collect_reverse_data(model, args.duration_s, args.seed)
         control.write_reverse_csv(args.out, samples)
@@ -207,7 +182,6 @@ def cmd_control(args):
         np.savez(args.out + ".norm.npz", mean=cn.mean, std=cn.std)
         print(f"control net trained on {len(samples)} samples -> {args.out}")
     elif args.control_cmd == "probe":
-        from .nets import MlpNet
         net = MlpNet.load(args.net)
         norm = np.load(args.net + ".norm.npz")
         cn = control.ControlNet(net, norm["mean"], norm["std"])
@@ -247,7 +221,6 @@ def build_parser():
     sp = add("ingest", cmd_ingest, help="parse and relabel trajectory CSVs")
     sp.add_argument("--in", dest="inputs", required=True, help="file or glob")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--dt", type=float, default=0.1)
 
     sp = add("calibrate-idm", cmd_calibrate_idm,
              help="grid-search IDM parameters against recorded followers")
@@ -291,7 +264,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    args.fn(args)
+    args.fn(args, load_config(args.config))
 
 
 if __name__ == "__main__":

@@ -151,11 +151,12 @@ def load_config(path):
 
     Sections map to the dataclasses above; unknown sections or keys are
     rejected so typos never pass silently.  Missing sections fall back to
-    defaults.
+    defaults, and a path of None gives the defaults of every section.
     """
     parser = configparser.ConfigParser()
-    with open(path) as fh:
-        parser.read_file(fh)
+    if path is not None:
+        with open(path) as fh:
+            parser.read_file(fh)
     out = {}
     for name, cls in _SECTIONS.items():
         defaults = cls(**{}) if name != "leader_ou" else dataclasses.replace(LEADER_OU)

@@ -8,7 +8,8 @@ invertibility oracle for the control net.
 
 Reverse data is one (n, 5) float array of (v_next, v, a, throttle, brake)
 rows, the columns of REVERSE_HEADER, read from and written to CSV through
-simcore's numeric codec.
+simcore's numeric codec.  The pipeline samples, commands and tracks pedals
+at a fixed PEDAL_DT step, independent of the simulator's SimConfig.dt.
 """
 
 from dataclasses import dataclass
@@ -20,6 +21,9 @@ from .nets import MlpNet, fit_mse
 from .simcore import read_csv, write_csv
 
 REVERSE_HEADER = ["v_next_mps", "v_mps", "a_mps2", "throttle", "brake"]
+
+PEDAL_DT = 0.1              # s, one reverse-data sample or pedal command
+DWELL_RANGE = (0.5, 3.0)    # s, how long collection holds each pedal setting
 
 
 def powertrain_step(model: PowertrainParams, throttle, brake, v, dt):
@@ -37,23 +41,22 @@ def powertrain_step(model: PowertrainParams, throttle, brake, v, dt):
     return accel, v_next
 
 
-def collect_reverse_data(model: PowertrainParams, duration, seed, dt=0.1,
-                         dwell_range=(0.5, 3.0)):
+def collect_reverse_data(model: PowertrainParams, duration, seed):
     """Drive the surrogate with a seeded piecewise-constant random pedal
     policy (never pressing both pedals; brake released at standstill,
-    where it carries no information) and record one sample per dt: an
-    (n, 5) array in REVERSE_HEADER order."""
+    where it carries no information) and record one sample per PEDAL_DT:
+    an (n, 5) array in REVERSE_HEADER order."""
     if duration <= 0:
         raise ValueError("duration must be positive")
     rng = np.random.default_rng(seed)
-    n = int(round(duration / dt))
+    n = int(round(duration / PEDAL_DT))
     samples = []
     v = 0.0
     throttle = brake = 0.0
     dwell_left = 0
     for _ in range(n):
         if dwell_left <= 0:
-            dwell_left = int(round(rng.uniform(*dwell_range) / dt))
+            dwell_left = int(round(rng.uniform(*DWELL_RANGE) / PEDAL_DT))
             mode = rng.uniform()
             if mode < 0.5:
                 throttle, brake = float(rng.uniform(0.0, 1.0)), 0.0
@@ -62,7 +65,7 @@ def collect_reverse_data(model: PowertrainParams, duration, seed, dt=0.1,
             else:
                 throttle = brake = 0.0
         t_eff, b_eff = (throttle, brake) if v > 0 else (throttle, 0.0)
-        accel, v_next = powertrain_step(model, t_eff, b_eff, v, dt)
+        accel, v_next = powertrain_step(model, t_eff, b_eff, v, PEDAL_DT)
         samples.append((v_next, v, accel, t_eff, b_eff))
         v = v_next
         dwell_left -= 1
@@ -74,7 +77,16 @@ def write_reverse_csv(path, samples):
 
 
 def read_reverse_csv(path):
-    return read_csv(path, REVERSE_HEADER)
+    """Besides what read_csv rejects, rejects rows the plant cannot
+    produce, a pedal outside [0, 1] or a negative speed, naming the line."""
+    samples = read_csv(path, REVERSE_HEADER)
+    for lineno, (v_next, v, _, throttle, brake) in enumerate(samples.tolist(),
+                                                             start=2):
+        if not (0.0 <= throttle <= 1.0 and 0.0 <= brake <= 1.0):
+            raise ValueError(f"{path}: line {lineno}: pedal outside [0, 1]")
+        if v < 0 or v_next < 0:
+            raise ValueError(f"{path}: line {lineno}: negative speed")
+    return samples
 
 
 @dataclass
@@ -108,22 +120,24 @@ def train_control_net(samples, epochs=40, seed=0):
     return ControlNet(net, mean, std)
 
 
-def accel_to_pedals(cn: ControlNet, v, a_cmd, dt=0.1):
+def accel_to_pedals(cn: ControlNet, v, a_cmd):
     """Pedal command realizing a_cmd at speed v: feeds the one-step-ahead
-    speed target (v + a_cmd*dt, v, a_cmd) through the inverse net."""
-    throttle, brake = cn.predict(np.array([max(0.0, v + a_cmd * dt), v, a_cmd]))
+    speed target (v + a_cmd*PEDAL_DT, v, a_cmd) through the inverse net."""
+    throttle, brake = cn.predict(np.array([max(0.0, v + a_cmd * PEDAL_DT), v,
+                                           a_cmd]))
     return float(throttle), float(brake)
 
 
 def track_accel_commands(cn: ControlNet, model: PowertrainParams, commands,
-                         v0=0.0, dt=0.1):
-    """Closed loop policy -> pedals -> powertrain; returns the achieved
-    accelerations and speeds for each commanded accel."""
+                         v0=0.0):
+    """Closed loop policy -> pedals -> powertrain, one command per
+    PEDAL_DT; returns the achieved accelerations and speeds for each
+    commanded accel."""
     v = v0
     achieved, speeds = [], []
     for a_cmd in commands:
-        throttle, brake = accel_to_pedals(cn, v, a_cmd, dt)
-        accel, v = powertrain_step(model, throttle, brake, v, dt)
+        throttle, brake = accel_to_pedals(cn, v, a_cmd)
+        accel, v = powertrain_step(model, throttle, brake, v, PEDAL_DT)
         achieved.append(accel)
         speeds.append(v)
     return np.array(achieved), np.array(speeds)

@@ -1,12 +1,13 @@
 """Car-following trajectory ingestion and relabeling into RL transitions.
 
 A recorded episode is one (n, 4) float array of (t, leader speed,
-follower speed, gap) rows at 10 Hz, the columns of HEADER, read from and
-written to CSV through simcore's numeric codec.  Relabeling turns it into
-(s, a, r, s', done) transitions, the rows of one ddpg.Batch: actions
-recovered by forward-differencing the follower speed, rewards recomputed
-with the exact reward code path used online, episode boundaries marked
-terminal so learning never bootstraps across recordings.
+follower speed, gap) rows spaced SimConfig.dt apart, the columns of
+HEADER, read from and written to CSV through simcore's numeric codec.
+Relabeling turns it into (s, a, r, s', done) transitions, the rows of one
+ddpg.Batch: actions recovered by forward-differencing the follower speed
+over the same dt, rewards recomputed with the exact reward code path used
+online, episode boundaries marked terminal so learning never bootstraps
+across recordings.
 """
 
 import glob
@@ -24,6 +25,9 @@ from .simcore import (FollowEnv, gen_leader_profile, normalize_state, read_csv,
                       write_csv)
 
 HEADER = ["t_s", "v_leader_mps", "v_follower_mps", "gap_m"]
+
+# reward_histogram's regular bins: HIST_WIDTH wide over [HIST_LO, HIST_HI]
+HIST_WIDTH, HIST_LO, HIST_HI = 0.05, -1.0, 0.5
 
 
 @dataclass(eq=False)
@@ -50,10 +54,11 @@ class RelabeledDataset:
         return buf
 
 
-def parse_trajectory_csv(path, dt=0.1):
-    """Read one leader-follower episode.  Besides what read_csv rejects,
-    rejects negative speeds/gaps and non-uniform timestamps (tolerance
-    1e-6 s against the expected dt), naming the line number."""
+def parse_trajectory_csv(path, dt):
+    """Read one leader-follower episode recorded every dt seconds (the
+    SimConfig.dt it will be relabeled at).  Besides what read_csv rejects,
+    rejects negative speeds/gaps and timestamps not spaced dt apart
+    (tolerance 1e-6 s), naming the line number."""
     records = read_csv(path, HEADER)
     for lineno, (t, v_l, v_f, g) in enumerate(records.tolist(), start=2):
         if v_l < 0 or v_f < 0:
@@ -63,7 +68,8 @@ def parse_trajectory_csv(path, dt=0.1):
         if lineno > 2 and abs((t - t_prev) - dt) > 1e-6:
             raise ValueError(
                 f"{path}: line {lineno}: timestamp spacing "
-                f"{t - t_prev:.6g} s != {dt} s (use --dt to override)")
+                f"{t - t_prev:.6g} s != {dt} s "
+                "(set [sim] dt in the --config file)")
         t_prev = t
     if len(records) < 2:
         raise ValueError(f"{path}: an episode needs at least 2 rows")
@@ -150,21 +156,21 @@ def merge_parts(parts):
         sum(p.clipped_actions for p in parts))
 
 
-def reward_histogram(ds: RelabeledDataset, bin_width=0.05, lo=-1.0, hi=0.5):
-    """Bin counts over [lo, hi] at fixed width plus under/overflow bins;
-    also reports the fraction of good actions (r >= 0.4) and of exactly
-    zero reward."""
+def reward_histogram(ds: RelabeledDataset):
+    """Bin counts over [HIST_LO, HIST_HI] at HIST_WIDTH plus under/overflow
+    bins; also reports the fraction of good actions (r >= 0.4) and of
+    exactly zero reward."""
     if len(ds) == 0:
         raise ValueError("empty dataset")
     rewards = ds.transitions.rewards
-    n_bins = int(round((hi - lo) / bin_width))
-    edges = lo + bin_width * np.arange(n_bins + 1)
-    # [underflow, bins..., overflow]; hi itself (the attainable maximum)
-    # falls in the top regular bin
-    scaled = (np.clip(rewards, lo, hi) - lo) / bin_width
+    n_bins = int(round((HIST_HI - HIST_LO) / HIST_WIDTH))
+    edges = HIST_LO + HIST_WIDTH * np.arange(n_bins + 1)
+    # [underflow, bins..., overflow]; HIST_HI itself (the attainable
+    # maximum) falls in the top regular bin
+    scaled = (np.clip(rewards, HIST_LO, HIST_HI) - HIST_LO) / HIST_WIDTH
     bins = 1 + np.minimum(scaled, n_bins - 1).astype(int)
-    bins[rewards < lo] = 0
-    bins[rewards > hi] = n_bins + 1
+    bins[rewards < HIST_LO] = 0
+    bins[rewards > HIST_HI] = n_bins + 1
     counts = np.bincount(bins, minlength=n_bins + 2)
     return {
         "edges": edges,
@@ -230,22 +236,30 @@ def load_transition_store(path):
     return RelabeledDataset(batch, provenance, clipped)
 
 
-def ingest(pattern, cfg: SimConfig, rcfg: RewardConfig, dt=0.1):
-    """Parse every file matching the glob and relabel per episode."""
+def matching_files(pattern):
+    """The files a glob matches, sorted, or the one path given; a glob
+    matching nothing raises ValueError."""
     paths = sorted(glob.glob(pattern)) if any(ch in pattern for ch in "*?[") \
         else [pattern]
     if not paths:
         raise ValueError(f"no files match {pattern!r}")
-    episodes = [parse_trajectory_csv(p, dt=dt) for p in paths]
-    return [build_transitions(ep, cfg, rcfg) for ep in episodes]
+    return paths
+
+
+def ingest(pattern, cfg: SimConfig, rcfg: RewardConfig):
+    """Parse every file matching the glob, each checked to be spaced
+    cfg.dt apart, and relabel per episode."""
+    return [build_transitions(parse_trajectory_csv(p, cfg.dt), cfg, rcfg)
+            for p in matching_files(pattern)]
 
 
 def rollout_episode(controller, profile, cfg: SimConfig, rcfg: RewardConfig,
-                    initial_gap, follower_speed=0.0, episode_id="synthetic"):
+                    initial_gap, episode_id="synthetic"):
     """Roll a controller with an act(v, a, v_l, g) interface through the
-    simulator and record the trajectory rows the relabeler expects."""
+    simulator from standstill and record the trajectory rows the
+    relabeler expects."""
     env = FollowEnv(cfg, rcfg)
-    env.reset(profile, initial_gap=initial_gap, follower_speed=follower_speed)
+    env.reset(profile, initial_gap=initial_gap)
     records = [(0.0, env.leader.speed, env.follower.speed, env.gap)]
     rewards = []
     done = False

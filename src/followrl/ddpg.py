@@ -33,6 +33,9 @@ _NETS = ("actor", "critic", "actor_target", "critic_target")
 # normalized state (v, a, v_l, g); see simcore.normalize_state
 STATE_DIM = 4
 
+# gradient steps between off-policy training's greedy evaluation episodes
+OFFPOLICY_EVAL_EVERY = 2000
+
 
 @dataclass(slots=True)
 class Transition:
@@ -293,18 +296,19 @@ class EpisodeStats:
 def _episode_profile(rng, sim_cfg, leader_ou):
     seed = int(rng.integers(0, 2 ** 31 - 1))
     duration = (sim_cfg.max_steps + 1) * sim_cfg.dt
-    return gen_leader_profile(seed, duration, sim_cfg, leader_ou), seed
+    return gen_leader_profile(seed, duration, sim_cfg, leader_ou)
 
 
-def run_training_episode(agent, env, rng, sim_cfg, leader_ou, budget_left,
-                         sample_fn, explore=True, actor_from=0):
+def run_training_episode(agent, env, rng, leader_ou, budget_left, sample_fn,
+                         explore=True, actor_from=0):
     """One episode of Algorithm-1 style interaction: act, store, then one
     gradient step per environment step, on the batch sample_fn() returns,
     once the agent's buffer holds a full batch.  The actor is held until
     the critic's optimizer has taken actor_from steps.
 
     Returns the episode's EpisodeStats; the caller numbers it."""
-    profile, _ = _episode_profile(rng, sim_cfg, leader_ou)
+    sim_cfg = agent.sim_cfg
+    profile = _episode_profile(rng, sim_cfg, leader_ou)
     obs = env.reset(profile, seed=int(rng.integers(0, 2 ** 31 - 1)))
     agent.noise.reset()
     total, steps, collisions, at_bound, end = 0.0, 0, 0, 0, "budget"
@@ -340,8 +344,8 @@ def _train_online(agent, budget, rng, rcfg, leader_ou, sample_fn, progress,
     history = []
     used = 0
     while used < budget:
-        stats = run_training_episode(agent, env, rng, agent.sim_cfg, leader_ou,
-                                     budget - used, sample_fn, **episode_kw)
+        stats = run_training_episode(agent, env, rng, leader_ou, budget - used,
+                                     sample_fn, **episode_kw)
         stats.episode = len(history)
         used += stats.steps
         history.append(stats)
@@ -388,10 +392,10 @@ def train_stage2(agent: DdpgAgent, practical_buf: ReplayBuffer, ratio,
 
 def train_fully_offpolicy(agent: DdpgAgent, practical_buf: ReplayBuffer,
                           budget=None, seed=0, rcfg=None,
-                          leader_ou: OuParams = LEADER_OU,
-                          eval_every=2000, eval_episodes=1, progress=None):
+                          leader_ou: OuParams = LEADER_OU):
     """Gradient steps exclusively on the practical buffer, never touching
-    the simulator for data; periodic greedy episodes record the curve."""
+    the simulator for data; a greedy episode every OFFPOLICY_EVAL_EVERY
+    steps records the curve."""
     if len(practical_buf) == 0:
         raise ValueError("practical buffer is empty")
     cfg = agent.cfg
@@ -402,14 +406,12 @@ def train_fully_offpolicy(agent: DdpgAgent, practical_buf: ReplayBuffer,
     for step in range(budget):
         batch = practical_buf.sample(rng, cfg.batch_size)
         agent.train_step(batch)
-        if (step + 1) % eval_every == 0 or step + 1 == budget:
+        if (step + 1) % OFFPOLICY_EVAL_EVERY == 0 or step + 1 == budget:
             eval_seed = int(eval_rng.integers(0, 2 ** 31 - 1))
-            stats = greedy_eval(agent, n_episodes=eval_episodes, seed=eval_seed,
+            stats = greedy_eval(agent, n_episodes=1, seed=eval_seed,
                                 rcfg=rcfg, leader_ou=leader_ou)
             curve.append(EpisodeStats(len(curve), step + 1,
                                       stats["mean_reward"], stats["collisions"]))
-            if progress:
-                progress(curve[-1])
     return curve
 
 
@@ -422,7 +424,7 @@ def greedy_eval(agent: DdpgAgent, n_episodes=20, seed=0, rcfg=None,
     env = FollowEnv(sim_cfg, rcfg or RewardConfig())
     totals, steps_all, collisions = [], 0, 0
     for _ in range(n_episodes):
-        profile, _ = _episode_profile(rng, sim_cfg, leader_ou)
+        profile = _episode_profile(rng, sim_cfg, leader_ou)
         obs = env.reset(profile, seed=int(rng.integers(0, 2 ** 31 - 1)))
         done = False
         while not done:

@@ -2,8 +2,8 @@
 
 A scenario is a leader speed profile plus initial conditions; any object
 with an ``act(v, a, v_l, g)`` method can follow it.  TTC statistics are
-computed over finite values under a threshold (default 10 s), with TTC
-under 2 s counted as safety-critical.
+computed over finite values up to TTC_THRESHOLD (10 s), with TTC under
+2 s counted as safety-critical.
 """
 
 import csv
@@ -17,6 +17,9 @@ import numpy as np
 from .config import LEADER_OU, RewardConfig, SimConfig
 from .simcore import FollowEnv, gen_leader_profile, write_csv
 
+TTC_THRESHOLD = 10.0    # s, larger TTC values are left out of the statistics
+SUITE_DURATION = 100.0  # s, length of each synthetic_suite scenario
+
 
 def ttc(gap, v_f, v_l):
     """Time to collision gap/(v_f - v_l) while closing; None otherwise."""
@@ -29,7 +32,6 @@ def ttc(gap, v_f, v_l):
 
 @dataclass
 class TtcSummary:
-    threshold: float
     minimum: float
     mean: float
     median: float
@@ -55,23 +57,23 @@ class RunTrace:
         return float(np.mean(self.gap))
 
 
-def ttc_summary(trace: RunTrace, threshold=10.0, sample_std=False):
-    """Statistics over finite TTC values <= threshold.  An empty selection
-    is flagged with n_samples = 0 and NaN statistics rather than raised."""
+def ttc_summary(trace: RunTrace):
+    """Statistics over finite TTC values <= TTC_THRESHOLD, with the
+    population std.  An empty selection is flagged with n_samples = 0 and
+    NaN statistics rather than raised."""
     vals = trace.ttc[np.isfinite(trace.ttc)]
-    vals = vals[vals <= threshold]
+    vals = vals[vals <= TTC_THRESHOLD]
     below2 = int(np.sum(vals < 2.0))
     if len(vals) == 0:
         nan = float("nan")
-        return TtcSummary(threshold, nan, nan, nan, nan, 0, 0)
+        return TtcSummary(nan, nan, nan, nan, 0, 0)
     # exactly-rounded accumulation so any independent recomputation agrees
     # bit-for-bit regardless of summation order
     n = len(vals)
     mean = math.fsum(vals) / n
-    ddof = 1 if sample_std and n > 1 else 0
-    std = math.sqrt(math.fsum((v - mean) ** 2 for v in vals) / (n - ddof))
-    return TtcSummary(threshold, float(np.min(vals)), mean,
-                      float(np.median(vals)), std, below2, n)
+    std = math.sqrt(math.fsum((v - mean) ** 2 for v in vals) / n)
+    return TtcSummary(float(np.min(vals)), mean, float(np.median(vals)), std,
+                      below2, n)
 
 
 @dataclass
@@ -147,24 +149,24 @@ def self_defined_profile(dt=0.1):
 
 
 def synthetic_suite(n_scenarios=20, seed=0, cfg: SimConfig = None,
-                    leader_ou=LEADER_OU, duration=100.0):
+                    leader_ou=LEADER_OU):
     """Seeded suite of OU-leader scenarios with varied initial gaps."""
     cfg = cfg or SimConfig()
     rng = np.random.default_rng(seed)
     out = []
     for k in range(n_scenarios):
         profile = gen_leader_profile(int(rng.integers(0, 2 ** 31 - 1)),
-                                     duration + cfg.dt, cfg, leader_ou)
+                                     SUITE_DURATION + cfg.dt, cfg, leader_ou)
         gap0 = float(rng.uniform(10.0, cfg.init_gap_high))
         out.append(Scenario(f"synthetic-{k:02d}", profile, gap0))
     return out
 
 
-def scenario_from_episode(ep, name=None):
+def scenario_from_episode(ep):
     """Replay scenario: recorded leader speeds with the recorded initial
     gap and follower speed."""
     _, v_l, v_f, gap = ep.records.T
-    return Scenario(name or f"replay-{ep.id}", v_l.copy(),
+    return Scenario(f"replay-{ep.id}", v_l.copy(),
                     initial_gap=float(gap[0]), follower_speed=float(v_f[0]))
 
 
@@ -181,7 +183,7 @@ SUMMARY_COLUMNS = ["agent", "minimum", "mean", "median", "std_dev",
                    "count_below_2s", "n_samples", "collided", "mean_gap"]
 
 
-def compare_report(traces, out_dir, threshold=10.0, sample_std=False):
+def compare_report(traces, out_dir):
     """Emit per-agent trace CSVs, a TTC summary table, and a plot-ready
     long-format CSV (t, agent, series, value)."""
     if not traces:
@@ -192,7 +194,7 @@ def compare_report(traces, out_dir, threshold=10.0, sample_std=False):
         w = csv.writer(fh)
         w.writerow(SUMMARY_COLUMNS)
         for name, trace in traces.items():
-            s = ttc_summary(trace, threshold, sample_std)
+            s = ttc_summary(trace)
             w.writerow([name, repr(float(s.minimum)), repr(float(s.mean)), repr(float(s.median)),
                         repr(float(s.std)), s.count_below_2s, s.n_samples,
                         int(trace.collided), repr(trace.mean_gap())])

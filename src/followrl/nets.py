@@ -170,14 +170,15 @@ def _n_parameters(sizes):
     return sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
 
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class AdamState:
     """Adaptive-moment optimizer state for one MlpNet."""
 
-    def __init__(self, net: MlpNet, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, net: MlpNet, lr=0.001):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(net.flat)
         self.v = np.zeros_like(net.flat)
@@ -195,7 +196,7 @@ def opt_step(net: MlpNet, grads, state: AdamState):
     g = np.concatenate([x.ravel() for pair in zip(grads["weights"],
                                                   grads["biases"]) for x in pair])
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
     m, v = state.m, state.v
@@ -203,7 +204,7 @@ def opt_step(net: MlpNet, grads, state: AdamState):
     m += (1.0 - b1) * g
     v *= b2
     v += (1.0 - b2) * g * g
-    net.flat -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+    net.flat -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
 
 FIT_BATCH = 32

@@ -1,7 +1,7 @@
 """1-D leader-follower environment with OU-generated leader profiles.
 
-Fixed 0.1 s steps, bumper-to-bumper gap bookkeeping, and the 4-component
-normalized observation fed to every learned policy.
+Fixed steps of SimConfig.dt, bumper-to-bumper gap bookkeeping, and the
+4-component normalized observation fed to every learned policy.
 """
 
 import csv
@@ -48,7 +48,7 @@ def unscale_action(a, cfg: SimConfig):
     return 2.0 * (a - cfg.a_min) / (cfg.a_max - cfg.a_min) - 1.0
 
 
-def ou_path(params: OuParams, n_steps, dt, seed=None, rng=None):
+def ou_path(params: OuParams, n_steps, dt, seed=None):
     """Euler-Maruyama discretization of an Ornstein-Uhlenbeck process:
     x_{k+1} = x_k + theta*(mu - x_k)*dt + sigma*sqrt(dt)*xi_k.
 
@@ -56,8 +56,7 @@ def ou_path(params: OuParams, n_steps, dt, seed=None, rng=None):
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     x = np.empty(n_steps)
     x[0] = params.x0
     if n_steps > 1:
@@ -143,11 +142,6 @@ def write_leader_csv(path, profile, dt):
               np.column_stack((np.arange(len(profile)) * dt, profile)))
 
 
-def read_leader_csv(path):
-    """Leader speeds (m/s) from a CSV written by write_leader_csv."""
-    return read_csv(path, LEADER_HEADER)[:, 1].copy()
-
-
 @dataclass
 class VehicleState:
     position: float = 0.0   # m, front-bumper reference
@@ -181,7 +175,6 @@ class FollowEnv:
         self.follower = VehicleState()
         self.profile = None
         self.step_index = 0
-        self.prev_accel = 0.0
         self.done = True
 
     def reset(self, profile, seed=None, initial_gap=None, follower_speed=0.0):
@@ -198,7 +191,6 @@ class FollowEnv:
             initial_gap = rng.uniform(cfg.init_gap_low, cfg.init_gap_high)
         self.profile = profile
         self.step_index = 0
-        self.prev_accel = 0.0
         self.done = False
         self.follower = VehicleState(0.0, float(follower_speed), 0.0)
         self.leader = VehicleState(initial_gap + cfg.vehicle_length, float(profile[0]), 0.0)
@@ -230,11 +222,9 @@ class FollowEnv:
         vl_new = self.profile[i + 1]
         self.leader.position += 0.5 * (vl_old + vl_new) * cfg.dt
         self.leader.speed = float(vl_new)
-        self.leader.accel = (vl_new - vl_old) / cfg.dt
 
-        jerk = 0.0 if i == 0 else (a_app - self.prev_accel) / cfg.dt
+        jerk = 0.0 if i == 0 else (a_app - self.follower.accel) / cfg.dt
         self.follower.accel = a_app
-        self.prev_accel = a_app
         self.step_index = i + 1
 
         gap = self.gap

@@ -3,6 +3,7 @@ determinism of repeated seeded invocations."""
 
 import csv
 import filecmp
+import hashlib
 import os
 
 import numpy as np
@@ -10,9 +11,9 @@ import pytest
 
 from followrl import DdpgAgent, MlpNet
 from followrl.cli import main
-from followrl.config import load_config
-from followrl.datasets import load_transition_store
-from followrl.simcore import read_leader_csv
+from followrl.config import RewardConfig, SimConfig, load_config
+from followrl.datasets import ingest, load_transition_store
+from followrl.simcore import LEADER_HEADER, read_csv
 
 
 def run(*argv):
@@ -23,7 +24,7 @@ class TestGenLeader:
     def test_writes_profile(self, tmp_path, capsys):
         out = tmp_path / "leader.csv"
         run("gen-leader", "--seed", "42", "--duration-s", "30", "--out", str(out))
-        profile = read_leader_csv(out)
+        profile = read_csv(out, LEADER_HEADER)[:, 1]
         assert len(profile) == 300
         assert np.all(profile >= 0.0) and np.all(profile <= 20.0)
         assert "300 samples" in capsys.readouterr().out
@@ -211,3 +212,90 @@ class TestConfigFile:
         run("calibrate-idm", "--dataset", str(data / "*.csv"))
         out = capsys.readouterr().out
         assert "best parameters" in out and "T = 1.0" in out
+
+    def test_calibrate_idm_glob_matching_nothing(self, tmp_path):
+        # the same file-matching rule as ingest
+        with pytest.raises(ValueError, match="no files match"):
+            run("calibrate-idm", "--dataset", str(tmp_path / "nomatch/*.csv"))
+
+    def test_one_time_step_for_recorded_data(self, tmp_path):
+        """[sim] dt is the spacing recorded data is checked and relabeled
+        at, by every command that reads it."""
+        cfg = tmp_path / "5hz.cfg"
+        cfg.write_text("[sim]\ndt = 0.2\nmax_steps = 150\n")
+        data = tmp_path / "data"
+        run("make-synthetic", "--episodes", "2", "--config", str(cfg),
+            "--out", str(data))
+        run("ingest", "--in", str(data / "*.csv"), "--config", str(cfg),
+            "--out", str(tmp_path / "store.npz"))
+        run("calibrate-idm", "--dataset", str(data / "*.csv"),
+            "--config", str(cfg))
+        run("eval", "--agents", "idm", "--scenario",
+            f"replay:{data / 'synthetic-000.csv'}", "--config", str(cfg),
+            "--out", str(tmp_path / "rep"))
+        # a 5 Hz recording of a follower speeding up at 1 m/s^2
+        path = tmp_path / "5hz.csv"
+        path.write_text("t_s,v_leader_mps,v_follower_mps,gap_m\n" + "".join(
+            f"{0.2 * k:.1f},10.0,{0.2 * k:.1f},50.0\n" for k in range(20)))
+        parts = ingest(str(path), SimConfig(dt=0.2), RewardConfig())
+        # 1.0 up to the rounding of the decimal speeds' differences
+        assert parts[0].transitions.actions == pytest.approx(
+            np.ones(18), rel=0, abs=1e-12)
+        with pytest.raises(ValueError, match=r"5hz\.csv: line 3: timestamp "
+                           r"spacing 0\.2 s != 0\.1 s \(set \[sim\] dt"):
+            ingest(str(path), SimConfig(), RewardConfig())
+
+
+# sha256 over every file the CLI pipeline below writes: each file's path
+# relative to the run directory, then its bytes, or for an .npz (whose zip
+# members carry timestamps) each array's name, dtype, shape and bytes.  The
+# hash was taken before the time step of recorded data got one source.  As
+# with the hashes in test_ddpg.py, record any move with a numpy or BLAS
+# upgrade in CHANGES.md.
+GOLDEN_CLI_SHA256 = \
+    "e6a2ad69ba67d4704a68c7dfe842311770155331eedf370aaee62ed8cddfbaf0"
+
+
+def _tree_sha256(root):
+    h = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            path = os.path.join(dirpath, name)
+            h.update(os.path.relpath(path, root).encode())
+            if name.endswith(".npz"):
+                with np.load(path) as data:
+                    for key in sorted(data.files):
+                        arr = data[key]
+                        h.update(f"{key} {arr.dtype} {arr.shape}".encode())
+                        h.update(arr.tobytes())
+            else:
+                with open(path, "rb") as fh:
+                    h.update(fh.read())
+    return h.hexdigest()
+
+
+def test_golden_cli_pipeline(tmp_path, monkeypatch, capsys):
+    """Every command, in the order a study runs them, from recorded data to
+    the control net, pinned byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    agents = "idm,ddpg:runs/ts,bc:runs/bc/bc.bin"
+    for argv in (
+            "make-synthetic --episodes 4 --seed 0 --out data",
+            "ingest --in data/*.csv --out store.npz",
+            "train --mode pure --budget 6000 --out runs/pure",
+            "train --mode two-stage --ratio 0.6 --budget 2000 "
+            "--dataset store.npz --from runs/pure --out runs/ts",
+            "train --mode off-policy --budget 2000 --dataset store.npz "
+            "--out runs/off",
+            "train --mode bc --epochs 5 --dataset store.npz --out runs/bc",
+            f"eval --agents {agents} --scenario builtin:s53 --out report",
+            f"eval --agents {agents} --scenario replay:data/synthetic-000.csv "
+            "--out report",
+            "gen-leader --seed 42 --duration-s 30 --out leader.csv",
+            "control collect --duration-s 120 --out reverse.csv",
+            "control train --data reverse.csv --out control.bin"):
+        run(*argv.split())
+    capsys.readouterr()
+    assert sum(len(files) for _, _, files in os.walk(tmp_path)) == 54
+    assert _tree_sha256(tmp_path) == GOLDEN_CLI_SHA256

@@ -28,7 +28,7 @@ class TestParse:
     def test_minimal_two_rows(self, tmp_path):
         p = tmp_path / "ep.csv"
         write_rows(p, ["0.0,5.0,4.0,10.0", "0.1,5.0,4.1,10.0"])
-        ep = parse_trajectory_csv(str(p))
+        ep = parse_trajectory_csv(str(p), CFG.dt)
         assert len(ep) == 2
         assert ep.records[1, 2] == 4.1
 
@@ -38,22 +38,22 @@ class TestParse:
         rows[5] = "0.5,5.0,4.0,-1.0"   # line 7 counting the header
         write_rows(p, rows)
         with pytest.raises(ValueError, match="line 7"):
-            parse_trajectory_csv(str(p))
+            parse_trajectory_csv(str(p), CFG.dt)
 
     def test_non_uniform_spacing_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         write_rows(p, ["0.0,5.0,4.0,10.0", "0.25,5.0,4.0,10.0"])
         with pytest.raises(ValueError, match="spacing"):
-            parse_trajectory_csv(str(p))
-        # but an explicit dt override accepts it
-        ep = parse_trajectory_csv(str(p), dt=0.25)
+            parse_trajectory_csv(str(p), CFG.dt)
+        # but the matching dt accepts it
+        ep = parse_trajectory_csv(str(p), 0.25)
         assert len(ep) == 2
 
     def test_malformed_row_names_line(self, tmp_path):
         p = tmp_path / "bad.csv"
         write_rows(p, ["0.0,5.0,4.0,10.0", "0.1,abc,4.0,10.0"])
         with pytest.raises(ValueError, match="line 3"):
-            parse_trajectory_csv(str(p))
+            parse_trajectory_csv(str(p), CFG.dt)
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -62,7 +62,7 @@ class TestParse:
         ep = FollowingEpisode("rt", np.array(recs))
         p = tmp_path / "rt.csv"
         write_trajectory_csv(str(p), ep)
-        back = parse_trajectory_csv(str(p))
+        back = parse_trajectory_csv(str(p), CFG.dt)
         assert back.records.shape == (50, 4)
         assert np.array_equal(back.records, ep.records)
 

@@ -60,10 +60,6 @@ class TestTtcSummary:
         assert s.n_samples == 0
         assert math.isnan(s.minimum) and math.isnan(s.mean)
 
-    def test_sample_std_flag(self):
-        s = ttc_summary(_trace_with_ttc([1.0, 3.0]), sample_std=True)
-        assert s.std == pytest.approx(math.sqrt(2.0))
-
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
         for _ in range(50):

@@ -7,7 +7,7 @@ from followrl import FollowEnv, OuParams, SimConfig, gen_leader_profile, normali
 from followrl.config import LEADER_OU
 from followrl.control import REVERSE_HEADER, read_reverse_csv
 from followrl.datasets import HEADER, parse_trajectory_csv
-from followrl.simcore import LEADER_HEADER, read_leader_csv
+from followrl.simcore import LEADER_HEADER, read_csv
 
 CFG = SimConfig()
 
@@ -216,12 +216,14 @@ class TestStep:
 
 # Each reader of the numeric CSV codec, with a valid three-row file.
 CSV_READERS = {
-    "trajectory": (lambda path: parse_trajectory_csv(path).records, HEADER,
+    "trajectory": (lambda path: parse_trajectory_csv(path, CFG.dt).records,
+                   HEADER,
                    ["0.0,5.0,4.0,10.0", "0.1,5.0,4.1,10.0", "0.2,5.0,4.2,10.0"]),
     "reverse": (read_reverse_csv, REVERSE_HEADER,
                 ["0.1,0.0,1.0,0.25,0.0", "0.2,0.1,1.0,0.25,0.0",
                  "0.1,0.2,-1.0,0.0,0.5"]),
-    "leader": (read_leader_csv, LEADER_HEADER, ["0.0,0.0", "0.1,0.5", "0.2,1.0"]),
+    "leader": (lambda path: read_csv(path, LEADER_HEADER), LEADER_HEADER,
+               ["0.0,0.0", "0.1,0.5", "0.2,1.0"]),
 }
 # (line broken, fields -> broken fields); line 1 is the header
 CSV_BREAKS = {
@@ -232,6 +234,16 @@ CSV_BREAKS = {
     "nan": (3, lambda f: f[:-1] + ["nan"]),
     "inf": (3, lambda f: f[:-1] + ["inf"]),
 }
+# Rows only the reverse-data reader rejects, (v_next, v, a, throttle, brake)
+# that the powertrain cannot produce.
+REVERSE_BREAKS = {
+    "throttle-above-1": (3, lambda f: f[:3] + ["1.5", f[4]]),
+    "brake-below-0": (3, lambda f: f[:4] + ["-0.1"]),
+    "negative-speed": (3, lambda f: f[:1] + ["-0.1"] + f[2:]),
+    "pedals-and-speeds": (3, lambda f: ["1.0", "-3.0", "0.5", "1.5", "-2.0"]),
+}
+CSV_CASES = ([(reader, fault) for reader in CSV_READERS for fault in CSV_BREAKS]
+             + [("reverse", fault) for fault in REVERSE_BREAKS])
 
 
 def test_csv_readers_accept_valid_files(tmp_path):
@@ -239,16 +251,13 @@ def test_csv_readers_accept_valid_files(tmp_path):
         path = tmp_path / f"{name}.csv"
         path.write_text("\n".join([",".join(header)] + rows) + "\n")
         values = np.array([[float(x) for x in row.split(",")] for row in rows])
-        # the leader reader returns the speed column alone
-        want = values[:, 1] if name == "leader" else values
-        assert np.array_equal(read(path), want)
+        assert np.array_equal(read(path), values)
 
 
-@pytest.mark.parametrize("fault", CSV_BREAKS)
-@pytest.mark.parametrize("reader", CSV_READERS)
+@pytest.mark.parametrize("reader, fault", CSV_CASES)
 def test_bad_csv_rejected(tmp_path, reader, fault):
     read, header, rows = CSV_READERS[reader]
-    line, broken = CSV_BREAKS[fault]
+    line, broken = {**CSV_BREAKS, **REVERSE_BREAKS}[fault]
     lines = [",".join(header)] + rows
     lines[line - 1] = ",".join(broken(lines[line - 1].split(",")))
     path = tmp_path / f"{reader}.csv"
