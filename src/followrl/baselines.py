@@ -53,7 +53,7 @@ class BcPolicy:
 
     def act(self, v, a, v_l, g):
         obs = normalize_state(v, a, v_l, g, self.sim_cfg)
-        return float(scale_action(self.net.forward(obs)[0], self.sim_cfg))
+        return float(scale_action(self.net.forward(obs[None])[0, 0], self.sim_cfg))
 
     def predict(self, states):
         return scale_action(self.net.forward(states)[:, 0], self.sim_cfg)

@@ -157,6 +157,9 @@ def load_config(path):
     if path is not None:
         with open(path) as fh:
             parser.read_file(fh)
+    for name in parser.sections():
+        if name not in _SECTIONS:
+            raise ValueError(f"unknown section [{name}]")
     out = {}
     for name, cls in _SECTIONS.items():
         defaults = cls(**{}) if name != "leader_ou" else dataclasses.replace(LEADER_OU)

@@ -57,14 +57,14 @@ class RelabeledDataset:
 def parse_trajectory_csv(path, dt):
     """Read one leader-follower episode recorded every dt seconds (the
     SimConfig.dt it will be relabeled at).  Besides what read_csv rejects,
-    rejects negative speeds/gaps and timestamps not spaced dt apart
+    rejects negative speeds, gaps <= 0 and timestamps not spaced dt apart
     (tolerance 1e-6 s), naming the line number."""
     records = read_csv(path, HEADER)
     for lineno, (t, v_l, v_f, g) in enumerate(records.tolist(), start=2):
         if v_l < 0 or v_f < 0:
             raise ValueError(f"{path}: line {lineno}: negative speed")
-        if g < 0:
-            raise ValueError(f"{path}: line {lineno}: negative gap")
+        if g <= 0:
+            raise ValueError(f"{path}: line {lineno}: gap <= 0 (a collision)")
         if lineno > 2 and abs((t - t_prev) - dt) > 1e-6:
             raise ValueError(
                 f"{path}: line {lineno}: timestamp spacing "

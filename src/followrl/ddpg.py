@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import LEADER_OU, DdpgConfig, OuParams, RewardConfig, SimConfig
+from .evaluate import Scenario, run_scenario
 from .nets import AdamState, MlpNet, opt_step, soft_update
 from .simcore import (FollowEnv, OuNoise, gen_leader_profile, normalize_state,
                       scale_action, unscale_action)
@@ -62,13 +63,6 @@ class Batch:
         """n rows, uninitialised until written with ``put``."""
         return cls(np.empty((n, STATE_DIM)), np.empty(n), np.empty(n),
                    np.empty((n, STATE_DIM)), np.empty(n, dtype=bool))
-
-    @classmethod
-    def stack(cls, transitions):
-        out = cls.empty(len(transitions))
-        for i, tr in enumerate(transitions):
-            out.put(i, tr)
-        return out
 
     @classmethod
     def concat(cls, batches):
@@ -197,7 +191,7 @@ class DdpgAgent:
         """Greedy actor output mapped to [a_min, a_max]; with explore=True
         adds OU noise scaled to half the action range, then clips."""
         c = self.sim_cfg
-        u = float(self.actor.forward(obs)[0])
+        u = float(self.actor.forward(obs[None])[0, 0])
         a = scale_action(u, c)
         if explore:
             a += self.noise.sample(self.rng) * (c.a_max - c.a_min) / 2.0
@@ -209,14 +203,12 @@ class DdpgAgent:
 
     # -- learning ----------------------------------------------------------
     def train_step(self, batch, update_actor=True):
-        """One critic regression + actor ascent + target soft update.
-        batch is a Batch or a list of Transitions.  With update_actor=False
-        the actor (not its soft target) is held.
+        """One critic regression + actor ascent + target soft update on a
+        Batch.  With update_actor=False the actor (not its soft target) is
+        held.
         A non-finite critic loss raises ValueError before any net changes."""
         if not batch:
             raise ValueError("train_step needs a non-empty batch")
-        if not isinstance(batch, Batch):
-            batch = Batch.stack(batch)
         n = len(batch)
         s, a, r, s2, done = batch.columns
         a = unscale_action(a[:, None], self.sim_cfg)
@@ -293,10 +285,17 @@ class EpisodeStats:
     at_bound: float = 0.0
 
 
-def _episode_profile(rng, sim_cfg, leader_ou):
-    seed = int(rng.integers(0, 2 ** 31 - 1))
+def _episode_scenario(rng, sim_cfg, leader_ou):
+    """A fresh episode start: an OU leader profile long enough for
+    max_steps, then an initial gap uniform in [init_gap_low,
+    init_gap_high], each from its own seed drawn from rng in that order."""
+    profile_seed = int(rng.integers(0, 2 ** 31 - 1))
+    gap_seed = int(rng.integers(0, 2 ** 31 - 1))
     duration = (sim_cfg.max_steps + 1) * sim_cfg.dt
-    return gen_leader_profile(seed, duration, sim_cfg, leader_ou)
+    profile = gen_leader_profile(profile_seed, duration, sim_cfg, leader_ou)
+    gap = np.random.default_rng(gap_seed).uniform(sim_cfg.init_gap_low,
+                                                  sim_cfg.init_gap_high)
+    return Scenario("episode", profile, float(gap))
 
 
 def run_training_episode(agent, env, rng, leader_ou, budget_left, sample_fn,
@@ -308,8 +307,8 @@ def run_training_episode(agent, env, rng, leader_ou, budget_left, sample_fn,
 
     Returns the episode's EpisodeStats; the caller numbers it."""
     sim_cfg = agent.sim_cfg
-    profile = _episode_profile(rng, sim_cfg, leader_ou)
-    obs = env.reset(profile, seed=int(rng.integers(0, 2 ** 31 - 1)))
+    sc = _episode_scenario(rng, sim_cfg, leader_ou)
+    obs = env.reset(sc.profile, sc.initial_gap)
     agent.noise.reset()
     total, steps, collisions, at_bound, end = 0.0, 0, 0, 0, "budget"
     while steps < budget_left:
@@ -419,19 +418,11 @@ def greedy_eval(agent: DdpgAgent, n_episodes=20, seed=0, rcfg=None,
                 leader_ou: OuParams = LEADER_OU):
     """Exploration-free rollouts on fresh OU leaders; reports the mean
     per-step reward and total collisions."""
-    sim_cfg = agent.sim_cfg
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
-    env = FollowEnv(sim_cfg, rcfg or RewardConfig())
-    totals, steps_all, collisions = [], 0, 0
+    traces = []
     for _ in range(n_episodes):
-        profile = _episode_profile(rng, sim_cfg, leader_ou)
-        obs = env.reset(profile, seed=int(rng.integers(0, 2 ** 31 - 1)))
-        done = False
-        while not done:
-            obs, reward, done, info = env.step(agent.select_action(obs))
-            totals.append(reward)
-            steps_all += 1
-            if info.collision:
-                collisions += 1
-    return {"mean_reward": float(np.mean(totals)), "steps": steps_all,
-            "collisions": collisions}
+        sc = _episode_scenario(rng, agent.sim_cfg, leader_ou)
+        traces.append(run_scenario(agent, sc, agent.sim_cfg, rcfg))
+    rewards = np.concatenate([t.reward for t in traces])
+    return {"mean_reward": float(np.mean(rewards)),
+            "collisions": sum(t.collided for t in traces)}

@@ -31,19 +31,12 @@ class MlpNet:
             b[...] = rng.uniform(-bound, bound, size=b.shape)
 
     def _bind(self, sizes, out_activation, flat):
-        """Adopt ``flat`` as the parameter vector, laid out in file order
-        (W0, b0, W1, b1, ...); weights and biases are views into it, so
-        every write to them must be in place."""
+        """Adopt ``flat`` as the parameter vector, with weights and biases
+        its _views: every write to them must be in place."""
         self.sizes = [int(s) for s in sizes]
         self.out_activation = out_activation
         self.flat = flat
-        self.weights, self.biases = [], []
-        end = 0
-        for n_in, n_out in zip(self.sizes[:-1], self.sizes[1:]):
-            start, end = end, end + n_in * n_out
-            self.weights.append(flat[start:end].reshape(n_in, n_out))
-            self.biases.append(flat[end:end + n_out])
-            end += n_out
+        self.weights, self.biases = _views(self.sizes, flat)
         return self
 
     @property
@@ -58,15 +51,14 @@ class MlpNet:
                                             self.flat.copy())
 
     def forward(self, x, cache=False):
-        """Forward pass for a single vector or a batch (rows = samples).
+        """Forward pass for a batch x of shape (n, sizes[0]), one sample
+        per row; returns (n, sizes[-1]).
 
         With cache=True returns (output, cache) for a later backward().
         """
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        h = x.reshape(1, -1) if squeeze else x
-        if h.shape[1] != self.sizes[0]:
-            raise ValueError(f"input width {h.shape[1]} != {self.sizes[0]}")
+        h = np.asarray(x, dtype=float)
+        if h.ndim != 2 or h.shape[1] != self.sizes[0]:
+            raise ValueError(f"input shape {h.shape} is not (n, {self.sizes[0]})")
         pre, post = [], [h]
         last = self.n_layers - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -79,33 +71,32 @@ class MlpNet:
             else:
                 h = z
             post.append(h)
-        out = h[0] if squeeze else h
         if cache:
-            return out, {"pre": pre, "post": post, "squeeze": squeeze}
-        return out
+            return h, {"pre": pre, "post": post}
+        return h
 
     def backward(self, cache, dout, dpre=None):
         """Exact gradients for every parameter and the input, given the
         gradient of a scalar loss w.r.t. the network output.  ``dpre`` adds
-        the gradient of an extra loss term on the head's pre-activation."""
-        dw, db, din = self._backprop(cache, dout, dpre, params=True)
-        return {"weights": dw, "biases": db, "input": din}
+        the gradient of an extra loss term on the head's pre-activation.
+        "flat" holds the parameter gradients in ``self.flat``'s layout, and
+        "weights" and "biases" are its _views."""
+        flat = np.empty_like(self.flat)
+        dw, db = _views(self.sizes, flat)
+        din = self._backprop(cache, dout, dpre, dw, db)
+        return {"flat": flat, "weights": dw, "biases": db, "input": din}
 
     def input_grad(self, cache, dout):
         """The "input" entry of backward(cache, dout), bit for bit, without
         computing the parameter gradients."""
-        return self._backprop(cache, dout, None, params=False)[2]
+        return self._backprop(cache, dout, None, None, None)
 
-    def _backprop(self, cache, dout, dpre, params):
+    def _backprop(self, cache, dout, dpre, dw, db):
+        """Input gradient; also fills the views dw, db unless they are None."""
         if cache is None or "post" not in cache:
             raise ValueError("backward needs the cache from a forward call")
-        dout = np.asarray(dout, dtype=float)
-        if cache["squeeze"]:
-            dout = dout.reshape(1, -1)
         last = self.n_layers - 1
-        dw = [None] * (last + 1)
-        db = [None] * (last + 1)
-        grad = dout
+        grad = np.asarray(dout, dtype=float)
         for i in range(last, -1, -1):
             if i == last:
                 if self.out_activation == "tanh":
@@ -115,12 +106,11 @@ class MlpNet:
                     grad = grad + dpre
             else:
                 grad = grad * (cache["pre"][i] > 0.0)
-            if params:
-                dw[i] = cache["post"][i].T @ grad
-                db[i] = grad.sum(axis=0)
+            if dw is not None:
+                np.matmul(cache["post"][i].T, grad, out=dw[i])
+                grad.sum(axis=0, out=db[i])
             grad = grad @ self.weights[i].T
-        din = grad[0] if cache["squeeze"] else grad
-        return dw, db, din
+        return grad
 
     def save(self, path):
         """Flat binary file: magic, layer count, sizes, activation code,
@@ -163,7 +153,22 @@ class MlpNet:
             raise ValueError(f"{path}: parameter bytes do not match the "
                              f"layer sizes {list(sizes)}")
         flat = np.frombuffer(data, dtype=float, offset=start).copy()
+        if not np.isfinite(flat).all():
+            raise ValueError(f"{path}: non-finite parameter")
         return cls.__new__(cls)._bind(sizes, _ACT_NAMES[act], flat)
+
+
+def _views(sizes, flat):
+    """Weight (n_in, n_out) and bias (n_out,) views into a vector of
+    _n_parameters(sizes) values, laid out in file order W0, b0, W1, b1, ..."""
+    weights, biases = [], []
+    end = 0
+    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+        start, end = end, end + n_in * n_out
+        weights.append(flat[start:end].reshape(n_in, n_out))
+        biases.append(flat[end:end + n_out])
+        end += n_out
+    return weights, biases
 
 
 def _n_parameters(sizes):
@@ -186,15 +191,10 @@ class AdamState:
 
 def opt_step(net: MlpNet, grads, state: AdamState):
     """One Adam update in place; grads is the dict from net.backward()."""
-    flat = grads["weights"] + grads["biases"]
-    params = net.parameters()
-    if len(flat) != len(params):
-        raise ValueError("gradient/parameter count mismatch")
-    if any(p.shape != g.shape for p, g in zip(params, flat)):
-        raise ValueError("gradient shape mismatch")
-    # in the layout of net.flat: W0, b0, W1, b1, ...
-    g = np.concatenate([x.ravel() for pair in zip(grads["weights"],
-                                                  grads["biases"]) for x in pair])
+    g = grads["flat"]
+    if g.shape != net.flat.shape:
+        raise ValueError(f"gradient shape {g.shape} != parameter shape "
+                         f"{net.flat.shape}")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** state.t

@@ -165,7 +165,7 @@ class FollowEnv:
 
     Episodes terminate on collision (gap <= 0), on gap > g_max, or after
     max_steps; reset rejects leader profiles too short to cover a full
-    episode.
+    episode.  It draws no random numbers: callers choose each start.
     """
 
     def __init__(self, cfg: SimConfig = None, rcfg: RewardConfig = None):
@@ -177,18 +177,15 @@ class FollowEnv:
         self.step_index = 0
         self.done = True
 
-    def reset(self, profile, seed=None, initial_gap=None, follower_speed=0.0):
-        """Start a new episode: both speeds 0 (unless overridden), gap
-        drawn uniform from the configured range under the given seed."""
+    def reset(self, profile, initial_gap, follower_speed=0.0):
+        """Start a new episode at the given gap, the follower at
+        follower_speed and the leader at the profile's first speed."""
         cfg = self.cfg
         profile = np.asarray(profile, dtype=float)
         if len(profile) - 1 < cfg.max_steps:
             raise ValueError(
                 f"leader profile has {len(profile)} samples; an episode of "
                 f"{cfg.max_steps} steps needs at least {cfg.max_steps + 1}")
-        if initial_gap is None:
-            rng = np.random.default_rng(seed)
-            initial_gap = rng.uniform(cfg.init_gap_low, cfg.init_gap_high)
         self.profile = profile
         self.step_index = 0
         self.done = False
@@ -208,7 +205,10 @@ class FollowEnv:
         if self.done:
             raise RuntimeError("step() called on a finished episode; reset first")
         cfg = self.cfg
-        a_cmd = min(max(float(action), cfg.a_min), cfg.a_max)
+        action = float(action)
+        if not math.isfinite(action):
+            raise ValueError(f"non-finite action {action}")
+        a_cmd = min(max(action, cfg.a_min), cfg.a_max)
 
         # Reduce the applied accel so speed never undershoots zero.
         v = self.follower.speed

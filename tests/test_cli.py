@@ -205,6 +205,13 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=r"\[ddpg\] stage2_explore"):
             load_config(str(cfg))
 
+    def test_unknown_section_rejected(self, tmp_path):
+        # a mistyped section name would drop all of its settings
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("[simm]\ndt = 0.2\n")
+        with pytest.raises(ValueError, match=r"unknown section \[simm\]"):
+            load_config(str(cfg))
+
     def test_calibrate_idm_runs(self, tmp_path, capsys):
         data = tmp_path / "data"
         run("make-synthetic", "--episodes", "1", "--seed", "2",

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from followrl import RewardConfig, SimConfig, parse_trajectory_csv, reward_histogram
 from followrl.baselines import IdmController
+from followrl.config import IdmParams
 from followrl.datasets import (FollowingEpisode, RelabeledDataset,
                                build_transitions, ingest,
                                load_transition_store, make_synthetic,
@@ -67,6 +70,16 @@ class TestParse:
         assert np.array_equal(back.records, ep.records)
 
 
+class RandomActions:
+    """Seeded controller with actions uniform in [-11, 7] m/s^2."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def act(self, v, a, v_l, g):
+        return self.rng.uniform(-11.0, 7.0)
+
+
 class TestBuildTransitions:
     def test_constant_episode(self):
         ds = build_transitions(constant_episode(20), CFG, RCFG)
@@ -106,6 +119,34 @@ class TestBuildTransitions:
         ds = build_transitions(ep, CFG, RCFG)
         relabeled = [tr.reward for tr in ds.transitions]
         assert np.allclose(relabeled, env_rewards[1:len(relabeled) + 1], atol=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(leader_seed=st.integers(0, 2 ** 31 - 2),
+           gap=st.floats(0.5, 199.0),
+           controller=st.one_of(
+               st.builds(IdmParams, T=st.floats(0.5, 2.5),
+                         a=st.floats(0.5, 3.0), g_min=st.floats(1.0, 5.0)),
+               st.integers(0, 2 ** 32 - 1)))
+    def test_relabel_matches_simulator_property(self, leader_seed, gap,
+                                                controller):
+        # relabel o rollout: over random leaders, initial gaps and either
+        # an IDM follower or random actions beyond [a_min, a_max] (which
+        # the env clips), every relabeled reward is the env's reward for
+        # the same step.  From gap >= 0.5 m neither a collision nor an
+        # escape past g_max can end an episode before its third row.
+        cfg = SimConfig(max_steps=150)
+        if isinstance(controller, IdmParams):
+            controller = IdmController(controller, cfg)
+        else:
+            controller = RandomActions(controller)
+        profile = gen_leader_profile(leader_seed, (cfg.max_steps + 1) * cfg.dt,
+                                     cfg)
+        ep, env_rewards = rollout_episode(controller, profile, cfg, RCFG,
+                                          initial_gap=gap)
+        relabeled = build_transitions(ep, cfg, RCFG).transitions.rewards
+        assert len(relabeled) == len(env_rewards) - 1
+        np.testing.assert_allclose(relabeled, env_rewards[1:], rtol=0,
+                                   atol=1e-9)
 
     def test_clipping_reported(self):
         recs = [(0.0, 5, 0.0, 20),

@@ -24,11 +24,11 @@ def make_transition(rng, done=False, reward=None):
                       rng.uniform(0, 1, 4), done)
 
 
-def filled_buffer(n, seed=0, capacity=None, done=False):
+def filled_buffer(n, seed=0, capacity=None):
     rng = np.random.default_rng(seed)
     buf = ReplayBuffer(capacity or n)
     for _ in range(n):
-        buf.add(make_transition(rng, done=done))
+        buf.add(make_transition(rng))
     return buf
 
 
@@ -55,6 +55,14 @@ def ring(rows, capacity):
     for k in range(capacity, len(rows)):
         ref[k % capacity] = rows[k]
     return ref
+
+
+def batch_of(transitions):
+    """The transitions as a Batch, put in row by row."""
+    out = Batch.empty(len(transitions))
+    for i, tr in enumerate(transitions):
+        out.put(i, tr)
+    return out
 
 
 def stacked(transitions):
@@ -127,7 +135,7 @@ class TestBatch:
     @settings(max_examples=80, deadline=None)
     @given(rows=st.lists(transitions, max_size=50), cut=st.integers(0, 50))
     def test_round_trips(self, rows, cut):
-        batch = Batch.stack(rows)
+        batch = batch_of(rows)
         n = len(rows)
         assert [col.shape for col in batch.columns] == [(n, 4), (n,), (n,),
                                                        (n, 4), (n,)]
@@ -137,9 +145,9 @@ class TestBatch:
                    and a.next_state.tobytes() == b.next_state.tobytes()
                    and (a.action, a.reward, a.done) == (b.action, b.reward, b.done)
                    for a, b in zip(back, rows, strict=True))
-        assert same(Batch.stack(back), batch)
-        assert same(batch.take(slice(cut)), Batch.stack(rows[:cut]))
-        assert same(batch.take(np.arange(n)[::-1]), Batch.stack(rows[::-1]))
+        assert same(batch_of(back), batch)
+        assert same(batch.take(slice(cut)), batch_of(rows[:cut]))
+        assert same(batch.take(np.arange(n)[::-1]), batch_of(rows[::-1]))
         assert same(Batch.concat([batch.take(slice(cut)),
                                   batch.take(slice(cut, None))]), batch)
         if n:           # a store holds at least one transition
@@ -273,7 +281,7 @@ class TestTrainStep:
         for p in agent2.actor_target.parameters() + agent2.critic_target.parameters():
             p += 123.0
         rng = np.random.default_rng(10)
-        batch = [make_transition(rng, done=True) for _ in range(32)]
+        batch = batch_of([make_transition(rng, done=True) for _ in range(32)])
         d1 = agent1.train_step(batch)
         d2 = agent2.train_step(batch)
         assert d1["critic_loss"] == d2["critic_loss"]
@@ -284,13 +292,14 @@ class TestTrainStep:
         cfg = DdpgConfig(gamma=0.0)
         agent = DdpgAgent(cfg, seed=5)
         rng = np.random.default_rng(11)
-        batch = [make_transition(rng) for _ in range(32)]
+        rows = [make_transition(rng) for _ in range(32)]
+        batch = batch_of(rows)
         for _ in range(4000):
             agent.train_step(batch)
-        s = np.stack([t.state for t in batch])
-        a = np.array([[unscale_action(t.action, agent.sim_cfg)] for t in batch])
+        s = np.stack([t.state for t in rows])
+        a = np.array([[unscale_action(t.action, agent.sim_cfg)] for t in rows])
         q = agent.critic.forward(np.hstack([s, a]))[:, 0]
-        r = np.array([t.reward for t in batch])
+        r = np.array([t.reward for t in rows])
         assert np.max(np.abs(q - r)) < 1e-3
 
     def test_target_update_bound(self):
@@ -298,7 +307,7 @@ class TestTrainStep:
         tau = agent.cfg.tau
         before = [p.copy() for p in agent.actor_target.parameters()]
         rng = np.random.default_rng(12)
-        agent.train_step([make_transition(rng) for _ in range(32)])
+        agent.train_step(batch_of([make_transition(rng) for _ in range(32)]))
         moved = [np.max(np.abs(s - b))
                  for b, s in zip(before, agent.actor.parameters())]
         assert max(moved) > 0.0          # the actor itself took a step
@@ -307,26 +316,14 @@ class TestTrainStep:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            DdpgAgent(seed=0).train_step([])
-
-    def test_list_and_batch_bit_identical(self):
-        sim, prac = filled_buffer(60, 14), filled_buffer(40, 15, done=True)
-        listed, batched = DdpgAgent(seed=8), DdpgAgent(seed=8)
-        rng = np.random.default_rng(16)
-        for k in range(6):
-            batch = sample_mixed(sim, prac, 32, 0.6, rng)
-            update_actor = k % 3 != 0
-            assert (listed.train_step(list(batch), update_actor)
-                    == batched.train_step(batch, update_actor))
-            for name in NETS:
-                assert np.array_equal(getattr(listed, name).flat,
-                                      getattr(batched, name).flat)
+            DdpgAgent(seed=0).train_step(Batch.empty(0))
 
     def test_non_finite_loss_rejected_before_any_write(self):
         agent = DdpgAgent(seed=9)
         rng = np.random.default_rng(17)
-        batch = [make_transition(rng) for _ in range(32)]
-        batch[5] = make_transition(rng, reward=float("nan"))
+        rows = [make_transition(rng) for _ in range(32)]
+        rows[5] = make_transition(rng, reward=float("nan"))
+        batch = batch_of(rows)
         before = {name: getattr(agent, name).flat.copy() for name in NETS}
         with pytest.raises(ValueError, match="non-finite"):
             agent.train_step(batch)
@@ -339,7 +336,7 @@ class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
         agent = DdpgAgent(seed=7)
         rng = np.random.default_rng(13)
-        agent.train_step([make_transition(rng) for _ in range(32)])
+        agent.train_step(batch_of([make_transition(rng) for _ in range(32)]))
         agent.save(str(tmp_path))
         other = DdpgAgent(seed=99)
         other.load(str(tmp_path))
@@ -359,7 +356,7 @@ class TestPersistence:
         agent = DdpgAgent(seed=4)
         rng = np.random.default_rng(18)
         for _ in range(50):
-            agent.train_step([make_transition(rng) for _ in range(32)])
+            agent.train_step(batch_of([make_transition(rng) for _ in range(32)]))
         assert agent.critic_opt.t == agent.actor_opt.t == 50
         agent.load(str(tmp_path))
         assert agent.critic_opt.t == agent.actor_opt.t == 0

@@ -47,13 +47,13 @@ class TestForward:
         net = MlpNet([4, 8, 1], "linear", seed=0)
         for p in net.parameters():
             p[...] = 0.0
-        assert np.all(net.forward(np.ones(4)) == 0.0)
+        assert np.all(net.forward(np.ones((1, 4))) == 0.0)
 
     def test_identity_tanh_at_zero(self):
         net = MlpNet([1, 1], "tanh", seed=0)
         net.weights[0][...] = 1.0
         net.biases[0][...] = 0.0
-        assert net.forward(np.zeros(1))[0] == 0.0
+        assert net.forward(np.zeros((1, 1)))[0, 0] == 0.0
 
     def test_matches_straight_line_oracle(self):
         rng = np.random.default_rng(7)
@@ -69,9 +69,11 @@ class TestForward:
         assert np.all(np.abs(y) < 1.0)
 
     def test_dimension_mismatch_rejected(self):
+        # inputs are (n, sizes[0]) batches; a single sample is one row
         net = MlpNet([4, 8, 1], "linear", seed=0)
-        with pytest.raises(ValueError):
-            net.forward(np.ones(3))
+        for shape in [(2, 3), (4,), (1, 1, 4)]:
+            with pytest.raises(ValueError, match=rf"\({shape[0]},"):
+                net.forward(np.ones(shape))
 
 
 class TestBackward:
@@ -80,11 +82,11 @@ class TestBackward:
         rng = np.random.default_rng(sum(sizes))
         for trial in range(3):
             net = MlpNet(sizes, act, seed=trial)
-            x = rng.standard_normal(sizes[0])
-            w = rng.standard_normal(sizes[-1])  # random scalarization
+            x = rng.standard_normal(sizes[0])[None]
+            w = rng.standard_normal(sizes[-1])[None]  # random scalarization
 
             def loss():
-                return float(net.forward(x) @ w)
+                return float(np.sum(net.forward(x) * w))
 
             out, cache = net.forward(x, cache=True)
             grads = net.backward(cache, w)
@@ -121,17 +123,17 @@ class TestBackward:
 
     def test_zero_output_gradient(self):
         net = MlpNet([4, 8, 2], "linear", seed=5)
-        _, cache = net.forward(np.ones(4), cache=True)
-        grads = net.backward(cache, np.zeros(2))
+        _, cache = net.forward(np.ones((1, 4)), cache=True)
+        grads = net.backward(cache, np.zeros((1, 2)))
         assert all(np.all(g == 0) for g in grads["weights"] + grads["biases"])
 
     def test_tanh_unit_derivative_at_zero(self):
         net = MlpNet([1, 1], "tanh", seed=0)
         net.weights[0][...] = 1.0
         net.biases[0][...] = 0.0
-        _, cache = net.forward(np.zeros(1), cache=True)
-        grads = net.backward(cache, np.array([3.0]))
-        assert grads["input"][0] == pytest.approx(3.0)
+        _, cache = net.forward(np.zeros((1, 1)), cache=True)
+        grads = net.backward(cache, np.array([[3.0]]))
+        assert grads["input"][0, 0] == pytest.approx(3.0)
 
     def test_stale_cache_rejected(self):
         net = MlpNet([2, 2], "linear", seed=0)
@@ -143,9 +145,7 @@ class TestAdam:
     def test_zero_gradient_no_change(self):
         net = MlpNet([2, 3, 1], "linear", seed=0)
         before = [p.copy() for p in net.parameters()]
-        grads = {"weights": [np.zeros_like(w) for w in net.weights],
-                 "biases": [np.zeros_like(b) for b in net.biases]}
-        opt_step(net, grads, AdamState(net))
+        opt_step(net, {"flat": np.zeros_like(net.flat)}, AdamState(net))
         for b, p in zip(before, net.parameters()):
             assert np.array_equal(b, p)
 
@@ -153,8 +153,8 @@ class TestAdam:
         net = MlpNet([1, 1], "linear", seed=0)
         net.weights[0][...] = 0.5
         net.biases[0][...] = 0.0
-        grads = {"weights": [np.ones((1, 1))], "biases": [np.zeros(1)]}
-        opt_step(net, grads, AdamState(net, lr=0.001))
+        # flat is (W0, b0)
+        opt_step(net, {"flat": np.array([1.0, 0.0])}, AdamState(net, lr=0.001))
         # bias-corrected first step: -lr * g/(|g| + eps) ~ -lr
         assert net.weights[0][0, 0] == pytest.approx(0.5 - 0.001, abs=1e-8)
 
@@ -165,13 +165,18 @@ class TestAdam:
             state = AdamState(net)
             rng = np.random.default_rng(1)
             for _ in range(20):
-                x = rng.standard_normal(3)
+                x = rng.standard_normal(3)[None]
                 _, cache = net.forward(x, cache=True)
-                grads = net.backward(cache, np.ones(1))
+                grads = net.backward(cache, np.ones((1, 1)))
                 opt_step(net, grads, state)
             runs.append([p.copy() for p in net.parameters()])
         for a, b in zip(*runs):
             assert np.array_equal(a, b)
+
+    def test_gradient_shape_mismatch_rejected(self):
+        net = MlpNet([2, 3, 1], "linear", seed=0)
+        with pytest.raises(ValueError, match="gradient shape"):
+            opt_step(net, {"flat": np.zeros(net.flat.size - 1)}, AdamState(net))
 
 
 class TestSoftUpdate:
@@ -260,6 +265,17 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="short.bin"):
             MlpNet.load(str(path))
 
+    def test_non_finite_parameter_names_file(self, tmp_path):
+        # a BC-shaped net with one NaN weight: read back, its tanh head
+        # would put out NaN actions
+        path = tmp_path / "bc.bin"
+        net = MlpNet([4, 32, 32, 1], "tanh", seed=0)
+        for bad in (np.nan, np.inf):
+            net.flat[5] = bad
+            net.save(str(path))
+            with pytest.raises(ValueError, match="bc.bin: non-finite"):
+                MlpNet.load(str(path))
+
     def test_unknown_activation_names_file(self, tmp_path):
         path = tmp_path / "act.bin"
         MlpNet([4, 8, 1], "tanh", seed=0).save(str(path))
@@ -272,13 +288,17 @@ class TestSaveLoad:
 
 
 def assert_flat_views(net):
-    """Every weight and bias is a view into net.flat, and together they
-    cover each element of it exactly once."""
-    assert net.flat.dtype == np.float64 and net.flat.ndim == 1
-    base = net.flat.__array_interface__["data"][0]
-    hits = np.zeros(net.flat.size, dtype=int)
-    for p in net.parameters():
-        assert np.shares_memory(p, net.flat) and p.flags.c_contiguous
+    assert_views(net.flat, net.parameters())
+
+
+def assert_views(flat, parts):
+    """Every array of parts is a view into the vector flat, and together
+    they cover each element of it exactly once."""
+    assert flat.dtype == np.float64 and flat.ndim == 1
+    base = flat.__array_interface__["data"][0]
+    hits = np.zeros(flat.size, dtype=int)
+    for p in parts:
+        assert np.shares_memory(p, flat) and p.flags.c_contiguous
         start = (p.__array_interface__["data"][0] - base) // 8
         hits[start:start + p.size] += 1
     assert np.all(hits == 1)
@@ -295,8 +315,13 @@ class TestFlatParameters:
         path = str(tmp_path / "net.bin")
         net.save(path)
         assert_flat_views(MlpNet.load(path))
-        _, cache = net.forward(np.ones(sizes[0]), cache=True)
-        opt_step(net, net.backward(cache, np.ones(sizes[-1])), AdamState(net))
+        _, cache = net.forward(np.ones((1, sizes[0])), cache=True)
+        grads = net.backward(cache, np.ones((1, sizes[-1])))
+        # the gradient has net.flat's layout: W0, b0, W1, b1, ...
+        assert_views(grads["flat"], grads["weights"] + grads["biases"])
+        assert all(g.shape == p.shape for g, p in
+                   zip(grads["weights"] + grads["biases"], net.parameters()))
+        opt_step(net, grads, AdamState(net))
         assert_flat_views(net)
         soft_update(clone, net, 0.5)
         hard_update(clone, net)

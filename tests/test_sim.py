@@ -7,6 +7,7 @@ from followrl import FollowEnv, OuParams, SimConfig, gen_leader_profile, normali
 from followrl.config import LEADER_OU
 from followrl.control import REVERSE_HEADER, read_reverse_csv
 from followrl.datasets import HEADER, parse_trajectory_csv
+from followrl.ddpg import _episode_scenario
 from followrl.simcore import LEADER_HEADER, read_csv
 
 CFG = SimConfig()
@@ -19,6 +20,12 @@ def short_cfg(**kw):
 
 def make_profile(v, n):
     return np.full(n + 1, float(v))
+
+
+def seeded_gap(seed, cfg):
+    """An initial gap uniform in the configured range under the seed."""
+    return np.random.default_rng(seed).uniform(cfg.init_gap_low,
+                                               cfg.init_gap_high)
 
 
 class TestNormalize:
@@ -89,33 +96,44 @@ class TestLeaderProfile:
 
 
 class TestReset:
+    # training and evaluation episodes start where _episode_scenario says:
+    # a leader profile and then a gap, each from a seed drawn from the rng
     def test_deterministic_gap(self):
-        env = FollowEnv(short_cfg())
+        cfg = short_cfg()
+        sc = _episode_scenario(np.random.default_rng(7), cfg, LEADER_OU)
+        rng = np.random.default_rng(7)
+        profile_seed = int(rng.integers(0, 2 ** 31 - 1))
+        gap_seed = int(rng.integers(0, 2 ** 31 - 1))
+        assert np.array_equal(sc.profile, gen_leader_profile(
+            profile_seed, (cfg.max_steps + 1) * cfg.dt, cfg, LEADER_OU))
+        assert sc.initial_gap == seeded_gap(gap_seed, cfg)
+        env = FollowEnv(cfg)
         prof = make_profile(5, 200)
-        o1 = env.reset(prof, seed=7)
+        o1 = env.reset(prof, sc.initial_gap)
         g1 = env.gap
-        env.reset(prof, seed=7)
+        env.reset(prof, sc.initial_gap)
         assert env.gap == g1
         assert o1[0] == 0.0 and o1[2] == pytest.approx(5.0 / 20.0)
 
     def test_gap_distribution(self):
-        env = FollowEnv(short_cfg())
-        prof = make_profile(0, 200)
-        gaps = []
-        for seed in range(10 ** 4):
-            env.reset(prof, seed=seed)
-            gaps.append(env.gap)
+        cfg = short_cfg(max_steps=1)
+        rng = np.random.default_rng(0)
+        gaps = [_episode_scenario(rng, cfg, LEADER_OU).initial_gap
+                for _ in range(10 ** 4)]
         assert 47.5 <= np.mean(gaps) <= 52.5
 
     def test_degenerate_interval(self):
-        env = FollowEnv(short_cfg(init_gap_low=50, init_gap_high=50))
-        env.reset(make_profile(0, 200), seed=0)
+        cfg = short_cfg(init_gap_low=50, init_gap_high=50)
+        sc = _episode_scenario(np.random.default_rng(0), cfg, LEADER_OU)
+        env = FollowEnv(cfg)
+        env.reset(sc.profile, sc.initial_gap)
+        assert sc.initial_gap == 50.0
         assert env.gap == pytest.approx(50.0)
 
     def test_rejects_short_profile(self):
         env = FollowEnv(short_cfg())
         with pytest.raises(ValueError):
-            env.reset(make_profile(0, 100), seed=0)
+            env.reset(make_profile(0, 100), 50.0)
 
 
 class TestStep:
@@ -145,6 +163,20 @@ class TestStep:
         assert done and info.collision
         assert r == -1.0
 
+    def test_non_finite_action_rejected(self):
+        # a NaN action used to clip to a_min and brake the follower
+        env = FollowEnv(short_cfg())
+        env.reset(make_profile(5, 200), initial_gap=20.0, follower_speed=5.0)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="non-finite action"):
+                env.step(bad)
+        assert env.step_index == 0 and env.follower.speed == 5.0
+        # finite actions outside [a_min, a_max] still clip
+        _, _, _, info = env.step(-50.0)
+        assert info.accel == env.cfg.a_min
+        _, _, _, info = env.step(50.0)
+        assert info.accel == env.cfg.a_max
+
     def test_step_after_done_rejected(self):
         env = FollowEnv(short_cfg())
         env.reset(make_profile(0, 200), initial_gap=0.3, follower_speed=5.0)
@@ -160,7 +192,7 @@ class TestStep:
 
     def test_max_steps_termination(self):
         env = FollowEnv(short_cfg(max_steps=50, init_gap_low=50, init_gap_high=50))
-        env.reset(make_profile(5, 50), seed=0)
+        env.reset(make_profile(5, 50), 50.0)
         done = False
         n = 0
         while not done:
@@ -175,7 +207,7 @@ class TestStep:
         for _ in range(2):
             env = FollowEnv(cfg)
             prof = gen_leader_profile(5, 20.1, cfg)
-            env.reset(prof, seed=11)
+            env.reset(prof, seeded_gap(11, cfg))
             rows = []
             done = False
             k = 0
@@ -190,7 +222,7 @@ class TestStep:
         cfg = short_cfg()
         env = FollowEnv(cfg)
         prof = gen_leader_profile(3, 20.1, cfg)
-        env.reset(prof, seed=2, initial_gap=40.0)
+        env.reset(prof, 40.0)
         rng = np.random.default_rng(4)
         pos0 = env.follower.position
         v_trace = [env.follower.speed]
@@ -206,7 +238,7 @@ class TestStep:
         cfg = short_cfg()
         env = FollowEnv(cfg)
         prof = gen_leader_profile(8, 20.1, cfg)
-        obs = env.reset(prof, seed=3)
+        obs = env.reset(prof, seeded_gap(3, cfg))
         rng = np.random.default_rng(5)
         done = False
         while not done:
@@ -242,8 +274,13 @@ REVERSE_BREAKS = {
     "negative-speed": (3, lambda f: f[:1] + ["-0.1"] + f[2:]),
     "pedals-and-speeds": (3, lambda f: ["1.0", "-3.0", "0.5", "1.5", "-2.0"]),
 }
+# A row only the trajectory reader rejects: gap_m <= 0 is a collision.
+TRAJECTORY_BREAKS = {
+    "zero-gap": (3, lambda f: f[:3] + ["0.0"]),
+}
 CSV_CASES = ([(reader, fault) for reader in CSV_READERS for fault in CSV_BREAKS]
-             + [("reverse", fault) for fault in REVERSE_BREAKS])
+             + [("reverse", fault) for fault in REVERSE_BREAKS]
+             + [("trajectory", fault) for fault in TRAJECTORY_BREAKS])
 
 
 def test_csv_readers_accept_valid_files(tmp_path):
@@ -257,7 +294,7 @@ def test_csv_readers_accept_valid_files(tmp_path):
 @pytest.mark.parametrize("reader, fault", CSV_CASES)
 def test_bad_csv_rejected(tmp_path, reader, fault):
     read, header, rows = CSV_READERS[reader]
-    line, broken = {**CSV_BREAKS, **REVERSE_BREAKS}[fault]
+    line, broken = {**CSV_BREAKS, **REVERSE_BREAKS, **TRAJECTORY_BREAKS}[fault]
     lines = [",".join(header)] + rows
     lines[line - 1] = ",".join(broken(lines[line - 1].split(",")))
     path = tmp_path / f"{reader}.csv"
