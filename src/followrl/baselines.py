@@ -6,7 +6,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import IdmParams, SimConfig
-from .evaluate import replay_gap_rmse
 from .nets import MlpNet, fit_mse
 from .simcore import normalize_state, scale_action
 
@@ -76,24 +75,94 @@ def bc_mse(policy: BcPolicy, ds):
     return float(np.mean((policy.predict(rows.states) - rows.actions) ** 2))
 
 
+def idm_replay_rmse(grid, ep, cfg: SimConfig):
+    """Gap RMSE against the recorded follower of an IDM follower replayed
+    behind the recorded leader, for every IdmParams in ``grid`` at once.
+
+    Bit-identical to running each member through FollowEnv.step with an
+    IdmController: the members step in lockstep as arrays, term for term
+    as idm_accel and the env, with the two power terms taken by Python's
+    pow per element (numpy's vector pow can differ from libm's in the last
+    bit), and the start gap through the env's bookkeeping, (g0 + L) - 0 - L.
+    A member stops on the step that ends its episode (collision or gap >
+    g_max) and leaves the arrays; its RMSE is over the steps it ran, that
+    one included.
+    """
+    rec = ep.records
+    n = len(rec) - 1
+    if n < 1:
+        raise ValueError(f"episode {ep.id}: a replay needs at least 2 rows")
+    dt, L = cfg.dt, cfg.vehicle_length
+    v_l = rec[:, 1]
+    K = len(grid)
+    ids = np.arange(K)
+    T, g_min, a_idm, v_des, b_comf = (
+        np.array([getattr(p, f) for p in grid])
+        for f in ("T", "g_min", "a", "v_des", "b_comf"))
+    delta = [p.delta for p in grid]
+    root = 2.0 * np.sqrt(a_idm * b_comf)
+    v = np.full(K, float(rec[0, 2]))
+    x = np.zeros(K)
+    x_l = float(rec[0, 3]) + L
+    g = x_l - x - L
+    gaps = np.empty((K, n))
+    lengths = np.full(K, n)
+    for i in range(n):
+        s_star = g_min + v * T + v * (v - v_l[i]) / root
+        free = np.array(list(map(pow, (v / v_des).tolist(), delta)))
+        brake = np.array([q ** 2 for q in (s_star / g).tolist()])
+        acc = a_idm * (1.0 - free - brake)
+        acc = np.minimum(np.maximum(acc, cfg.a_min), cfg.a_max)
+        acc = np.where(v + acc * dt >= 0, acc, -v / dt)
+        v_new = np.maximum(0.0, v + acc * dt)
+        x = x + 0.5 * (v + v_new) * dt
+        v = v_new
+        x_l += 0.5 * (v_l[i] + v_l[i + 1]) * dt
+        g = x_l - x - L
+        gaps[ids, i] = g
+        ended = (g <= 0.0) | (g > cfg.g_max)
+        if ended.any():
+            lengths[ids[ended]] = i + 1
+            keep = ~ended
+            ids, T, g_min, a_idm, v_des, root, v, x, g = (
+                arr[keep] for arr in
+                (ids, T, g_min, a_idm, v_des, root, v, x, g))
+            delta = [d for d, k in zip(delta, keep) if k]
+            if not len(ids):
+                break
+    return np.array([np.sqrt(np.mean((gaps[k, :m] - rec[1:m + 1, 3]) ** 2))
+                     for k, m in enumerate(lengths.tolist())])
+
+
+# calibrate_idm's default grid: time gap (s), minimum gap (m), maximum
+# acceleration (m/s^2)
+T_GRID = (0.6, 0.8, 1.0, 1.2, 1.5, 2.0)
+G_MIN_GRID = (1.5, 2.0, 2.5, 3.0)
+A_GRID = (1.0, 1.5, 2.0, 2.5)
+
+
 def calibrate_idm(episodes, cfg: SimConfig, base: IdmParams = None,
                   T_grid=None, g_min_grid=None, a_grid=None):
     """Grid-search stand-in for IDM calibration: minimize gap RMSE of a
     simulated IDM follower against the recorded follower over the given
     episodes.  Not the (undocumented) procedure used for Table-3 values.
+    An empty grid axis or an empty episode list raises ValueError; ties
+    keep the earlier grid point (T outermost, then g_min, then a).
     """
     base = base or IdmParams()
-    T_grid = T_grid if T_grid is not None else [0.6, 0.8, 1.0, 1.2, 1.5, 2.0]
-    g_min_grid = g_min_grid if g_min_grid is not None else [1.5, 2.0, 2.5, 3.0]
-    a_grid = a_grid if a_grid is not None else [1.0, 1.5, 2.0, 2.5]
+    T_grid = T_grid if T_grid is not None else T_GRID
+    g_min_grid = g_min_grid if g_min_grid is not None else G_MIN_GRID
+    a_grid = a_grid if a_grid is not None else A_GRID
+    for name, values in (("T_grid", T_grid), ("g_min_grid", g_min_grid),
+                         ("a_grid", a_grid), ("episodes", episodes)):
+        if len(values) == 0:
+            raise ValueError(f"calibrate_idm: {name} is empty")
+    grid = [replace(base, T=T, g_min=g_min, a=a)
+            for T in T_grid for g_min in g_min_grid for a in a_grid]
+    per_episode = [idm_replay_rmse(grid, ep, cfg) for ep in episodes]
     best, best_rmse = base, float("inf")
-    for T in T_grid:
-        for g_min in g_min_grid:
-            for a in a_grid:
-                params = replace(base, T=T, g_min=g_min, a=a)
-                ctrl = IdmController(params, cfg)
-                rmse = float(np.mean([replay_gap_rmse(ctrl, ep, cfg)
-                                      for ep in episodes]))
-                if rmse < best_rmse:
-                    best, best_rmse = params, rmse
+    for k, params in enumerate(grid):
+        rmse = float(np.mean([r[k] for r in per_episode]))
+        if rmse < best_rmse:
+            best, best_rmse = params, rmse
     return best, best_rmse

@@ -11,6 +11,7 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -170,13 +171,6 @@ def scenario_from_episode(ep):
                     initial_gap=float(gap[0]), follower_speed=float(v_f[0]))
 
 
-def replay_gap_rmse(agent, ep, cfg: SimConfig = None):
-    """Gap RMSE of a simulated follower against the recorded follower."""
-    trace = run_scenario(agent, scenario_from_episode(ep), cfg)
-    recorded = ep.records[1:len(trace.t) + 1, 3]
-    return float(np.sqrt(np.mean((trace.gap - recorded) ** 2)))
-
-
 TRACE_COLUMNS = ["t", "v_leader", "v_follower", "gap", "accel", "jerk",
                  "reward", "ttc"]
 SUMMARY_COLUMNS = ["agent", "minimum", "mean", "median", "std_dev",
@@ -205,7 +199,8 @@ def compare_report(traces, out_dir):
         w = csv.writer(fh)
         w.writerow(["t", "agent", "series", "value"])
         for name, trace in traces.items():
+            t = list(map(repr, trace.t.tolist()))
             for series in ("v_leader", "v_follower", "gap", "ttc"):
-                for t, x in zip(trace.t, getattr(trace, series)):
-                    w.writerow([repr(float(t)), name, series, repr(float(x))])
+                w.writerows(zip(t, repeat(name), repeat(series),
+                                map(repr, getattr(trace, series).tolist())))
     return summary_path

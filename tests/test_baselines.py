@@ -2,13 +2,21 @@
 
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from followrl.baselines import (BcPolicy, IdmController, bc_mse, bc_train,
-                                calibrate_idm, idm_accel, idm_equilibrium_gap)
+from followrl.baselines import (A_GRID, G_MIN_GRID, T_GRID, BcPolicy,
+                                IdmController, bc_mse, bc_train,
+                                calibrate_idm, idm_accel, idm_equilibrium_gap,
+                                idm_replay_rmse)
 from followrl.config import IdmParams, RewardConfig, SimConfig
-from followrl.datasets import make_synthetic, relabel_episodes
+from followrl.datasets import (FollowingEpisode, make_synthetic,
+                               relabel_episodes)
+from followrl.evaluate import run_scenario, scenario_from_episode
 from followrl.simcore import FollowEnv, normalize_state
 
 
@@ -155,3 +163,119 @@ class TestCalibration:
                                    g_min_grid=[2.5], a_grid=[2.0])
         assert best.T == 2.0
         assert rmse < 0.05
+
+    @pytest.mark.parametrize("empty", ["T_grid", "g_min_grid", "a_grid"])
+    def test_empty_grid_rejected(self, empty):
+        cfg, rcfg = SimConfig(), RewardConfig()
+        eps = make_synthetic(1, 5, cfg, rcfg, duration=5.0)
+        with pytest.raises(ValueError, match=empty):
+            calibrate_idm(eps, cfg, **{empty: []})
+
+    def test_no_episodes_rejected(self):
+        with pytest.raises(ValueError, match="episodes is empty"):
+            calibrate_idm([], SimConfig())
+
+
+def scalar_replay(params, ep, cfg):
+    """The reference replay: one IdmController through run_scenario.
+    Returns the gap RMSE against the recorded follower and the trace."""
+    trace = run_scenario(IdmController(params, cfg), scenario_from_episode(ep),
+                         cfg)
+    recorded = ep.records[1:len(trace.t) + 1, 3]
+    return float(np.sqrt(np.mean((trace.gap - recorded) ** 2))), trace
+
+
+def end_reason(trace, ep, cfg):
+    if trace.collided:
+        return "collision"
+    if trace.gap[-1] > cfg.g_max:
+        return "escape"
+    assert len(trace.t) == len(ep.records) - 1
+    return "horizon"
+
+
+class NoisyIdm:
+    """IDM with seeded Gaussian noise on each command: a recorded follower
+    that no grid point reproduces."""
+
+    def __init__(self, params, cfg, seed, sigma=1.0):
+        self.idm = IdmController(params, cfg)
+        self.rng = np.random.default_rng(seed)
+        self.sigma = sigma
+
+    def act(self, v, a, v_l, g):
+        noise = self.sigma * self.rng.standard_normal()
+        return self.idm.act(v, a, v_l, g) + noise
+
+
+idm_params = st.builds(IdmParams, v_des=st.floats(5.0, 40.0),
+                       T=st.floats(0.01, 3.0), a=st.floats(0.02, 9.0),
+                       b_comf=st.floats(0.5, 5.0), g_min=st.floats(0.01, 5.0),
+                       delta=st.floats(1.0, 8.0))
+
+
+class TestLockstepReplay:
+    def test_idm_recording_replays_exactly(self):
+        # an episode recorded from IDM replays against IDM with ~zero RMSE
+        cfg, rcfg = SimConfig(), RewardConfig()
+        ep = make_synthetic(1, 9, cfg, rcfg, duration=30.0)[0]
+        assert idm_replay_rmse([IdmParams()], ep, cfg)[0] < 1e-9
+
+    def test_matches_scalar_path_at_every_end(self):
+        # a grid whose members end by collision (short T and g_min, hard
+        # acceleration), by escape (a = 0.02 falls behind) and at the
+        # horizon: every RMSE equals the scalar replay's bit for bit
+        cfg, rcfg = SimConfig(), RewardConfig()
+        grid = [replace(IdmParams(), T=T, g_min=g_min, a=a)
+                for T in (0.01, 1.0) for g_min in (0.01, 2.5)
+                for a in (0.02, 2.0, 9.0)]
+        reasons = set()
+        for ep in make_synthetic(2, 2, cfg, rcfg, duration=30.0):
+            got = idm_replay_rmse(grid, ep, cfg)
+            assert got.shape == (len(grid),)
+            for k, params in enumerate(grid):
+                want, trace = scalar_replay(params, ep, cfg)
+                assert got[k] == want, params
+                reasons.add(end_reason(trace, ep, cfg))
+        assert reasons == {"collision", "escape", "horizon"}
+
+    def test_matches_scalar_path_on_default_grid(self):
+        # calibrate_idm's default grid, on a recorded IDM episode and on a
+        # copy that starts at 3.7 m, a gap the env's bookkeeping does not
+        # give back: (3.7 + L) - L != 3.7.  Each one catches a last-bit
+        # slip: squaring with numpy's vector ** in place of Python's pow
+        # moves the first episode's RMSE at T = 1.2, g_min = 3.0, a = 2.5,
+        # and starting from the recorded gap as is moves two of the copy's.
+        cfg, rcfg = SimConfig(), RewardConfig()
+        ep = make_synthetic(1, 0, cfg, rcfg, duration=30.0)[0]
+        moved = FollowingEpisode("moved-start", ep.records.copy())
+        moved.records[0, 3] = 3.7
+        L = cfg.vehicle_length
+        assert (3.7 + L) - L != 3.7
+        grid = [replace(IdmParams(), T=T, g_min=g_min, a=a)
+                for T in T_GRID for g_min in G_MIN_GRID for a in A_GRID]
+        for rec in (ep, moved):
+            assert idm_replay_rmse(grid, rec, cfg).tolist() == \
+                [scalar_replay(p, rec, cfg)[0] for p in grid]
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid=st.lists(idm_params, min_size=1, max_size=4),
+           recorder=st.one_of(idm_params, st.integers(0, 2 ** 32 - 1)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_scalar_path_property(self, grid, recorder, seed):
+        # random valid IDM grids against episodes recorded by another IDM
+        # or by a noisy one
+        cfg, rcfg = SimConfig(), RewardConfig()
+        if isinstance(recorder, IdmParams):
+            recorder = IdmController(recorder, cfg)
+        else:
+            recorder = NoisyIdm(IdmParams(), cfg, recorder)
+        ep = make_synthetic(1, seed, cfg, rcfg, controller=recorder,
+                            duration=15.0)[0]
+        got = idm_replay_rmse(grid, ep, cfg)
+        assert got.tolist() == [scalar_replay(p, ep, cfg)[0] for p in grid]
+
+    def test_single_row_episode_rejected(self):
+        ep = FollowingEpisode("one-row", np.array([[0.0, 5.0, 5.0, 20.0]]))
+        with pytest.raises(ValueError, match="at least 2 rows"):
+            idm_replay_rmse([IdmParams()], ep, SimConfig())

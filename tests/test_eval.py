@@ -8,7 +8,7 @@ import pytest
 from followrl.baselines import IdmController, idm_equilibrium_gap
 from followrl.config import RewardConfig, SimConfig
 from followrl.evaluate import (TRACE_COLUMNS, RunTrace, Scenario,
-                               compare_report, replay_gap_rmse, run_scenario,
+                               compare_report, run_scenario,
                                scenario_from_episode, self_defined_profile,
                                synthetic_suite, ttc, ttc_summary)
 
@@ -127,13 +127,15 @@ class TestScenarios:
                                               rel=0.01)
 
     def test_replay_round_trip(self):
-        # An episode recorded from IDM replays against IDM with ~zero RMSE.
+        # A replay scenario starts where the recording starts and follows
+        # the recorded leader (the replay's RMSE is in test_baselines.py).
         from followrl.datasets import make_synthetic
         cfg, rcfg = SimConfig(), RewardConfig()
         ep = make_synthetic(1, 9, cfg, rcfg, duration=30.0)[0]
         sc = scenario_from_episode(ep)
         assert sc.initial_gap == ep.records[0, 3]
-        assert replay_gap_rmse(IdmController(), ep, cfg) < 1e-9
+        assert sc.follower_speed == ep.records[0, 2]
+        assert np.array_equal(sc.profile, ep.records[:, 1])
 
 
 class TestReports:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from followrl import RewardConfig, reward_gap, reward_jerk, reward_safe, reward_total
@@ -74,6 +76,15 @@ def test_total_optimum_is_half():
     v = 12.0
     g_opt = v * CFG.T + CFG.g_min
     assert reward_total(v, v, g_opt, 0.0, CFG).total == pytest.approx(0.5, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=st.floats(0.0, 60.0), v_l=st.floats(0.0, 60.0),
+       g=st.floats(1e-6, 1e4), jerk=st.floats(-1e4, 1e4))
+def test_total_never_above_w_gap(v, v_l, g, jerk):
+    # the safety and jerk terms are never positive and the gap term is at
+    # most 1, so no state scores above w_gap = 0.5
+    assert reward_total(v, v_l, g, jerk, CFG).total <= CFG.w_gap == 0.5
 
 
 def test_total_composition():

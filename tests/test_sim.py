@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from followrl import FollowEnv, OuParams, SimConfig, gen_leader_profile, normalize_state, ou_path
 from followrl.config import LEADER_OU
@@ -233,6 +235,40 @@ class TestStep:
         v = np.array(v_trace)
         integral = np.sum((v[:-1] + v[1:]) / 2.0 * cfg.dt)
         assert env.follower.position - pos0 == pytest.approx(integral, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(leader=st.one_of(st.integers(0, 2 ** 31 - 2), st.floats(0.0, 20.0)),
+           gap=st.floats(0.1, 199.9),
+           speed=st.floats(0.0, 20.0),
+           actions=st.one_of(st.floats(-11.0, 7.0),
+                             st.integers(0, 2 ** 32 - 1)))
+    def test_invariants_property(self, leader, gap, speed, actions):
+        # behind an OU leader (an int seeds it) or a constant-speed one,
+        # under a constant command or seeded ones uniform in [-11, 7]
+        # m/s^2: speed never goes negative, the gap is the bumper-to-bumper
+        # distance, and the episode ends on the first step that collides
+        # (gap <= 0), escapes (gap > g_max) or reaches max_steps, and on
+        # no other
+        cfg = short_cfg(max_steps=150)
+        if isinstance(leader, float):
+            profile = make_profile(leader, cfg.max_steps)
+        else:
+            profile = gen_leader_profile(leader, (cfg.max_steps + 1) * cfg.dt,
+                                         cfg)
+        rng = None if isinstance(actions, float) else np.random.default_rng(actions)
+        env = FollowEnv(cfg)
+        env.reset(profile, gap, follower_speed=speed)
+        done = False
+        while not done:
+            _, _, done, info = env.step(
+                actions if rng is None else rng.uniform(-11.0, 7.0))
+            assert info.v >= 0.0 and env.follower.speed == info.v
+            assert info.gap == (env.leader.position - env.follower.position
+                                - cfg.vehicle_length)
+            collision, escape = info.gap <= 0.0, info.gap > cfg.g_max
+            assert info.collision == collision
+            assert done == (collision or escape
+                            or env.step_index == cfg.max_steps)
 
     def test_observation_bounds(self):
         cfg = short_cfg()
