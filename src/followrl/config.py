@@ -29,6 +29,11 @@ class SimConfig:
             raise ValueError("need a_min < 0 < a_max")
         if not (0 <= self.init_gap_low <= self.init_gap_high <= self.g_max):
             raise ValueError("init gap range must satisfy 0 <= low <= high <= g_max")
+        # v_des and g_max divide in normalize_state
+        if not (self.v_des > 0 and self.g_max > 0):
+            raise ValueError("v_des and g_max must be positive")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
 
 
 @dataclass
@@ -50,6 +55,12 @@ class RewardConfig:
             raise ValueError("b_comf and j_comf must be positive")
         if self.T_lim <= self.T:
             raise ValueError("T_lim must exceed T")
+        # g_min > 0 and T >= 0 keep reward_gap's g_opt positive; a_min < 0
+        # keeps the safety term a penalty
+        if not (self.g_min > 0 and self.T >= 0):
+            raise ValueError("g_min must be positive and T non-negative")
+        if not self.a_min < 0:
+            raise ValueError("a_min must be negative")
 
 
 @dataclass
@@ -118,6 +129,8 @@ class PowertrainParams:
     def __post_init__(self):
         if min(self.c_throttle, self.c_brake, self.c_drag, self.c_roll, self.v_max) < 0:
             raise ValueError("powertrain coefficients must be non-negative")
+        if not self.v_max > 0:
+            raise ValueError("v_max must be positive")
 
 
 _SECTIONS = {

@@ -98,12 +98,13 @@ class ControlNet:
     std: np.ndarray
 
     def predict(self, x):
+        """Pedals (n, 2) for an (n, 3) batch of (v_next, v, a) rows."""
         x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        z = (x.reshape(-1, 3) - self.mean) / self.std
-        pedals = (self.net.forward(z) + 1.0) / 2.0
-        pedals = np.clip(pedals, 0.0, 1.0)
-        return pedals[0] if squeeze else pedals
+        if x.ndim != 2 or x.shape[1] != 3:
+            raise ValueError(f"predict takes an (n, 3) batch, got shape "
+                             f"{x.shape}")
+        pedals = (self.net.forward((x - self.mean) / self.std) + 1.0) / 2.0
+        return np.clip(pedals, 0.0, 1.0)
 
 
 def train_control_net(samples, epochs=40, seed=0):
@@ -123,8 +124,8 @@ def train_control_net(samples, epochs=40, seed=0):
 def accel_to_pedals(cn: ControlNet, v, a_cmd):
     """Pedal command realizing a_cmd at speed v: feeds the one-step-ahead
     speed target (v + a_cmd*PEDAL_DT, v, a_cmd) through the inverse net."""
-    throttle, brake = cn.predict(np.array([max(0.0, v + a_cmd * PEDAL_DT), v,
-                                           a_cmd]))
+    throttle, brake = cn.predict(np.array([[max(0.0, v + a_cmd * PEDAL_DT), v,
+                                            a_cmd]]))[0]
     return float(throttle), float(brake)
 
 

@@ -50,7 +50,8 @@ class RelabeledDataset:
 
     def to_buffer(self):
         buf = ReplayBuffer(max(1, len(self)))
-        buf.extend(self.transitions)
+        for tr in self.transitions:
+            buf.add(tr)
         return buf
 
 
@@ -98,15 +99,14 @@ def build_transitions(ep: FollowingEpisode, cfg: SimConfig, rcfg: RewardConfig):
     accel = np.clip(accel, cfg.a_min, cfg.a_max)
 
     jerk = (accel[1:] - accel[:-1]) / dt                # jerk[t-1] at row t
-    out = Batch.empty(n - 2)
-    for i, t in enumerate(range(1, n - 1)):
-        out.states[i] = normalize_state(v[t], accel[t - 1], v_l[t], gap[t], cfg)
-        out.next_states[i] = normalize_state(v[t + 1], float(accel[t]),
-                                             v_l[t + 1], gap[t + 1], cfg)
-        out.rewards[i] = reward_total(v[t + 1], v_l[t + 1], gap[t + 1],
-                                      float(jerk[i]), rcfg).total
-    out.actions[:] = accel[1:]
-    out.dones[:] = np.arange(n - 2) == n - 3
+    # rows t in [1, N-1] normalized once: row t is the state of transition t
+    # and the next state of transition t-1
+    rows = np.array([normalize_state(*row, cfg)
+                     for row in zip(v[1:], accel, v_l[1:], gap[1:])])
+    rewards = np.array([reward_total(*row, rcfg).total for row in
+                        zip(v[2:], v_l[2:], gap[2:], jerk.tolist())])
+    out = Batch(rows[:-1], accel[1:], rewards, rows[1:].copy(),
+                np.arange(n - 2) == n - 3)
     return RelabeledDataset(out, [(ep.id, n - 2)], clipped)
 
 
@@ -206,8 +206,9 @@ def save_transition_store(path, ds: RelabeledDataset):
 
 def load_transition_store(path):
     """Read a store written by save_transition_store.  A missing member,
-    columns of unequal length, states not shaped (n, 4) or a non-finite
-    value raise ValueError naming the file."""
+    columns of unequal length, states not shaped (n, 4), a non-finite
+    value, or a manifest that is unreadable, lacks a key or counts other
+    than the store's rows raise ValueError naming the file."""
     path = os.fspath(path)
     if not os.path.exists(path) and os.path.exists(path + ".npz"):
         path = path + ".npz"
@@ -229,10 +230,20 @@ def load_transition_store(path):
     base = path[:-4] if path.endswith(".npz") else path
     manifest_path = base + ".manifest.json"
     if os.path.exists(manifest_path):
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-        provenance = [(e["id"], e["transitions"]) for e in manifest["episodes"]]
-        clipped = manifest["clipped_actions"]
+        try:
+            with open(manifest_path) as fh:
+                manifest = json.load(fh)
+            provenance = [(e["id"], e["transitions"])
+                          for e in manifest["episodes"]]
+            clipped = manifest["clipped_actions"]
+            counts = (manifest["n_transitions"], sum(k for _, k in provenance))
+        except (ValueError, KeyError, TypeError) as err:
+            raise ValueError(f"{manifest_path}: unreadable manifest "
+                             f"({type(err).__name__}: {err})") from None
+        if counts != (n, n):
+            raise ValueError(f"{manifest_path}: n_transitions {counts[0]} "
+                             f"and episode counts summing to {counts[1]} do "
+                             f"not both match the store's {n} rows")
     return RelabeledDataset(batch, provenance, clipped)
 
 

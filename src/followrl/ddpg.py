@@ -124,10 +124,6 @@ class ReplayBuffer:
         self.size = min(self.size + 1, self.capacity)
         self.cursor = (i + 1) % self.capacity
 
-    def extend(self, transitions):
-        for tr in transitions:
-            self.add(tr)
-
     def sample(self, rng, n):
         if not self.size:
             raise ValueError("cannot sample from an empty buffer")
@@ -298,58 +294,44 @@ def _episode_scenario(rng, sim_cfg, leader_ou):
     return Scenario("episode", profile, float(gap))
 
 
-def run_training_episode(agent, env, rng, leader_ou, budget_left, sample_fn,
-                         explore=True, actor_from=0):
-    """One episode of Algorithm-1 style interaction: act, store, then one
-    gradient step per environment step, on the batch sample_fn() returns,
-    once the agent's buffer holds a full batch.  The actor is held until
-    the critic's optimizer has taken actor_from steps.
+def _train_online(agent, budget, rng, rcfg, leader_ou, sample_fn, progress,
+                  explore=True, actor_from=0):
+    """Algorithm-1 style interaction for budget env steps: act, store, then
+    one gradient step per env step, on the batch sample_fn() returns, once
+    the agent's buffer holds a full batch.  An episode that ends is followed
+    by a fresh one.  The actor is held until the critic's optimizer has
+    taken actor_from steps.
 
-    Returns the episode's EpisodeStats; the caller numbers it."""
+    Returns the per-episode history."""
     sim_cfg = agent.sim_cfg
-    sc = _episode_scenario(rng, sim_cfg, leader_ou)
-    obs = env.reset(sc.profile, sc.initial_gap)
-    agent.noise.reset()
-    total, steps, collisions, at_bound, end = 0.0, 0, 0, 0, "budget"
-    while steps < budget_left:
+    env = FollowEnv(sim_cfg, rcfg or RewardConfig())
+    history = []
+    for used in range(budget):
+        if env.done:
+            sc = _episode_scenario(rng, sim_cfg, leader_ou)
+            obs = env.reset(sc.profile, sc.initial_gap)
+            agent.noise.reset()
+            total, at_bound = 0.0, 0
         action = agent.select_action(obs, explore=explore)
         at_bound += action in (sim_cfg.a_min, sim_cfg.a_max)
         next_obs, reward, done, info = env.step(action)
         # horizon exhaustion is not a real terminal state: bootstrap through
         # it so late-episode values are not dragged toward zero
-        timeout = done and not info.collision and info.gap <= sim_cfg.g_max
-        agent.buffer.add(Transition(obs, action, reward, next_obs,
-                                    done and not timeout))
+        terminal = info.collision or info.gap > sim_cfg.g_max
+        agent.buffer.add(Transition(obs, action, reward, next_obs, terminal))
         if len(agent.buffer) >= agent.cfg.batch_size:
             agent.train_step(sample_fn(), agent.critic_opt.t >= actor_from)
         obs = next_obs
         total += reward
-        steps += 1
-        if info.collision:
-            collisions += 1
-        if done:
-            end = ("collision" if info.collision else
-                   "escape" if info.gap > sim_cfg.g_max else "horizon")
-            break
-    return EpisodeStats(0, steps, total / steps, collisions, end,
-                        at_bound / steps)
-
-
-def _train_online(agent, budget, rng, rcfg, leader_ou, sample_fn, progress,
-                  **episode_kw):
-    """Run training episodes until budget env steps are used; returns the
-    per-episode history."""
-    env = FollowEnv(agent.sim_cfg, rcfg or RewardConfig())
-    history = []
-    used = 0
-    while used < budget:
-        stats = run_training_episode(agent, env, rng, leader_ou, budget - used,
-                                     sample_fn, **episode_kw)
-        stats.episode = len(history)
-        used += stats.steps
-        history.append(stats)
-        if progress:
-            progress(stats)
+        if done or used == budget - 1:
+            end = ("budget" if not done else "collision" if info.collision
+                   else "escape" if terminal else "horizon")
+            steps = env.step_index
+            history.append(EpisodeStats(len(history), steps, total / steps,
+                                        int(info.collision), end,
+                                        at_bound / steps))
+            if progress:
+                progress(history[-1])
     return history
 
 

@@ -113,40 +113,24 @@ def run_scenario(agent, sc: Scenario, cfg: SimConfig = None,
                     collided=collided)
 
 
+# builtin-s53's leader speed as (start s, speed at start m/s, slope m/s^2)
+# segments, each holding from its start until the next one's
+S53_SEGMENTS = np.array([
+    (0.0, 0.0, 0.0), (18.0, 0.0, 2.0), (27.0, 18.0, 0.0), (48.0, 18.0, -5.0),
+    (51.6, 0.0, 0.0), (58.0, 0.0, 2.0), (63.0, 10.0, 0.0), (68.0, 10.0, -2.0),
+    (73.0, 0.0, 0.0), (78.0, 0.0, 2.0), (82.0, 8.0, 0.0), (86.0, 8.0, -2.0),
+    (90.0, 0.0, 0.0)])
+
+
 def self_defined_profile(dt=0.1):
     """Built-in safety-critical scenario: standstill start at a 50 m gap,
     leader ramps to 18 m/s from t = 18 s, cruises, brakes at -5 m/s^2 from
     t = 48 s to standstill, then two gentler +-2 m/s^2 trapezoids."""
-    def speed(t):
-        if t < 18.0:
-            return 0.0
-        if t < 27.0:
-            return 2.0 * (t - 18.0)
-        if t < 48.0:
-            return 18.0
-        if t < 51.6:
-            return 18.0 - 5.0 * (t - 48.0)
-        if t < 58.0:
-            return 0.0
-        if t < 63.0:
-            return 2.0 * (t - 58.0)
-        if t < 68.0:
-            return 10.0
-        if t < 73.0:
-            return 10.0 - 2.0 * (t - 68.0)
-        if t < 78.0:
-            return 0.0
-        if t < 82.0:
-            return 2.0 * (t - 78.0)
-        if t < 86.0:
-            return 8.0
-        if t < 90.0:
-            return 8.0 - 2.0 * (t - 86.0)
-        return 0.0
-
-    n = int(round(100.0 / dt)) + 1
-    profile = np.array([speed(k * dt) for k in range(n)])
-    return Scenario("builtin-s53", profile, initial_gap=50.0, follower_speed=0.0)
+    t = np.arange(int(round(100.0 / dt)) + 1) * dt
+    k = np.searchsorted(S53_SEGMENTS[:, 0], t, side="right") - 1
+    start, v0, slope = S53_SEGMENTS[k].T
+    return Scenario("builtin-s53", v0 + slope * (t - start), initial_gap=50.0,
+                    follower_speed=0.0)
 
 
 def synthetic_suite(n_scenarios=20, seed=0, cfg: SimConfig = None,

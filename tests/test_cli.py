@@ -11,7 +11,8 @@ import pytest
 
 from followrl import DdpgAgent, MlpNet
 from followrl.cli import main
-from followrl.config import RewardConfig, SimConfig, load_config
+from followrl.config import (PowertrainParams, RewardConfig, SimConfig,
+                             load_config)
 from followrl.datasets import ingest, load_transition_store
 from followrl.simcore import LEADER_HEADER, read_csv
 
@@ -211,6 +212,28 @@ class TestConfigFile:
         cfg.write_text("[simm]\ndt = 0.2\n")
         with pytest.raises(ValueError, match=r"unknown section \[simm\]"):
             load_config(str(cfg))
+
+    @pytest.mark.parametrize("cls, kwargs", [
+        (SimConfig, {"max_steps": 0}), (SimConfig, {"v_des": 0.0}),
+        (SimConfig, {"g_max": 0.0, "init_gap_high": 0.0}),
+        (RewardConfig, {"g_min": 0.0}), (RewardConfig, {"T": -1.0}),
+        (RewardConfig, {"a_min": 0.0}), (RewardConfig, {"a_min": 1.0}),
+        (PowertrainParams, {"v_max": 0.0})],
+        ids=lambda x: ",".join(f"{k}={v}" for k, v in x.items())
+        if isinstance(x, dict) else x.__name__)
+    def test_values_that_would_crash_later_rejected(self, cls, kwargs):
+        # each once failed only later: a division by zero, an IndexError
+        # in FollowEnv.step, or a safety penalty turned into a bonus.  The
+        # error names the first field given
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            cls(**kwargs)
+
+    def test_zero_max_steps_rejected_by_train(self, tmp_path):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("[sim]\nmax_steps = 0\n")
+        with pytest.raises(ValueError, match="max_steps"):
+            run("train", "--mode", "pure", "--budget", "10", "--config",
+                str(cfg), "--out", str(tmp_path / "run"))
 
     def test_calibrate_idm_runs(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -112,6 +112,14 @@ class TestControlNet:
         pedals = cn.predict(x)
         assert np.all(pedals >= 0.0) and np.all(pedals <= 1.0)
 
+    @pytest.mark.parametrize("shape", [(3,), (6,), (2, 6), (1, 2, 3)])
+    def test_predict_takes_only_batches(self, trained_net, shape):
+        # a 1-D input of two rows' values once returned the first row's
+        # pedals alone
+        _, cn = trained_net
+        with pytest.raises(ValueError, match=r"\(n, 3\) batch"):
+            cn.predict(np.ones(shape))
+
     def test_held_out_mse(self, trained_net):
         # Generalization check against a fresh seeded collection run.
         model, cn = trained_net

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -276,6 +278,29 @@ class TestStore:
         path = tmp_path / "broken.npz"
         np.savez(path, **cols)
         with pytest.raises(ValueError, match="broken.npz"):
+            load_transition_store(path)
+
+    @pytest.mark.parametrize("defect", ["truncated", "no episodes",
+                                        "n_transitions 5", "episode counts"])
+    def test_broken_manifest_rejected(self, tmp_path, defect):
+        path = tmp_path / "store.npz"
+        save_transition_store(path, relabel_episodes(
+            make_synthetic(2, 5, CFG, RCFG, duration=10.0), CFG, RCFG))
+        manifest = tmp_path / "store.manifest.json"
+        text = manifest.read_text()
+        data = json.loads(text)
+        assert data["n_transitions"] == 198
+        if defect == "truncated":
+            manifest.write_text(text[:len(text) // 2])
+        else:
+            if defect == "no episodes":
+                del data["episodes"]
+            elif defect == "n_transitions 5":
+                data["n_transitions"] = 5
+            else:
+                data["episodes"][0]["transitions"] -= 1
+            manifest.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="store.manifest.json: "):
             load_transition_store(path)
 
     def test_save_rejects_non_finite(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tempfile
 
@@ -44,7 +45,8 @@ def tagged_rows(n, seed, start=0):
 
 def buffer_of(rows, capacity=None):
     buf = ReplayBuffer(capacity or len(rows))
-    buf.extend(rows)
+    for tr in rows:
+        buf.add(tr)
     return buf
 
 
@@ -434,6 +436,33 @@ def test_golden_two_stage_parameters():
     for name in NETS:
         h.update(getattr(agent, name).flat.tobytes())
     assert h.hexdigest() == GOLDEN_SHA256
+
+
+# sha256 of every EpisodeStats of two short two-stage runs, then the actor
+# and critic parameters, taken before stage 1 and stage 2 stepped the env in
+# one loop.  The 30 s horizon makes all four end reasons occur.  As above,
+# record any move with a numpy or BLAS upgrade in CHANGES.md.
+GOLDEN_HISTORY_SHA256 = \
+    "99fd52f8699a8a1e6bf9346bfb69a08725b07f7f45a6a8ec3cbb2815d25ffcc7"
+
+
+def test_golden_episode_histories():
+    sim, rcfg = SimConfig(max_steps=300), RewardConfig()
+    h = hashlib.sha256()
+    ends = set()
+    for seed in (0, 3):
+        agent = DdpgAgent(sim_cfg=sim, seed=seed)
+        history = train_stage1(agent, 2500, seed=seed)
+        practical = datasets.relabel_episodes(
+            datasets.make_synthetic(2, seed, sim, rcfg), sim, rcfg).to_buffer()
+        history += train_stage2(agent, practical, 0.6, 1700, seed=seed)
+        for stats in history:
+            h.update(repr(dataclasses.astuple(stats)).encode())
+            ends.add(stats.end)
+        h.update(agent.actor.flat.tobytes())
+        h.update(agent.critic.flat.tobytes())
+    assert ends == {"collision", "escape", "horizon", "budget"}
+    assert h.hexdigest() == GOLDEN_HISTORY_SHA256
 
 
 # sha256 of the data path's outputs, taken before transitions became column

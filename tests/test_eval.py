@@ -1,5 +1,6 @@
 """Scenario runner, TTC statistics and comparison-report tests."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -91,6 +92,17 @@ class TestScenarios:
         # accelerations stay within the simulator's actuation range
         acc = np.diff(sc.profile) / 0.1
         assert acc.min() >= -9.0 and acc.max() <= 5.0
+
+    # sha256 of the built-in profile's bytes at seven time steps, taken
+    # before the profile became a table of segments
+    GOLDEN_PROFILE_SHA256 = \
+        "bd4ad24f1dacd9d214c0eca4c4b8f1c67dc119a664241d7dd8d8e79a560eb1b1"
+
+    def test_golden_builtin_profile(self):
+        h = hashlib.sha256()
+        for dt in (0.1, 0.05, 0.2, 0.01, 0.03, 0.07, 0.013):
+            h.update(self_defined_profile(dt).profile.tobytes())
+        assert h.hexdigest() == self.GOLDEN_PROFILE_SHA256
 
     def test_synthetic_suite_seeded(self):
         a = synthetic_suite(5, seed=3)
