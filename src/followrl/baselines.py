@@ -142,7 +142,7 @@ A_GRID = (1.0, 1.5, 2.0, 2.5)
 
 
 def calibrate_idm(episodes, cfg: SimConfig, base: IdmParams = None,
-                  T_grid=None, g_min_grid=None, a_grid=None):
+                  T_grid=T_GRID, g_min_grid=G_MIN_GRID, a_grid=A_GRID):
     """Grid-search stand-in for IDM calibration: minimize gap RMSE of a
     simulated IDM follower against the recorded follower over the given
     episodes.  Not the (undocumented) procedure used for Table-3 values.
@@ -150,9 +150,6 @@ def calibrate_idm(episodes, cfg: SimConfig, base: IdmParams = None,
     keep the earlier grid point (T outermost, then g_min, then a).
     """
     base = base or IdmParams()
-    T_grid = T_grid if T_grid is not None else T_GRID
-    g_min_grid = g_min_grid if g_min_grid is not None else G_MIN_GRID
-    a_grid = a_grid if a_grid is not None else A_GRID
     for name, values in (("T_grid", T_grid), ("g_min_grid", g_min_grid),
                          ("a_grid", a_grid), ("episodes", episodes)):
         if len(values) == 0:

@@ -142,16 +142,17 @@ def cmd_eval(args, cfg):
     sim_cfg = cfg["sim"]
     agents = _load_agents(args.agents, sim_cfg, cfg["ddpg"], cfg["idm"])
     kind, _, arg = args.scenario.partition(":")
-    if kind == "builtin":
+    if args.scenario == "builtin:s53":
         scenarios = [evaluate.self_defined_profile(sim_cfg.dt)]
-    elif kind == "replay":
+    elif kind == "replay" and arg:
         ep = datasets.parse_trajectory_csv(arg, sim_cfg.dt)
         scenarios = [evaluate.scenario_from_episode(ep)]
-    elif kind == "suite":
+    elif args.scenario == "suite:synthetic":
         scenarios = evaluate.synthetic_suite(args.n_scenarios, args.seed,
                                              sim_cfg, cfg["leader_ou"])
     else:
-        sys.exit("scenario must be builtin:s53, replay:FILE, or suite:synthetic")
+        sys.exit(f"unknown scenario {args.scenario!r} "
+                 "(builtin:s53 | replay:FILE | suite:synthetic)")
     os.makedirs(args.out, exist_ok=True)
     for sc in scenarios:
         traces = {name: evaluate.run_scenario(agent, sc, sim_cfg, cfg["reward"])
@@ -169,7 +170,15 @@ def cmd_report(args, cfg):
                     print("  " + line.rstrip())
 
 
+# the path flags each control subcommand cannot run without
+CONTROL_PATHS = {"collect": ("out",), "train": ("data", "out"), "probe": ("net",)}
+
+
 def cmd_control(args, cfg):
+    missing = [f"--{flag}" for flag in CONTROL_PATHS[args.control_cmd]
+               if getattr(args, flag) is None]
+    if missing:
+        sys.exit(f"control {args.control_cmd} needs {' and '.join(missing)}")
     model = cfg["powertrain"]
     if args.control_cmd == "collect":
         samples = control.collect_reverse_data(model, args.duration_s, args.seed)

@@ -102,6 +102,16 @@ class DdpgConfig:
             raise ValueError("gamma must lie in [0, 1]")
         if not (0 < self.tau <= 1):
             raise ValueError("tau must lie in (0, 1]")
+        # a negative lr ascends the critic loss; a batch larger than the
+        # buffer never fills, so training would make no update at all
+        if not self.lr > 0:
+            raise ValueError("lr must be positive")
+        if not (1 <= self.batch_size <= self.buffer_size):
+            raise ValueError("batch_size must lie in [1, buffer_size]")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError("hidden layer sizes must be >= 1")
+        if min(self.stage1_budget, self.stage2_budget) < 0:
+            raise ValueError("stage1_budget and stage2_budget must be >= 0")
 
 
 @dataclass

@@ -20,9 +20,9 @@ import numpy as np
 from .baselines import IdmController
 from .config import LEADER_OU, RewardConfig, SimConfig
 from .ddpg import STATE_DIM, Batch, ReplayBuffer
+from .evaluate import Scenario, run_scenario
 from .reward import reward_total
-from .simcore import (FollowEnv, gen_leader_profile, normalize_state, read_csv,
-                      write_csv)
+from .simcore import gen_leader_profile, normalize_state, read_csv, write_csv
 
 HEADER = ["t_s", "v_leader_mps", "v_follower_mps", "gap_m"]
 
@@ -266,34 +266,30 @@ def ingest(pattern, cfg: SimConfig, rcfg: RewardConfig):
 
 def rollout_episode(controller, profile, cfg: SimConfig, rcfg: RewardConfig,
                     initial_gap, episode_id="synthetic"):
-    """Roll a controller with an act(v, a, v_l, g) interface through the
-    simulator from standstill and record the trajectory rows the
-    relabeler expects."""
-    env = FollowEnv(cfg, rcfg)
-    env.reset(profile, initial_gap=initial_gap)
-    records = [(0.0, env.leader.speed, env.follower.speed, env.gap)]
-    rewards = []
-    done = False
-    while not done:
-        action = controller.act(env.follower.speed, env.follower.accel,
-                                env.leader.speed, env.gap)
-        _, reward, done, info = env.step(action)
-        if info.collision:
-            break   # a gap <= 0 row would not be a valid trajectory record
-        records.append((info.t, info.v_l, info.v, info.gap))
-        rewards.append(reward)
-    return FollowingEpisode(episode_id, np.array(records)), rewards
+    """Roll an act(v, a, v_l, g) controller from standstill through
+    run_scenario: a start row, then the trace's first four columns and
+    rewards, less a collision row (gap <= 0), which is no valid record."""
+    if len(profile) <= cfg.max_steps:
+        raise ValueError(f"leader profile has {len(profile)} samples; "
+                         f"{cfg.max_steps} steps need {cfg.max_steps + 1}")
+    trace = run_scenario(controller, Scenario(
+        episode_id, profile[:cfg.max_steps + 1], initial_gap), cfg, rcfg)
+    n = len(trace.t) - trace.collided
+    L = cfg.vehicle_length  # the env's start gap (g0 + L) - 0 - L may not be g0
+    records = np.vstack([(0.0, profile[0], 0.0, (initial_gap + L) - 0.0 - L),
+                         np.column_stack((trace.t, trace.v_leader,
+                                          trace.v_follower, trace.gap))[:n]])
+    return FollowingEpisode(episode_id, records), trace.reward[:n].tolist()
 
 
 def make_synthetic(n_episodes, seed, cfg: SimConfig, rcfg: RewardConfig,
-                   controller=None, leader_ou=None, duration=None):
-    """Fabricate a stand-in human dataset by rolling out IDM (or any
-    act-style controller) behind OU leaders.  ``duration`` (seconds)
-    optionally shortens the episode horizon."""
+                   controller=None, leader_ou=LEADER_OU, duration=None):
+    """Fabricate a stand-in human dataset by rolling out IDM (clipped to
+    cfg's accel bounds) or any act-style controller behind OU leaders.
+    ``duration`` (seconds) optionally shortens the episode horizon."""
     if duration is not None:
         cfg = replace(cfg, max_steps=int(round(duration / cfg.dt)))
-    controller = controller or IdmController()
-    leader_ou = leader_ou or LEADER_OU
+    controller = controller or IdmController(sim_cfg=cfg)
     rng = np.random.default_rng(seed)
     episodes = []
     for k in range(n_episodes):

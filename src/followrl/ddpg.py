@@ -303,6 +303,8 @@ def _train_online(agent, budget, rng, rcfg, leader_ou, sample_fn, progress,
     taken actor_from steps.
 
     Returns the per-episode history."""
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     sim_cfg = agent.sim_cfg
     env = FollowEnv(sim_cfg, rcfg or RewardConfig())
     history = []
@@ -381,6 +383,8 @@ def train_fully_offpolicy(agent: DdpgAgent, practical_buf: ReplayBuffer,
         raise ValueError("practical buffer is empty")
     cfg = agent.cfg
     budget = cfg.stage1_budget if budget is None else budget
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
     eval_rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
     curve = []

@@ -27,7 +27,8 @@ def ttc(gap, v_f, v_l):
     if gap <= 0:
         raise ValueError("ttc requires gap > 0")
     if v_f > v_l:
-        return gap / (v_f - v_l)
+        # as a Python float, an overflow gives inf without numpy's warning
+        return float(gap) / (v_f - v_l)
     return None
 
 
@@ -87,30 +88,26 @@ class Scenario:
 
 def run_scenario(agent, sc: Scenario, cfg: SimConfig = None,
                  rcfg: RewardConfig = None):
-    """Deterministic greedy rollout of the agent through the scenario.
-
-    Collision terminates the trace with the collided flag set.
-    """
+    """Deterministic greedy rollout of the agent through the scenario, one
+    row per env step; also the loop behind greedy_eval and the recorded
+    stand-in human data (datasets.rollout_episode).  Collision terminates
+    the trace on the collision row, with the collided flag set."""
     cfg = cfg or SimConfig()
     cfg = dataclasses.replace(cfg, max_steps=len(sc.profile) - 1)
     env = FollowEnv(cfg, rcfg or RewardConfig())
     env.reset(sc.profile, initial_gap=sc.initial_gap,
               follower_speed=sc.follower_speed)
     rows = []
-    collided = False
-    done = False
-    while not done:
+    while not env.done:
         action = agent.act(env.follower.speed, env.follower.accel,
                            env.leader.speed, env.gap)
-        _, reward, done, info = env.step(action)
+        _, reward, _, info = env.step(action)
         tc = ttc(info.gap, info.v, info.v_l) if info.gap > 0 else None
         rows.append((info.t, info.v_l, info.v, info.gap, info.accel,
                      info.jerk, reward, math.nan if tc is None else tc))
-        if info.collision:
-            collided = True
     cols = [np.array(c) for c in zip(*rows)]
     return RunTrace(getattr(agent, "name", type(agent).__name__), *cols,
-                    collided=collided)
+                    collided=info.collision)
 
 
 # builtin-s53's leader speed as (start s, speed at start m/s, slope m/s^2)

@@ -160,8 +160,27 @@ class TestTrainEval:
                 "--out", str(tmp_path / "rep"))
         assert not (tmp_path / "rep").exists()
 
+    @pytest.mark.parametrize("spec", ["builtin:s99", "suite:foo", "replay:",
+                                      "s53"])
+    def test_eval_rejects_unknown_scenario(self, tmp_path, spec):
+        # builtin:s99 once ran builtin-s53 and suite:foo the synthetic suite
+        with pytest.raises(SystemExit, match=f"unknown scenario '{spec}'"):
+            run("eval", "--agents", "idm", "--scenario", spec,
+                "--n-scenarios", "1", "--out", str(tmp_path / "rep"))
+        assert not (tmp_path / "rep").exists()
+
 
 class TestControlCli:
+    @pytest.mark.parametrize("argv, flag", [
+        (["collect"], "--out"), (["train", "--out", "n.bin"], "--data"),
+        (["train", "--data", "rev.csv"], "--out"), (["probe"], "--net")],
+        ids=["collect", "train-data", "train-out", "probe"])
+    def test_missing_path_flag_named(self, tmp_path, monkeypatch, argv, flag):
+        # each once died with a bare TypeError on a None path
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match=f"control {argv[0]} needs {flag}"):
+            run("control", *argv, "--duration-s", "1")
+
     def test_collect_train_probe(self, tmp_path, capsys):
         data = tmp_path / "rev.csv"
         run("control", "collect", "--duration-s", "120", "--seed", "0",

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from followrl import RewardConfig, SimConfig, parse_trajectory_csv, reward_histogram
@@ -14,7 +14,7 @@ from followrl.datasets import (FollowingEpisode, RelabeledDataset,
                                relabel_episodes, rollout_episode,
                                save_transition_store,
                                split_train_eval, write_trajectory_csv)
-from followrl.simcore import gen_leader_profile
+from followrl.simcore import FollowEnv, gen_leader_profile
 
 CFG = SimConfig()
 RCFG = RewardConfig()
@@ -159,6 +159,89 @@ class TestBuildTransitions:
                                CFG, RCFG)
         assert ds.clipped_actions == 1
         assert all(CFG.a_min <= tr.action <= CFG.a_max for tr in ds.transitions)
+
+
+class Constant:
+    def __init__(self, accel):
+        self.accel = accel
+
+    def act(self, v, a, v_l, g):
+        return self.accel
+
+
+def reference_rollout(controller, profile, cfg, rcfg, initial_gap,
+                      episode_id="synthetic"):
+    """rollout_episode written as its own env loop: the bit-for-bit
+    reference for the run_scenario view."""
+    env = FollowEnv(cfg, rcfg)
+    env.reset(profile, initial_gap=initial_gap)
+    records = [(0.0, env.leader.speed, env.follower.speed, env.gap)]
+    rewards = []
+    done = False
+    while not done:
+        action = controller.act(env.follower.speed, env.follower.accel,
+                                env.leader.speed, env.gap)
+        _, reward, done, info = env.step(action)
+        if info.collision:
+            break
+        records.append((info.t, info.v_l, info.v, info.gap))
+        rewards.append(reward)
+    return FollowingEpisode(episode_id, np.array(records)), rewards
+
+
+class TestRollout:
+    @settings(max_examples=40, deadline=None)
+    @given(leader_seed=st.integers(0, 2 ** 31 - 2),
+           gap=st.one_of(st.just(3.7), st.floats(0.5, 199.0)),
+           controller=st.one_of(
+               st.builds(IdmParams, T=st.floats(0.5, 2.5),
+                         a=st.floats(0.5, 3.0), g_min=st.floats(1.0, 5.0)),
+               st.integers(0, 2 ** 32 - 1), st.floats(-11.0, 7.0)),
+           max_steps=st.integers(1, 150), extra=st.integers(0, 20))
+    @example(leader_seed=0, gap=3.7, controller=IdmParams(), max_steps=150,
+             extra=0)
+    # full throttle from 3.7 m behind a leader starting at standstill
+    # collides on step 15
+    @example(leader_seed=1, gap=3.7, controller=7.0, max_steps=150, extra=5)
+    def test_matches_reference_loop(self, leader_seed, gap, controller,
+                                    max_steps, extra):
+        # IDM, seeded random actions beyond [a_min, a_max] or a constant
+        # command; profiles longer than the episode, start gaps such as
+        # 3.7 m where the env's (g0 + L) - L differs from g0, and episodes
+        # ending in a collision, an escape or the horizon
+        cfg = SimConfig(max_steps=max_steps)
+
+        def fresh():
+            if isinstance(controller, IdmParams):
+                return IdmController(controller, cfg)
+            if isinstance(controller, int):
+                return RandomActions(controller)
+            return Constant(controller)
+
+        profile = gen_leader_profile(
+            leader_seed, (max_steps + 1 + extra) * cfg.dt, cfg)
+        ep, rewards = rollout_episode(fresh(), profile, cfg, RCFG, gap, "x")
+        ref, ref_rewards = reference_rollout(fresh(), profile, cfg, RCFG, gap,
+                                             "x")
+        assert ep.id == ref.id
+        assert ep.records.shape == ref.records.shape
+        assert ep.records.tobytes() == ref.records.tobytes()
+        assert rewards == ref_rewards
+        assert np.array(rewards).tobytes() == np.array(ref_rewards).tobytes()
+
+    def test_example_collides(self):
+        # the second explicit example above really ends in a collision, on
+        # its 15th step (the last kept row has a 0.15 m gap)
+        cfg = SimConfig(max_steps=150)
+        profile = gen_leader_profile(1, 156 * cfg.dt, cfg)
+        ep, rewards = rollout_episode(Constant(7.0), profile, cfg, RCFG, 3.7)
+        assert (len(ep), len(rewards)) == (15, 14)
+        assert 0 < ep.records[-1, 3] < 0.2
+
+    def test_short_profile_rejected(self):
+        cfg = SimConfig(max_steps=50)
+        with pytest.raises(ValueError, match="50 steps need 51"):
+            rollout_episode(Constant(0.0), np.zeros(50), cfg, RCFG, 20.0)
 
 
 class TestSplit:

@@ -13,7 +13,8 @@ from followrl.baselines import IdmController, bc_train, calibrate_idm
 from followrl.config import IdmParams, PowertrainParams
 from followrl.control import (collect_reverse_data, read_reverse_csv,
                               train_control_net, write_reverse_csv)
-from followrl.ddpg import Batch, mix_count, train_stage1, train_stage2
+from followrl.ddpg import (Batch, mix_count, train_fully_offpolicy,
+                           train_stage1, train_stage2)
 from followrl.evaluate import compare_report, run_scenario, self_defined_profile
 from followrl.simcore import gen_leader_profile, unscale_action, write_leader_csv
 
@@ -332,6 +333,34 @@ class TestTrainStep:
         for name in NETS:
             assert np.array_equal(getattr(agent, name).flat, before[name])
         assert agent.critic_opt.t == agent.actor_opt.t == 0
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("kwargs", [
+        {"lr": 0.0}, {"lr": -1.0}, {"batch_size": 0},
+        {"batch_size": 64, "buffer_size": 10}, {"hidden": (32, 0)},
+        {"stage1_budget": -5}, {"stage2_budget": -1}],
+        ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_bad_values_rejected(self, kwargs):
+        # each once ran silently (gradient ascent on the critic loss, no
+        # update at all, an untrained agent saved) or failed later with an
+        # error that did not name the field
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            DdpgConfig(**kwargs)
+
+    def test_no_hidden_layer_stays_legal(self):
+        agent = DdpgAgent(DdpgConfig(hidden=()), seed=0)
+        assert len(agent.actor.parameters()) == 2
+
+    @pytest.mark.parametrize("mode", ["stage1", "stage2", "off-policy"])
+    def test_negative_budget_rejected(self, mode):
+        agent = DdpgAgent(seed=0)
+        buf = filled_buffer(40)
+        train = {"stage1": lambda: train_stage1(agent, -1),
+                 "stage2": lambda: train_stage2(agent, buf, 0.5, -1),
+                 "off-policy": lambda: train_fully_offpolicy(agent, buf, -1)}
+        with pytest.raises(ValueError, match="budget"):
+            train[mode]()
 
 
 class TestPersistence:

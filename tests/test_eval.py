@@ -28,6 +28,11 @@ class TestTtc:
         with pytest.raises(ValueError):
             ttc(0.0, 12.0, 10.0)
 
+    def test_overflow_is_inf_without_warning(self):
+        # the env's gap is a numpy float; a follower creeping 1e-308 m/s
+        # faster than its leader once raised numpy's overflow warning
+        assert ttc(np.float64(3.7), 1e-308, 0.0) == math.inf
+
 
 def _trace_with_ttc(vals):
     n = len(vals)
@@ -130,6 +135,27 @@ class TestScenarios:
         assert np.allclose(trace.ttc[closing],
                            trace.gap[closing] / (trace.v_follower[closing]
                                                  - trace.v_leader[closing]))
+
+    def test_collision_ends_trace(self):
+        # full throttle behind a stopped leader: the trace ends on the
+        # collision row, which rollout_episode drops with its reward
+        from followrl.datasets import rollout_episode
+
+        class FullThrottle:
+            def act(self, v, a, v_l, g):
+                return 5.0
+
+        cfg, rcfg = SimConfig(max_steps=100), RewardConfig()
+        trace = run_scenario(FullThrottle(), Scenario("stop", np.zeros(101),
+                                                      10.0), cfg, rcfg)
+        assert trace.collided and len(trace.t) < 100
+        assert trace.gap[-1] <= 0 and np.all(trace.gap[:-1] > 0)
+        assert math.isnan(trace.ttc[-1]) and np.all(np.isfinite(trace.ttc[:-1]))
+        assert trace.reward[-1] == -1.0
+        ep, rewards = rollout_episode(FullThrottle(), np.zeros(101), cfg, rcfg,
+                                      10.0)
+        assert np.array_equal(ep.records[1:, 3], trace.gap[:-1])
+        assert rewards == trace.reward[:-1].tolist()
 
     def test_idm_settles_at_equilibrium(self):
         profile = np.full(1001, 10.0)

@@ -1,13 +1,19 @@
-"""Source hygiene: no followrl module imports a name it never uses."""
+"""Source hygiene: no followrl module imports a name it never uses, and
+every module-level function and class is named somewhere else."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "followrl"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "followrl"
 # __init__ imports names only to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# where a definition may be named: the package, its tests and perfbench
+READERS = sorted(p for d in ("src", "tests", "perfbench")
+                 for p in (ROOT / d).rglob("*.py") if p != SRC / "__init__.py")
 
 
 def unused_imports(source):
@@ -33,3 +39,39 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def names_read(node):
+    """Every Name and attribute name read anywhere under node."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def unreferenced_definitions(modules, readers):
+    """(module, line, name) of each module-level function or class in
+    ``modules`` (file name -> source) that no source in ``readers`` names
+    outside the definition itself."""
+    counts = Counter(name for source in readers
+                     for name in names_read(ast.parse(source)))
+    out = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = names_read(node).count(node.name)
+                if counts[node.name] <= own:
+                    out.append((module, node.lineno, node.name))
+    return out
+
+
+def test_checker_finds_an_unreferenced_definition():
+    module = ("def used():\n    pass\n\n\ndef recursive(n):\n"
+              "    return recursive(n - 1)\n\n\nclass Orphan:\n    pass\n")
+    caller = "from m import used, Orphan\nused()\n"
+    assert unreferenced_definitions({"m.py": module}, [module, caller]) == [
+        ("m.py", 5, "recursive"), ("m.py", 9, "Orphan")]
+
+
+def test_every_definition_named_elsewhere():
+    modules = {p.name: p.read_text() for p in MODULES}
+    assert unreferenced_definitions(
+        modules, [p.read_text() for p in READERS]) == []
