@@ -79,13 +79,15 @@ def _write_history(path, history):
 
 
 def cmd_train(args, cfg):
-    os.makedirs(args.out, exist_ok=True)
     if args.mode == "bc":
         if not args.dataset:
             sys.exit("--dataset is required for BC")
         ds = datasets.load_transition_store(args.dataset)
         policy = baselines.bc_train(ds, epochs=args.epochs, seed=args.seed,
                                     sim_cfg=cfg["sim"])
+        # --out appears only with its first file, so a rejected run leaves
+        # nothing behind; DdpgAgent.save makes it in the other modes
+        os.makedirs(args.out, exist_ok=True)
         policy.net.save(os.path.join(args.out, "bc.bin"))
         print(f"BC policy trained on {len(ds)} transitions "
               f"(final MSE {baselines.bc_mse(policy, ds):.4f})")

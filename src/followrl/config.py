@@ -95,7 +95,6 @@ class DdpgConfig:
     hidden: tuple = (32, 32)
     stage1_budget: int = 100_000
     stage2_budget: int = 50_000
-    stage2_explore: bool = True
 
     def __post_init__(self):
         if not (0 <= self.gamma <= 1):
@@ -155,26 +154,27 @@ _SECTIONS = {
 
 
 def _coerce(current, raw, where):
-    if isinstance(current, bool):
-        word = raw.strip().lower()
-        if word not in configparser.ConfigParser.BOOLEAN_STATES:
-            raise ValueError(f"{where}: {raw!r} is not a boolean")
-        return configparser.ConfigParser.BOOLEAN_STATES[word]
-    if isinstance(current, int) and not isinstance(current, bool):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    if isinstance(current, tuple):
-        return tuple(int(x) for x in raw.replace(",", " ").split())
-    return raw
+    """raw read as the type of current, the field's default: an int, a
+    float, or a tuple of ints split at commas or spaces.  A value that does
+    not parse raises a ValueError naming ``where`` and raw."""
+    try:
+        if isinstance(current, tuple):
+            return tuple(int(x) for x in raw.replace(",", " ").split())
+        return type(current)(raw)
+    except ValueError:
+        kind = ("tuple of ints" if isinstance(current, tuple)
+                else type(current).__name__)
+        raise ValueError(f"{where}: {raw!r} is not a valid {kind}") from None
 
 
 def load_config(path):
     """Read a key=value config file into a dict of config dataclasses.
 
-    Sections map to the dataclasses above; unknown sections or keys are
-    rejected so typos never pass silently.  Missing sections fall back to
-    defaults, and a path of None gives the defaults of every section.
+    Sections map to the dataclasses above, and each value is read as the
+    type of its field's default.  Unknown sections or keys, and values that
+    do not parse, raise a ValueError naming them, so typos never pass
+    silently.  Missing sections fall back to defaults, and a path of None
+    gives the defaults of every section.
     """
     parser = configparser.ConfigParser()
     if path is not None:

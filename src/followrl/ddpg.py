@@ -295,12 +295,12 @@ def _episode_scenario(rng, sim_cfg, leader_ou):
 
 
 def _train_online(agent, budget, rng, rcfg, leader_ou, sample_fn, progress,
-                  explore=True, actor_from=0):
-    """Algorithm-1 style interaction for budget env steps: act, store, then
-    one gradient step per env step, on the batch sample_fn() returns, once
-    the agent's buffer holds a full batch.  An episode that ends is followed
-    by a fresh one.  The actor is held until the critic's optimizer has
-    taken actor_from steps.
+                  actor_from=0):
+    """Algorithm-1 style interaction for budget env steps: act with OU
+    exploration noise, store, then one gradient step per env step, on the
+    batch sample_fn() returns, once the agent's buffer holds a full batch.
+    An episode that ends is followed by a fresh one.  The actor is held
+    until the critic's optimizer has taken actor_from steps.
 
     Returns the per-episode history."""
     if budget < 0:
@@ -314,7 +314,7 @@ def _train_online(agent, budget, rng, rcfg, leader_ou, sample_fn, progress,
             obs = env.reset(sc.profile, sc.initial_gap)
             agent.noise.reset()
             total, at_bound = 0.0, 0
-        action = agent.select_action(obs, explore=explore)
+        action = agent.select_action(obs, explore=True)
         at_bound += action in (sim_cfg.a_min, sim_cfg.a_max)
         next_obs, reward, done, info = env.step(action)
         # horizon exhaustion is not a real terminal state: bootstrap through
@@ -361,6 +361,8 @@ def train_stage2(agent: DdpgAgent, practical_buf: ReplayBuffer, ratio,
     per batch, the rest fresh simulator experience.  r = 1.0 reproduces the
     offline-degradation regime (interaction continues but contributes no
     gradients)."""
+    if not (0.0 <= ratio <= 1.0):
+        raise ValueError(f"ratio r must lie in [0, 1], got {ratio}")
     if len(practical_buf) == 0 and ratio > 0:
         raise ValueError("practical buffer is empty")
     cfg = agent.cfg
@@ -370,7 +372,7 @@ def train_stage2(agent: DdpgAgent, practical_buf: ReplayBuffer, ratio,
         agent, budget, rng, rcfg, leader_ou,
         lambda: sample_mixed(agent.buffer, practical_buf, cfg.batch_size,
                              ratio, rng),
-        progress, explore=cfg.stage2_explore)
+        progress)
 
 
 def train_fully_offpolicy(agent: DdpgAgent, practical_buf: ReplayBuffer,

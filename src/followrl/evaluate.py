@@ -11,7 +11,6 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -159,8 +158,10 @@ SUMMARY_COLUMNS = ["agent", "minimum", "mean", "median", "std_dev",
 
 
 def compare_report(traces, out_dir):
-    """Emit per-agent trace CSVs, a TTC summary table, and a plot-ready
-    long-format CSV (t, agent, series, value)."""
+    """Write ttc_summary.csv, one row per agent, and one trace_<agent>.csv
+    of TRACE_COLUMNS per agent into out_dir; returns the summary's path.
+    A long-format (t, agent, series, value) view is a reshape of the trace
+    columns, so none is written."""
     if not traces:
         raise ValueError("need at least one trace")
     os.makedirs(out_dir, exist_ok=True)
@@ -176,12 +177,4 @@ def compare_report(traces, out_dir):
     for name, trace in traces.items():
         write_csv(os.path.join(out_dir, f"trace_{name}.csv"), TRACE_COLUMNS,
                   np.column_stack([getattr(trace, c) for c in TRACE_COLUMNS]))
-    with open(os.path.join(out_dir, "long.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "agent", "series", "value"])
-        for name, trace in traces.items():
-            t = list(map(repr, trace.t.tolist()))
-            for series in ("v_leader", "v_follower", "gap", "ttc"):
-                w.writerows(zip(t, repeat(name), repeat(series),
-                                map(repr, getattr(trace, series).tolist())))
     return summary_path

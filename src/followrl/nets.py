@@ -5,7 +5,6 @@ linear or tanh head), Adam updates, hard/soft target copies, and a small
 binary parameter format that round-trips bit-exactly.
 """
 
-import json
 import struct
 
 import numpy as np
@@ -113,23 +112,15 @@ class MlpNet:
         return grad
 
     def save(self, path):
-        """Flat binary file: magic, layer count, sizes, activation code,
-        then all float64 parameters; plus a sidecar .manifest.json."""
+        """One flat binary file: magic, layer count, sizes, activation code,
+        then all float64 parameters.  The header is the file's whole
+        description, which load() reads and checks."""
         with open(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<I", len(self.sizes)))
             fh.write(struct.pack(f"<{len(self.sizes)}I", *self.sizes))
             fh.write(struct.pack("<I", _ACT_CODES[self.out_activation]))
             fh.write(self.flat.tobytes())
-        manifest = {
-            "format": "followrl-mlp-v1",
-            "sizes": self.sizes,
-            "out_activation": self.out_activation,
-            "dtype": "float64",
-            "n_parameters": int(self.flat.size),
-        }
-        with open(str(path) + ".manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2)
 
     @classmethod
     def load(cls, path):
@@ -215,6 +206,8 @@ def fit_mse(sizes, x, y, lo, hi, epochs, seed):
     """Fit a tanh-headed MlpNet, its output mapped linearly onto [lo, hi],
     to targets y (n, sizes[-1]) from inputs x by MSE over shuffled
     minibatches of FIT_BATCH rows.  Deterministic under the seed."""
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     net_seed, shuffle_seed = np.random.SeedSequence(seed).spawn(2)
     net = MlpNet(sizes, "tanh", seed=net_seed)
     opt = AdamState(net, lr=FIT_LR)

@@ -120,6 +120,12 @@ class TestBehaviorCloning:
         policy = bc_train(ds, epochs=60, seed=0, sim_cfg=cfg)
         assert bc_mse(policy, ds) < 0.01
 
+    def test_negative_epochs_rejected(self):
+        # once returned the untrained net, which `train --mode bc` saved
+        ds, cfg = _tiny_dataset()
+        with pytest.raises(ValueError, match="epochs must be >= 0, got -3"):
+            bc_train(ds, epochs=-3, seed=0, sim_cfg=cfg)
+
     def test_training_reduces_mse(self):
         ds, cfg = _tiny_dataset()
         p0 = bc_train(ds, epochs=1, seed=0, sim_cfg=cfg)

@@ -5,6 +5,7 @@ import csv
 import filecmp
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,18 @@ class TestTrainEval:
         assert (out / "actor.bin").exists()
         assert (out / "actor_target.bin").exists()
 
+    @pytest.mark.parametrize("argv", [
+        "--mode pure --budget -5", "--mode bc", "--mode off-policy",
+        "--mode two-stage --dataset {store}",
+        "--mode bc --dataset {store} --epochs -3"])
+    def test_rejected_run_leaves_no_out_dir(self, synth_store, tmp_path, argv):
+        # the run directory was once made before any check, and left empty
+        out = tmp_path / "run"
+        with pytest.raises((ValueError, SystemExit)):
+            run("train", *argv.format(store=synth_store).split(),
+                "--out", str(out))
+        assert not out.exists()
+
     def test_two_stage_smoke(self, synth_store, tmp_path):
         pre = tmp_path / "pre"
         run("train", "--mode", "pure", "--budget", "300", "--seed", "0",
@@ -213,16 +226,24 @@ class TestConfigFile:
         line = [l for l in out.splitlines() if l.startswith("total")][0]
         assert float(line.split()[1]) == pytest.approx(0.0)
 
-    @pytest.mark.parametrize("raw, value", [("yes", True), ("Off", False)])
-    def test_boolean_words(self, tmp_path, raw, value):
+    @pytest.mark.parametrize("section, key, raw", [
+        ("ddpg", "batch_size", "abc"), ("sim", "dt", "fast"),
+        ("ddpg", "hidden", "32,x"), ("sim", "max_steps", "1.5")])
+    def test_unparsable_value_names_its_key(self, tmp_path, section, key, raw):
+        # int() and float() once raised without naming the section or key
         cfg = tmp_path / "lab.cfg"
-        cfg.write_text(f"[ddpg]\nstage2_explore = {raw}\n")
-        assert load_config(str(cfg))["ddpg"].stage2_explore is value
+        cfg.write_text(f"[{section}]\n{key} = {raw}\n")
+        with pytest.raises(ValueError,
+                           match=rf"^\[{section}\] {key}: '{re.escape(raw)}' "
+                           "is not a valid"):
+            load_config(str(cfg))
 
-    def test_unknown_boolean_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path):
+        # a removed field is an unknown key: stage 2 always explores now
         cfg = tmp_path / "lab.cfg"
-        cfg.write_text("[ddpg]\nstage2_explore = ture\n")
-        with pytest.raises(ValueError, match=r"\[ddpg\] stage2_explore"):
+        cfg.write_text("[ddpg]\nstage2_explore = yes\n")
+        with pytest.raises(ValueError, match=r"unknown key 'stage2_explore' "
+                           r"in section \[ddpg\]"):
             load_config(str(cfg))
 
     def test_unknown_section_rejected(self, tmp_path):
@@ -298,11 +319,34 @@ class TestConfigFile:
 # sha256 over every file the CLI pipeline below writes: each file's path
 # relative to the run directory, then its bytes, or for an .npz (whose zip
 # members carry timestamps) each array's name, dtype, shape and bytes.  The
-# hash was taken before the time step of recorded data got one source.  As
-# with the hashes in test_ddpg.py, record any move with a numpy or BLAS
-# upgrade in CHANGES.md.
+# hash was re-taken when long.csv, the nets' .manifest.json files and the
+# stage2_explore config field went, after checking that every other file
+# stayed byte-identical.  As with the hashes in test_ddpg.py, record any move
+# with a numpy or BLAS upgrade in CHANGES.md.
 GOLDEN_CLI_SHA256 = \
-    "e6a2ad69ba67d4704a68c7dfe842311770155331eedf370aaee62ed8cddfbaf0"
+    "f9462bfc90c0d2ee2ba49c0471a860b88c4fc289b51bdd9fe5ee76e96b8cf5b5"
+
+
+# the relative path of every file the pipeline writes
+GOLDEN_CLI_FILES = [
+    "control.bin", "control.bin.norm.npz", "data/synthetic-000.csv",
+    "data/synthetic-001.csv", "data/synthetic-002.csv",
+    "data/synthetic-003.csv", "leader.csv", "report/builtin-s53/trace_bc.csv",
+    "report/builtin-s53/trace_idm.csv", "report/builtin-s53/trace_ts.csv",
+    "report/builtin-s53/ttc_summary.csv",
+    "report/replay-synthetic-000/trace_bc.csv",
+    "report/replay-synthetic-000/trace_idm.csv",
+    "report/replay-synthetic-000/trace_ts.csv",
+    "report/replay-synthetic-000/ttc_summary.csv", "reverse.csv",
+    "runs/bc/bc.bin", "runs/bc/config.json", "runs/off/actor.bin",
+    "runs/off/actor_target.bin", "runs/off/config.json", "runs/off/critic.bin",
+    "runs/off/critic_target.bin", "runs/off/rewards.csv",
+    "runs/pure/actor.bin", "runs/pure/actor_target.bin",
+    "runs/pure/config.json", "runs/pure/critic.bin",
+    "runs/pure/critic_target.bin", "runs/pure/rewards.csv",
+    "runs/ts/actor.bin", "runs/ts/actor_target.bin", "runs/ts/config.json",
+    "runs/ts/critic.bin", "runs/ts/critic_target.bin", "runs/ts/rewards.csv",
+    "store.manifest.json", "store.npz"]
 
 
 def _tree_sha256(root):
@@ -346,5 +390,7 @@ def test_golden_cli_pipeline(tmp_path, monkeypatch, capsys):
             "control train --data reverse.csv --out control.bin"):
         run(*argv.split())
     capsys.readouterr()
-    assert sum(len(files) for _, _, files in os.walk(tmp_path)) == 54
+    assert sorted(os.path.relpath(os.path.join(d, f), tmp_path)
+                  for d, _, files in os.walk(tmp_path)
+                  for f in files) == GOLDEN_CLI_FILES
     assert _tree_sha256(tmp_path) == GOLDEN_CLI_SHA256

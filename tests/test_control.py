@@ -104,6 +104,12 @@ class TestControlNet:
         with pytest.raises(ValueError):
             train_control_net(samples)
 
+    def test_negative_epochs_rejected(self):
+        # once returned the untrained net
+        samples = collect_reverse_data(PowertrainParams(), 120.0, seed=0)
+        with pytest.raises(ValueError, match="epochs must be >= 0, got -1"):
+            train_control_net(samples, epochs=-1)
+
     def test_outputs_in_unit_interval(self, trained_net):
         _, cn = trained_net
         rng = np.random.default_rng(0)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import os
 import tempfile
 
 import numpy as np
@@ -362,8 +363,22 @@ class TestConfigChecks:
         with pytest.raises(ValueError, match="budget"):
             train[mode]()
 
+    @pytest.mark.parametrize("ratio", [-0.1, 1.5])
+    def test_stage2_ratio_rejected_on_entry(self, ratio):
+        # with budget < batch_size no update runs, and the ratio was once
+        # checked only at the first one
+        agent = DdpgAgent(seed=0)
+        with pytest.raises(ValueError, match=r"ratio r must lie in \[0, 1\]"):
+            train_stage2(agent, filled_buffer(40), ratio, 10)
+        assert len(agent.buffer) == 0
+
 
 class TestPersistence:
+    def test_save_writes_the_four_nets_only(self, tmp_path):
+        DdpgAgent(seed=0).save(str(tmp_path / "run"))
+        assert sorted(os.listdir(tmp_path / "run")) == sorted(
+            name + ".bin" for name in NETS)
+
     def test_save_load_round_trip(self, tmp_path):
         agent = DdpgAgent(seed=7)
         rng = np.random.default_rng(13)
@@ -532,10 +547,11 @@ def test_golden_data_path(tmp_path):
 # leader CSV of a 30 s profile, the reverse-data CSV of 120 s of pedal
 # driving, the control net trained for five epochs on that CSV re-read, the
 # IDM report files on the built-in scenario, and an IDM calibration over a
-# small grid.  As above, record any move with a numpy or BLAS upgrade in
-# CHANGES.md.
+# small grid.  Re-taken when the report dropped long.csv, with the other
+# report files unchanged.  As above, record any move with a numpy or BLAS
+# upgrade in CHANGES.md.
 GOLDEN_FORMATS_SHA256 = \
-    "011be800d1ab12ec72b39e958f643ac08feee70bb2762aaaddf0a9295ccb33f3"
+    "82d1fa4a30251bc8835ab54104f1392ca8faeba591701a765e49a1f63ca93d2b"
 
 
 def test_golden_file_formats(tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -193,7 +194,9 @@ class TestReports:
             lines = fh.read().splitlines()
         assert lines[0].startswith("agent,")
         assert len(lines) == 2 and lines[1].startswith("idm,")
-        assert (tmp_path / "rep" / "long.csv").exists()
+        # the summary and one trace per agent, nothing else
+        assert sorted(os.listdir(tmp_path / "rep")) == ["trace_idm.csv",
+                                                        "ttc_summary.csv"]
 
     def test_summary_matches_ttc_summary(self, tmp_path):
         trace = run_scenario(IdmController(), self_defined_profile())

@@ -1,5 +1,6 @@
-"""Source hygiene: no followrl module imports a name it never uses, and
-every module-level function and class is named somewhere else."""
+"""Source hygiene: no followrl module imports a name it never uses, every
+module-level function and class is named somewhere else, and every config
+field is read by the code it configures."""
 
 import ast
 from collections import Counter
@@ -75,3 +76,33 @@ def test_every_definition_named_elsewhere():
     modules = {p.name: p.read_text() for p in MODULES}
     assert unreferenced_definitions(
         modules, [p.read_text() for p in READERS]) == []
+
+
+def unread_fields(config_source, readers):
+    """(class, field) of each field of a dataclass in config_source that no
+    source in ``readers`` reads as an attribute.  Names are matched alone,
+    so a same-named attribute of another object also counts as a read."""
+    read = {n.attr for source in readers for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [(node.name, stmt.target.id)
+            for node in ast.parse(config_source).body
+            if isinstance(node, ast.ClassDef)
+            and any("dataclass" in names_read(d) for d in node.decorator_list)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read]
+
+
+def test_checker_finds_an_unread_field():
+    config = ("@dataclass\nclass Cfg:\n    used: int = 1\n    set_only: int = 2\n"
+              "    unread: bool = True\n\n    def __post_init__(self):\n"
+              "        assert self.unread\n\n\nclass Plain:\n    other: int = 0\n")
+    user = "def f(cfg):\n    cfg.set_only = cfg.used\n    return replace(cfg, unread=False)\n"
+    assert unread_fields(config, [user]) == [("Cfg", "set_only"), ("Cfg", "unread")]
+
+
+def test_every_config_field_read():
+    # config.py's own checks do not count: a field only they read
+    # configures nothing
+    assert unread_fields((SRC / "config.py").read_text(),
+                         [p.read_text() for p in MODULES
+                          if p.name != "config.py"]) == []

@@ -233,16 +233,6 @@ class TestSaveLoad:
             for a, b in zip(net.parameters(), loaded.parameters()):
                 assert np.array_equal(a, b)
 
-    def test_manifest_written(self, tmp_path):
-        net = MlpNet([4, 32, 32, 1], "tanh", seed=0)
-        path = str(tmp_path / "net.bin")
-        net.save(path)
-        import json
-        with open(path + ".manifest.json") as fh:
-            man = json.load(fh)
-        assert man["sizes"] == [4, 32, 32, 1]
-        assert man["n_parameters"] == 4 * 32 + 32 + 32 * 32 + 32 + 32 + 1
-
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
