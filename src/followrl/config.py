@@ -7,6 +7,7 @@ IDM baseline and surrogate powertrain lives here so that a single
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 
@@ -155,16 +156,21 @@ _SECTIONS = {
 
 def _coerce(current, raw, where):
     """raw read as the type of current, the field's default: an int, a
-    float, or a tuple of ints split at commas or spaces.  A value that does
-    not parse raises a ValueError naming ``where`` and raw."""
+    finite float, or a tuple of ints split at commas or spaces.  A value
+    that does not parse, or a float that is nan or infinite, raises a
+    ValueError naming ``where`` and raw."""
     try:
         if isinstance(current, tuple):
             return tuple(int(x) for x in raw.replace(",", " ").split())
-        return type(current)(raw)
+        value = type(current)(raw)
     except ValueError:
         kind = ("tuple of ints" if isinstance(current, tuple)
                 else type(current).__name__)
         raise ValueError(f"{where}: {raw!r} is not a valid {kind}") from None
+    # comparisons with nan are false, so most field checks would pass it
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{where}: {raw!r} is not a finite float")
+    return value
 
 
 def load_config(path):

@@ -14,7 +14,8 @@ import numpy as np
 
 from .config import LEADER_OU, DdpgConfig, OuParams, RewardConfig, SimConfig
 from .evaluate import Scenario, run_scenario
-from .nets import AdamState, MlpNet, opt_step, soft_update
+from .nets import (AdamState, MlpNet, hard_update, member_cache, opt_step,
+                   soft_update)
 from .simcore import (FollowEnv, OuNoise, gen_leader_profile, normalize_state,
                       scale_action, unscale_action)
 
@@ -29,7 +30,10 @@ ACTOR_LR = 1e-4
 ACTOR_DELAY = 5000
 PREACT_L2 = 1e-3
 
-_NETS = ("actor", "critic", "actor_target", "critic_target")
+# the four nets, each a member (stack attribute, row) of a DdpgAgent: an
+# online net and its target are one K = 2 stack
+_NETS = {"actor": ("actors", 0), "critic": ("critics", 0),
+         "actor_target": ("actors", 1), "critic_target": ("critics", 1)}
 
 # normalized state (v, a, v_l, g); see simcore.normalize_state
 STATE_DIM = 4
@@ -150,8 +154,25 @@ def sample_mixed(sim_buf, practical_buf, batch_size, r, rng):
     return Batch.concat(parts).take(rng.permutation(batch_size))
 
 
+def _member(name):
+    """One of the four nets: reading gives its member view, and assigning
+    a net of the same architecture copies its parameters in."""
+    return property(lambda agent: agent._members[name],
+                    lambda agent, net: hard_update(agent._members[name], net))
+
+
 class DdpgAgent:
-    """Actor-critic pair with target networks and OU exploration noise."""
+    """Actor-critic pair with target networks and OU exploration noise.
+
+    Each online net and its target are one K = 2 stack: ``actors`` holds
+    [actor, actor_target] and ``critics`` [critic, critic_target], so
+    train_step runs each pair's forwards as one.  The four nets are that
+    stack's member views."""
+
+    actor = _member("actor")
+    critic = _member("critic")
+    actor_target = _member("actor_target")
+    critic_target = _member("critic_target")
 
     def __init__(self, cfg: DdpgConfig = None, sim_cfg: SimConfig = None, seed=0):
         self.cfg = cfg or DdpgConfig()
@@ -159,25 +180,28 @@ class DdpgAgent:
         hidden = list(self.cfg.hidden)
         ss = np.random.SeedSequence(seed)
         actor_seed, critic_seed, agent_seed, head_seed = ss.spawn(4)
-        self.actor = MlpNet([STATE_DIM] + hidden + [1], "tanh", seed=actor_seed)
-        self.critic = MlpNet([STATE_DIM + 1] + hidden + [1], "linear",
-                             seed=critic_seed)
+        actor = MlpNet([STATE_DIM] + hidden + [1], "tanh", seed=actor_seed)
+        critic = MlpNet([STATE_DIM + 1] + hidden + [1], "linear",
+                        seed=critic_seed)
         # near-zero output heads keep the initial Q surface flat and the
         # first actions nearly state-independent.  The actor head's bias then
         # starts at the pre-activation of 0 m/s^2: u = 0 maps to -2 m/s^2,
         # and braking at standstill leaves the follower where it is, so an
         # actor that starts there never reaches the leader to learn from it.
         head_rng = np.random.default_rng(head_seed)
-        for net in (self.actor, self.critic):
+        for net in (actor, critic):
             net.weights[-1][...] = head_rng.uniform(-3e-3, 3e-3,
                                                     net.weights[-1].shape)
             net.biases[-1][...] = head_rng.uniform(-3e-3, 3e-3,
                                                    net.biases[-1].shape)
-        self.actor.biases[-1] += np.arctanh(unscale_action(0.0, self.sim_cfg))
+        actor.biases[-1] += np.arctanh(unscale_action(0.0, self.sim_cfg))
         # once the actor learns, the heads no longer keep it out of
-        # saturation: ACTOR_DELAY, ACTOR_LR and PREACT_L2 do (see above)
-        self.actor_target = self.actor.copy()
-        self.critic_target = self.critic.copy()
+        # saturation: ACTOR_DELAY, ACTOR_LR and PREACT_L2 do (see above).
+        # Each target starts as a copy of its online net.
+        self.actors = MlpNet.stack([actor, actor])
+        self.critics = MlpNet.stack([critic, critic])
+        self._members = {name: getattr(self, stack).member(k)
+                         for name, (stack, k) in _NETS.items()}
         self._reset_optimizers()
         self.noise = OuNoise(self.cfg.noise, self.sim_cfg.dt)
         self.rng = np.random.default_rng(agent_seed)
@@ -201,7 +225,8 @@ class DdpgAgent:
     def train_step(self, batch, update_actor=True):
         """One critic regression + actor ascent + target soft update on a
         Batch.  With update_actor=False the actor (not its soft target) is
-        held.
+        held, and the returned "actor_q", the batch mean of Q(s, actor(s))
+        after the critic step, is None.
         A non-finite critic loss raises ValueError before any net changes."""
         if not batch:
             raise ValueError("train_step needs a non-empty batch")
@@ -209,35 +234,45 @@ class DdpgAgent:
         s, a, r, s2, done = batch.columns
         a = unscale_action(a[:, None], self.sim_cfg)
         live = 1.0 - done[:, None]
+        actor, critic = self.actor, self.critic
 
-        a2 = self.actor_target.forward(s2)
-        q2 = self.critic_target.forward(np.concatenate((s2, a2), axis=1))
+        # the critic step leaves the actor as it is, so actor(s) and
+        # actor_target(s') are one stacked forward; then critic(s, a) and
+        # critic_target(s', a') are another
+        xs = np.empty((2, n, STATE_DIM))
+        xs[0], xs[1] = s, s2
+        (u, a2), acache = self.actors.forward(xs, cache=True)
+        xc = np.empty((2, n, STATE_DIM + 1))
+        xc[:, :, :STATE_DIM] = xs
+        xc[0, :, STATE_DIM:], xc[1, :, STATE_DIM:] = a, a2
+        (q, q2), ccache = self.critics.forward(xc, cache=True)
         y = r[:, None] + self.cfg.gamma * live * q2
-
-        q, cache = self.critic.forward(np.concatenate((s, a), axis=1), cache=True)
         diff = q - y
         critic_loss = float((diff ** 2).sum() / n)
         if not math.isfinite(critic_loss):
             raise ValueError(f"non-finite critic loss {critic_loss}: the batch "
                              "or the nets hold a non-finite value")
-        grads = self.critic.backward(cache, 2.0 * diff / n)
-        opt_step(self.critic, grads, self.critic_opt)
+        grads = critic.backward(member_cache(ccache, 0), 2.0 * diff / n,
+                                need_input=False)
+        opt_step(critic, grads, self.critic_opt)
 
-        u, acache = self.actor.forward(s, cache=True)
-        qa, ccache = self.critic.forward(np.concatenate((s, u), axis=1),
-                                         cache=True)
+        actor_q = None
         if update_actor:
-            dq = self.critic.input_grad(ccache, np.full((n, 1), 1.0 / n))
+            qa, qcache = critic.forward(np.concatenate((s, u), axis=1),
+                                        cache=True)
+            dq = critic.input_grad(qcache, np.full((n, 1), 1.0 / n))
             da = dq[:, STATE_DIM:]
             # ascend on Q - PREACT_L2 * mean(z^2), z the head's
             # pre-activation, by descending on its negative
+            acache = member_cache(acache, 0)
             dpre = 2.0 * PREACT_L2 * acache["pre"][-1] / n
-            opt_step(self.actor, self.actor.backward(acache, -da, dpre),
+            opt_step(actor, actor.backward(acache, -da, dpre, need_input=False),
                      self.actor_opt)
+            actor_q = float(qa.sum() / n)
 
-        soft_update(self.actor_target, self.actor, self.cfg.tau)
-        soft_update(self.critic_target, self.critic, self.cfg.tau)
-        return {"critic_loss": critic_loss, "actor_q": float(qa.sum() / n)}
+        soft_update(self.actor_target, actor, self.cfg.tau)
+        soft_update(self.critic_target, critic, self.cfg.tau)
+        return {"critic_loss": critic_loss, "actor_q": actor_q}
 
     # -- persistence ---------------------------------------------------------
     def save(self, out_dir):
@@ -246,16 +281,21 @@ class DdpgAgent:
             getattr(self, name).save(os.path.join(out_dir, name + ".bin"))
 
     def load(self, out_dir):
-        """Replace the four nets with the ones saved in out_dir and restart
+        """Copy the four nets saved in out_dir into this agent's and restart
         both optimizers at t = 0 with zero moments; a net whose layer sizes
-        differ from this agent's is rejected."""
+        or head differ from this agent's is rejected before any is
+        copied."""
         nets = {}
         for name in _NETS:
             path = os.path.join(out_dir, name + ".bin")
-            nets[name] = MlpNet.load(path)
-            if nets[name].sizes != getattr(self, name).sizes:
-                raise ValueError(f"{path}: layer sizes {nets[name].sizes} != "
-                                 f"this agent's {getattr(self, name).sizes}")
+            net, own = MlpNet.load(path), getattr(self, name)
+            if net.sizes != own.sizes:
+                raise ValueError(f"{path}: layer sizes {net.sizes} != "
+                                 f"this agent's {own.sizes}")
+            if net.out_activation != own.out_activation:
+                raise ValueError(f"{path}: {net.out_activation} head != "
+                                 f"this agent's {own.out_activation}")
+            nets[name] = net
         for name, net in nets.items():
             setattr(self, name, net)
         self._reset_optimizers()

@@ -2,7 +2,9 @@
 
 Explicit forward/backward for the fixed MLP graph (ReLU hidden layers,
 linear or tanh head), Adam updates, hard/soft target copies, and a small
-binary parameter format that round-trips bit-exactly.
+binary parameter format that round-trips bit-exactly.  K nets of one
+architecture can be held as one stack whose forward is one matmul per
+layer over the leading member axis, bit for bit the K solo forwards.
 """
 
 import struct
@@ -15,7 +17,11 @@ _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
 
 class MlpNet:
-    """Stack of affine layers, ReLU between them, configurable head."""
+    """Stack of affine layers, ReLU between them, configurable head.
+
+    A solo net's ``flat`` is its (P,) parameter vector.  ``MlpNet.stack``
+    holds K nets of one architecture as a net whose ``flat`` is (K, P),
+    one row per member; ``member(k)`` is a solo net bound to row k."""
 
     def __init__(self, sizes, out_activation="linear", seed=None):
         if len(sizes) < 2:
@@ -30,13 +36,38 @@ class MlpNet:
             b[...] = rng.uniform(-bound, bound, size=b.shape)
 
     def _bind(self, sizes, out_activation, flat):
-        """Adopt ``flat`` as the parameter vector, with weights and biases
-        its _views: every write to them must be in place."""
+        """Adopt ``flat`` as the parameter vector, or the (K, P) rows of a
+        stack, with weights and biases its _views: every write to them must
+        be in place."""
         self.sizes = [int(s) for s in sizes]
         self.out_activation = out_activation
         self.flat = flat
-        self.weights, self.biases = _views(self.sizes, flat)
+        self._lead = flat.shape[:-1]
+        self._layout = _layout(self.sizes)
+        self.weights, self.biases = _views(self._layout, flat)
         return self
+
+    @classmethod
+    def stack(cls, nets):
+        """K solo nets of one architecture as one net: ``flat`` (K, P),
+        weights (K, n_in, n_out) and biases (K, 1, n_out), all views into
+        it.  The parameters are copied in; member k starts equal to
+        nets[k]."""
+        first = nets[0]
+        for net in nets:
+            _check_same_arch(first, net)
+            if net.flat.ndim != 1:
+                raise ValueError("a stack is made of solo nets")
+        return cls.__new__(cls)._bind(first.sizes, first.out_activation,
+                                      np.stack([net.flat for net in nets]))
+
+    def member(self, k):
+        """Solo net bound to row k of this stack: it reads and writes the
+        stack's parameters."""
+        if self.flat.ndim != 2:
+            raise ValueError("a solo net has no members")
+        return MlpNet.__new__(MlpNet)._bind(self.sizes, self.out_activation,
+                                            self.flat[k])
 
     @property
     def n_layers(self):
@@ -51,17 +82,23 @@ class MlpNet:
 
     def forward(self, x, cache=False):
         """Forward pass for a batch x of shape (n, sizes[0]), one sample
-        per row; returns (n, sizes[-1]).
+        per row; returns (n, sizes[-1]).  A stack of K takes (K, n,
+        sizes[0]), member k's batch in x[k], and returns (K, n, sizes[-1]).
 
-        With cache=True returns (output, cache) for a later backward().
+        With cache=True returns (output, cache) for a later backward();
+        ``member_cache`` takes a member's share of a stack's cache.
         """
         h = np.asarray(x, dtype=float)
-        if h.ndim != 2 or h.shape[1] != self.sizes[0]:
-            raise ValueError(f"input shape {h.shape} is not (n, {self.sizes[0]})")
+        lead = self._lead
+        if (h.ndim != len(lead) + 2 or h.shape[:-2] != lead
+                or h.shape[-1] != self.sizes[0]):
+            want = ", ".join([*map(str, lead), "n", str(self.sizes[0])])
+            raise ValueError(f"input shape {h.shape} is not ({want})")
         pre, post = [], [h]
         last = self.n_layers - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
+            z = h @ w
+            z += b
             pre.append(z)
             if i < last:
                 h = np.maximum(z, 0.0)
@@ -74,47 +111,59 @@ class MlpNet:
             return h, {"pre": pre, "post": post}
         return h
 
-    def backward(self, cache, dout, dpre=None):
+    def backward(self, cache, dout, dpre=None, need_input=True):
         """Exact gradients for every parameter and the input, given the
         gradient of a scalar loss w.r.t. the network output.  ``dpre`` adds
         the gradient of an extra loss term on the head's pre-activation.
         "flat" holds the parameter gradients in ``self.flat``'s layout, and
-        "weights" and "biases" are its _views."""
+        "weights" and "biases" are its _views.  With need_input=False the
+        "input" entry is None and its last matmul is skipped.  A stack's
+        members each run their own backward (see member_cache)."""
+        if self._lead:
+            raise ValueError("backward runs on a solo net or a member")
         flat = np.empty_like(self.flat)
-        dw, db = _views(self.sizes, flat)
-        din = self._backprop(cache, dout, dpre, dw, db)
+        dw, db = _views(self._layout, flat)
+        din = self._backprop(cache, dout, dpre, dw, db, need_input)
         return {"flat": flat, "weights": dw, "biases": db, "input": din}
 
     def input_grad(self, cache, dout):
         """The "input" entry of backward(cache, dout), bit for bit, without
         computing the parameter gradients."""
-        return self._backprop(cache, dout, None, None, None)
+        return self._backprop(cache, dout, None, None, None, True)
 
-    def _backprop(self, cache, dout, dpre, dw, db):
-        """Input gradient; also fills the views dw, db unless they are None."""
+    def _backprop(self, cache, dout, dpre, dw, db, need_input):
+        """Input gradient, or None unless need_input; also fills the views
+        dw, db unless they are None."""
         if cache is None or "post" not in cache:
             raise ValueError("backward needs the cache from a forward call")
         last = self.n_layers - 1
+        pre, post = cache["pre"], cache["post"]
         grad = np.asarray(dout, dtype=float)
         for i in range(last, -1, -1):
             if i == last:
                 if self.out_activation == "tanh":
                     # the cached output is tanh(z)
-                    grad = grad * (1.0 - cache["post"][i + 1] ** 2)
+                    grad = grad * (1.0 - post[i + 1] ** 2)
                 if dpre is not None:
                     grad = grad + dpre
             else:
-                grad = grad * (cache["pre"][i] > 0.0)
+                # grad is the fresh product of the layer above
+                grad *= pre[i] > 0.0
             if dw is not None:
-                np.matmul(cache["post"][i].T, grad, out=dw[i])
-                grad.sum(axis=0, out=db[i])
+                np.matmul(post[i].T, grad, dw[i])
+                np.add.reduce(grad, 0, None, db[i])
+            if i == 0 and not need_input:
+                return None
             grad = grad @ self.weights[i].T
         return grad
 
     def save(self, path):
         """One flat binary file: magic, layer count, sizes, activation code,
         then all float64 parameters.  The header is the file's whole
-        description, which load() reads and checks."""
+        description, which load() reads and checks.  A stack saves member
+        by member."""
+        if self._lead:
+            raise ValueError("save writes a solo net; save each member")
         with open(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<I", len(self.sizes)))
@@ -149,17 +198,34 @@ class MlpNet:
         return cls.__new__(cls)._bind(sizes, _ACT_NAMES[act], flat)
 
 
-def _views(sizes, flat):
-    """Weight (n_in, n_out) and bias (n_out,) views into a vector of
-    _n_parameters(sizes) values, laid out in file order W0, b0, W1, b1, ..."""
-    weights, biases = [], []
-    end = 0
+def member_cache(cache, k):
+    """Member k's share of a stack's forward cache, as its own forward
+    would have cached it: views, for that member's backward or input_grad."""
+    return {"pre": [z[k] for z in cache["pre"]],
+            "post": [h[k] for h in cache["post"]]}
+
+
+def _layout(sizes):
+    """Per layer: the weight slice, the weight shape and the bias slice of
+    a vector of _n_parameters(sizes) values, in file order W0, b0, W1, b1,
+    ..."""
+    layout, end = [], 0
     for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-        start, end = end, end + n_in * n_out
-        weights.append(flat[start:end].reshape(n_in, n_out))
-        biases.append(flat[end:end + n_out])
-        end += n_out
-    return weights, biases
+        start, mid, end = end, end + n_in * n_out, end + (n_in + 1) * n_out
+        layout.append((slice(start, mid), (n_in, n_out), slice(mid, end)))
+    return layout
+
+
+def _views(layout, flat):
+    """Weight and bias views into flat in _layout's order: (n_in, n_out)
+    and (n_out,) for a vector, (K, n_in, n_out) and (K, 1, n_out) for the
+    (K, P) rows of a stack."""
+    if flat.ndim == 1:
+        return ([flat[w].reshape(shape) for w, shape, _ in layout],
+                [flat[b] for _, _, b in layout])
+    k = len(flat)
+    return ([flat[:, w].reshape(k, *shape) for w, shape, _ in layout],
+            [flat[:, b].reshape(k, 1, -1) for _, _, b in layout])
 
 
 def _n_parameters(sizes):
@@ -178,6 +244,8 @@ class AdamState:
         self.t = 0
         self.m = np.zeros_like(net.flat)
         self.v = np.zeros_like(net.flat)
+        # opt_step's scratch: it writes its temporaries here
+        self.work = (np.empty_like(net.flat), np.empty_like(net.flat))
 
 
 def opt_step(net: MlpNet, grads, state: AdamState):
@@ -191,11 +259,24 @@ def opt_step(net: MlpNet, grads, state: AdamState):
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
     m, v = state.m, state.v
+    step, denom = state.work
+    # m = b1*m + (1 - b1)*g, v = b2*v + (1 - b2)*g*g and then
+    # flat -= lr*(m/bias1) / (sqrt(v/bias2) + eps), in this order of
+    # operations, with every temporary in the scratch arrays
     m *= b1
-    m += (1.0 - b1) * g
+    np.multiply(1.0 - b1, g, step)
+    m += step
     v *= b2
-    v += (1.0 - b2) * g * g
-    net.flat -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+    np.multiply(1.0 - b2, g, step)
+    step *= g
+    v += step
+    np.divide(m, bias1, step)
+    np.multiply(state.lr, step, step)
+    np.divide(v, bias2, denom)
+    np.sqrt(denom, denom)
+    denom += ADAM_EPS
+    step /= denom
+    net.flat -= step
 
 
 FIT_BATCH = 32
@@ -220,7 +301,8 @@ def fit_mse(sizes, x, y, lo, hi, epochs, seed):
             u, cache = net.forward(x[idx], cache=True)
             diff = lo + (u + 1.0) / 2.0 * (hi - lo) - y[idx]
             # d(mse)/du = 2*diff/m * d(pred)/du, d(pred)/du = (hi - lo)/2
-            grads = net.backward(cache, 2.0 * diff * ((hi - lo) / 2.0) / len(idx))
+            grads = net.backward(cache, 2.0 * diff * ((hi - lo) / 2.0) / len(idx),
+                                 need_input=False)
             opt_step(net, grads, opt)
     return net
 

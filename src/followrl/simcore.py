@@ -57,13 +57,13 @@ def ou_path(params: OuParams, n_steps, dt, seed=None):
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     rng = np.random.default_rng(seed)
-    x = np.empty(n_steps)
-    x[0] = params.x0
+    x = [float(params.x0)]
     if n_steps > 1:
         noise = params.sigma * math.sqrt(dt) * rng.standard_normal(n_steps - 1)
-        for k in range(n_steps - 1):
-            x[k + 1] = x[k] + params.theta * (params.mu - x[k]) * dt + noise[k]
-    return x
+        # Python floats: the same IEEE arithmetic as numpy scalars, faster
+        for xi in noise.tolist():
+            x.append(x[-1] + params.theta * (params.mu - x[-1]) * dt + xi)
+    return np.array(x)
 
 
 class OuNoise:
@@ -91,24 +91,23 @@ def gen_leader_profile(seed, duration, cfg: SimConfig, ou: OuParams = LEADER_OU)
         raise ValueError("duration must be positive")
     n = max(1, int(round(duration / cfg.dt)))
     raw = ou_path(OuParams(ou.theta, ou.sigma, ou.mu, 0.0), n, cfg.dt, seed=seed)
-    v = np.empty(n)
-    v[0] = 0.0
-    for k in range(1, n):
-        lo = v[k - 1] + cfg.a_min * cfg.dt
-        hi = v[k - 1] + cfg.a_max * cfg.dt
-        v[k] = min(max(min(max(raw[k], lo), hi), 0.0), cfg.v_des)
-    return v
+    dv_min, dv_max = cfg.a_min * cfg.dt, cfg.a_max * cfg.dt
+    v = [0.0]
+    for x in raw.tolist()[1:]:
+        lo, hi = v[-1] + dv_min, v[-1] + dv_max
+        v.append(min(max(min(max(x, lo), hi), 0.0), cfg.v_des))
+    return np.array(v)
 
 
 def write_csv(path, header, rows):
     """Numeric CSV: the header line, then one line per row of ``rows``, an
-    (n, len(header)) array, each value written as repr(float) so that it
-    reads back bit-exactly."""
+    (n, len(header)) array, each value written as repr(float) (csv.writer's
+    form for a float) so that it reads back bit-exactly."""
     rows = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(map(repr, row) for row in rows.tolist())
+        w.writerows(rows.tolist())
 
 
 def read_csv(path, header):

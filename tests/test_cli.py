@@ -238,6 +238,20 @@ class TestConfigFile:
                            "is not a valid"):
             load_config(str(cfg))
 
+    @pytest.mark.parametrize("section, key, raw", [
+        ("reward", "w_gap", "nan"), ("sim", "dt", "inf"),
+        ("reward", "g_min", "-inf"), ("ddpg", "lr", "NaN"),
+        ("leader_ou", "sigma", "+Infinity")])
+    def test_non_finite_float_rejected(self, tmp_path, section, key, raw):
+        # comparisons with nan are false, so [reward] w_gap = nan once
+        # loaded and reward-probe printed "total nan"
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {raw}\n")
+        with pytest.raises(ValueError,
+                           match=rf"^\[{section}\] {key}: '{re.escape(raw)}' "
+                           "is not a finite float$"):
+            load_config(str(cfg))
+
     def test_unknown_key_rejected(self, tmp_path):
         # a removed field is an unknown key: stage 2 always explores now
         cfg = tmp_path / "lab.cfg"

@@ -1,21 +1,25 @@
 import dataclasses
 import hashlib
+import math
 import os
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from followrl import (DdpgAgent, DdpgConfig, ReplayBuffer, RewardConfig,
-                      SimConfig, Transition, datasets, sample_mixed)
+from followrl import (DdpgAgent, DdpgConfig, MlpNet, ReplayBuffer,
+                      RewardConfig, SimConfig, Transition, datasets, ddpg,
+                      sample_mixed)
 from followrl.baselines import IdmController, bc_train, calibrate_idm
 from followrl.config import IdmParams, PowertrainParams
 from followrl.control import (collect_reverse_data, read_reverse_csv,
                               train_control_net, write_reverse_csv)
-from followrl.ddpg import (Batch, mix_count, train_fully_offpolicy,
-                           train_stage1, train_stage2)
+from followrl.ddpg import (PREACT_L2, STATE_DIM, Batch, mix_count,
+                           train_fully_offpolicy, train_stage1, train_stage2)
+from followrl.nets import AdamState, opt_step, soft_update
 from followrl.evaluate import compare_report, run_scenario, self_defined_profile
 from followrl.simcore import gen_leader_profile, unscale_action, write_leader_csv
 
@@ -322,6 +326,19 @@ class TestTrainStep:
         with pytest.raises(ValueError):
             DdpgAgent(seed=0).train_step(Batch.empty(0))
 
+    def test_held_update_has_no_actor_q(self):
+        # a held update skips the Q(s, actor(s)) forward that only fed
+        # actor_q; the critic still learns
+        agent = DdpgAgent(seed=8)
+        rng = np.random.default_rng(19)
+        batch = batch_of([make_transition(rng) for _ in range(32)])
+        critic = agent.critic.flat.copy()
+        held = agent.train_step(batch, update_actor=False)
+        assert held["actor_q"] is None and math.isfinite(held["critic_loss"])
+        assert not np.array_equal(agent.critic.flat, critic)
+        moved = agent.train_step(batch)
+        assert isinstance(moved["actor_q"], float)
+
     def test_non_finite_loss_rejected_before_any_write(self):
         agent = DdpgAgent(seed=9)
         rng = np.random.default_rng(17)
@@ -334,6 +351,142 @@ class TestTrainStep:
         for name in NETS:
             assert np.array_equal(getattr(agent, name).flat, before[name])
         assert agent.critic_opt.t == agent.actor_opt.t == 0
+
+
+def reference_train_step(ref, batch, update_actor=True):
+    """DdpgAgent.train_step as five solo forwards on four separate nets:
+    the bit-for-bit reference for the stacked update.  ``ref`` holds the
+    four nets, both AdamStates, cfg and sim_cfg."""
+    n = len(batch)
+    s, a, r, s2, done = batch.columns
+    a = unscale_action(a[:, None], ref.sim_cfg)
+    live = 1.0 - done[:, None]
+
+    a2 = ref.actor_target.forward(s2)
+    q2 = ref.critic_target.forward(np.concatenate((s2, a2), axis=1))
+    y = r[:, None] + ref.cfg.gamma * live * q2
+
+    q, cache = ref.critic.forward(np.concatenate((s, a), axis=1), cache=True)
+    diff = q - y
+    critic_loss = float((diff ** 2).sum() / n)
+    grads = ref.critic.backward(cache, 2.0 * diff / n)
+    opt_step(ref.critic, grads, ref.critic_opt)
+
+    u, acache = ref.actor.forward(s, cache=True)
+    qa, ccache = ref.critic.forward(np.concatenate((s, u), axis=1), cache=True)
+    if update_actor:
+        dq = ref.critic.input_grad(ccache, np.full((n, 1), 1.0 / n))
+        da = dq[:, STATE_DIM:]
+        dpre = 2.0 * PREACT_L2 * acache["pre"][-1] / n
+        opt_step(ref.actor, ref.actor.backward(acache, -da, dpre),
+                 ref.actor_opt)
+
+    soft_update(ref.actor_target, ref.actor, ref.cfg.tau)
+    soft_update(ref.critic_target, ref.critic, ref.cfg.tau)
+    return {"critic_loss": critic_loss, "actor_q": float(qa.sum() / n)}
+
+
+def reference_of(agent):
+    """Solo copies of an agent's four nets with fresh optimizers at the
+    agent's learning rates, for reference_train_step."""
+    ref = SimpleNamespace(cfg=agent.cfg, sim_cfg=agent.sim_cfg,
+                          **{name: getattr(agent, name).copy() for name in NETS})
+    ref.actor_opt = AdamState(ref.actor, lr=agent.actor_opt.lr)
+    ref.critic_opt = AdamState(ref.critic, lr=agent.critic_opt.lr)
+    return ref
+
+
+def net_bytes(nets):
+    return [getattr(nets, name).flat.tobytes() for name in NETS]
+
+
+class TestStackedUpdate:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_five_forward_reference(self, seed):
+        # 50 consecutive updates, some with the actor held, on batches
+        # with done rows: every parameter, loss and actor Q bit for bit
+        agent = DdpgAgent(seed=seed)
+        ref = reference_of(agent)
+        rng = np.random.default_rng(100 + seed)
+        for step in range(50):
+            batch = batch_of([make_transition(rng, done=bool(rng.random() < 0.2))
+                              for _ in range(32)])
+            update_actor = step >= 10 and bool(rng.integers(2))
+            got = agent.train_step(batch, update_actor)
+            want = reference_train_step(ref, batch, update_actor)
+            assert got["critic_loss"] == want["critic_loss"]
+            assert got["actor_q"] == (want["actor_q"] if update_actor else None)
+            assert net_bytes(agent) == net_bytes(ref)
+        assert agent.actor_opt.t == ref.actor_opt.t > 0
+
+    def test_assigned_nets_train_as_loaded_ones(self, tmp_path):
+        # acceptance criterion 6 assigns .copy() nets into a fresh agent;
+        # that copies them into the agent's stacks and trains exactly as
+        # loading the same nets from disk
+        sim, rcfg = SimConfig(), RewardConfig()
+        source = DdpgAgent(seed=5)
+        train_stage1(source, 300, seed=5)
+        source.save(str(tmp_path / "src"))
+        practical = datasets.relabel_episodes(
+            datasets.make_synthetic(1, 0, sim, rcfg, duration=20.0),
+            sim, rcfg).to_buffer()
+        assigned, loaded = DdpgAgent(seed=0), DdpgAgent(seed=0)
+        copies = {name: getattr(source, name).copy() for name in NETS}
+        for name, net in copies.items():
+            setattr(assigned, name, net)
+            # the agent holds a copy, not the assigned object
+            assert getattr(assigned, name) is not net
+            assert not np.shares_memory(getattr(assigned, name).flat, net.flat)
+        loaded.load(str(tmp_path / "src"))
+        assert net_bytes(assigned) == net_bytes(loaded) == net_bytes(source)
+        hists = [train_stage2(agent, practical, 0.6, 200, seed=0)
+                 for agent in (assigned, loaded)]
+        assert hists[0] == hists[1]
+        assert assigned.critic_opt.t == 200 - assigned.cfg.batch_size + 1
+        assert net_bytes(assigned) == net_bytes(loaded) != net_bytes(source)
+
+    def test_assigning_another_architecture_rejected(self):
+        agent = DdpgAgent(seed=0)
+        with pytest.raises(ValueError, match="architecture"):
+            agent.actor = MlpNet([4, 16, 1], "tanh", seed=0)
+        with pytest.raises(ValueError, match="architecture"):
+            agent.critic_target = agent.actor.copy()
+
+    def test_members_share_the_stacks(self):
+        agent = DdpgAgent(seed=0)
+        for name, stack in (("actor", agent.actors), ("critic", agent.critics),
+                            ("actor_target", agent.actors),
+                            ("critic_target", agent.critics)):
+            assert np.shares_memory(getattr(agent, name).flat, stack.flat)
+        assert agent.actor.flat.tobytes() == agent.actor_target.flat.tobytes()
+        assert agent.critic.flat.tobytes() == agent.critic_target.flat.tobytes()
+
+    @pytest.mark.parametrize("update_actor, want", [
+        (True, {"forward": 3, "backward": 2, "input_grad": 1, "opt_step": 2,
+                "soft_update": 2}),
+        (False, {"forward": 2, "backward": 1, "input_grad": 0, "opt_step": 1,
+                 "soft_update": 2})])
+    def test_calls_per_update(self, monkeypatch, update_actor, want):
+        # the fused update: one stacked forward per online/target pair,
+        # and no Q(s, actor(s)) forward while the actor is held
+        calls = dict.fromkeys(want, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("forward", "backward", "input_grad"):
+            monkeypatch.setattr(MlpNet, name, counted(name, getattr(MlpNet, name)))
+        for name in ("opt_step", "soft_update"):
+            monkeypatch.setattr(ddpg, name, counted(name, getattr(ddpg, name)))
+        agent = DdpgAgent(seed=0)
+        rng = np.random.default_rng(20)
+        batch = batch_of([make_transition(rng) for _ in range(32)])
+        for _ in range(3):
+            agent.train_step(batch, update_actor)
+        assert calls == {name: 3 * count for name, count in want.items()}
 
 
 class TestConfigChecks:
@@ -396,6 +549,18 @@ class TestPersistence:
         agent = DdpgAgent(DdpgConfig(hidden=(32, 32)), seed=0)
         with pytest.raises(ValueError, match="actor.bin"):
             agent.load(str(tmp_path))
+
+    def test_load_rejects_another_head_before_copying(self, tmp_path):
+        # a critic file with a tanh head and the critic's sizes once loaded
+        # as the agent's critic; loading copies into the agent's stacks, so
+        # every file is checked before any net changes
+        DdpgAgent(seed=1).save(str(tmp_path))
+        MlpNet([5, 32, 32, 1], "tanh", seed=0).save(str(tmp_path / "critic.bin"))
+        agent = DdpgAgent(seed=2)
+        before = net_bytes(agent)
+        with pytest.raises(ValueError, match="critic.bin: tanh head"):
+            agent.load(str(tmp_path))
+        assert net_bytes(agent) == before
 
     def test_load_resets_optimizers(self, tmp_path):
         DdpgAgent(seed=3).save(str(tmp_path))

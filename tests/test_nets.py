@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from followrl import AdamState, MlpNet, opt_step, soft_update
-from followrl.nets import hard_update
+from followrl.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, hard_update, member_cache
 
 
 def straight_line_forward(net, x):
@@ -140,6 +142,21 @@ class TestBackward:
         with pytest.raises(ValueError):
             net.backward(None, np.zeros(2))
 
+    @pytest.mark.parametrize("sizes,act", ARCHS + [([4, 1], "tanh")])
+    def test_without_input_gradient(self, sizes, act):
+        # need_input=False skips only the input gradient's last matmul
+        rng = np.random.default_rng(3)
+        net = MlpNet(sizes, act, seed=6)
+        _, cache = net.forward(rng.standard_normal((9, sizes[0])), cache=True)
+        dout = rng.standard_normal((9, sizes[-1]))
+        dpre = rng.standard_normal((9, sizes[-1]))
+        full = net.backward(cache, dout, dpre)
+        trimmed = net.backward(cache, dout, dpre, need_input=False)
+        assert trimmed["input"] is None
+        assert trimmed["flat"].tobytes() == full["flat"].tobytes()
+        assert (net.input_grad(cache, dout).tobytes()
+                == net.backward(cache, dout)["input"].tobytes())
+
 
 class TestAdam:
     def test_zero_gradient_no_change(self):
@@ -177,6 +194,24 @@ class TestAdam:
         net = MlpNet([2, 3, 1], "linear", seed=0)
         with pytest.raises(ValueError, match="gradient shape"):
             opt_step(net, {"flat": np.zeros(net.flat.size - 1)}, AdamState(net))
+
+    def test_matches_textbook_expression(self):
+        # opt_step writes its temporaries into scratch arrays; the result
+        # must be the plain expression's, bit for bit, step after step
+        net = MlpNet([5, 32, 32, 1], "linear", seed=2)
+        ref, state = net.flat.copy(), AdamState(net, lr=3e-4)
+        m, v = np.zeros_like(ref), np.zeros_like(ref)
+        rng = np.random.default_rng(5)
+        for t in range(1, 41):
+            g = rng.standard_normal(ref.shape) * 10.0 ** rng.integers(-12, 3)
+            opt_step(net, {"flat": g}, state)
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+            ref -= (3e-4 * (m / (1.0 - ADAM_BETA1 ** t))
+                    / (np.sqrt(v / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPS))
+            assert net.flat.tobytes() == ref.tobytes()
+            assert state.m.tobytes() == m.tobytes()
+            assert state.v.tobytes() == v.tobytes()
 
 
 class TestSoftUpdate:
@@ -324,6 +359,69 @@ class TestFlatParameters:
         for net in (agent.actor, agent.critic,
                     agent.actor_target, agent.critic_target):
             assert_flat_views(net)
+
+
+def solo_nets(sizes, act, k, seed):
+    return [MlpNet(sizes, act, seed=seed + j) for j in range(k)]
+
+
+class TestStack:
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 40), min_size=2, max_size=4),
+           act=st.sampled_from(["linear", "tanh"]), k=st.integers(1, 3),
+           n=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
+    def test_members_match_solo_forwards(self, sizes, act, k, n, seed):
+        # one matmul per layer over the member axis gives each member's
+        # solo output and cache, bit for bit
+        nets = solo_nets(sizes, act, k, seed % 1000)
+        rng = np.random.default_rng(seed)
+        xs = [rng.standard_normal((n, sizes[0])) * 3.0 for _ in range(k)]
+        out, cache = MlpNet.stack(nets).forward(np.stack(xs), cache=True)
+        assert out.shape == (k, n, sizes[-1])
+        for j, (net, x) in enumerate(zip(nets, xs)):
+            solo, solo_cache = net.forward(x, cache=True)
+            assert out[j].tobytes() == solo.tobytes()
+            mine = member_cache(cache, j)
+            for key in ("pre", "post"):
+                assert [a.tobytes() for a in mine[key]] == \
+                       [a.tobytes() for a in solo_cache[key]]
+
+    def test_layout_and_members_are_views(self):
+        nets = solo_nets([5, 32, 32, 1], "linear", 2, 0)
+        pair = MlpNet.stack(nets)
+        p = nets[0].flat.size
+        assert pair.flat.shape == (2, p) and pair.flat.flags.c_contiguous
+        for layer, (w, b) in enumerate(zip(pair.weights, pair.biases)):
+            n_in, n_out = nets[0].weights[layer].shape
+            assert w.shape == (2, n_in, n_out) and b.shape == (2, 1, n_out)
+            assert np.shares_memory(w, pair.flat) and np.shares_memory(b, pair.flat)
+        for k, net in enumerate(nets):
+            member = pair.member(k)
+            assert member.flat.tobytes() == net.flat.tobytes()
+            assert not np.shares_memory(member.flat, net.flat)
+            assert_flat_views(member)
+            # a write through the member is a write to its stack row
+            member.biases[-1][...] = 7.0 + k
+            assert np.all(pair.biases[-1][k] == 7.0 + k)
+
+    def test_misuse_rejected(self):
+        a = MlpNet([4, 8, 1], "tanh", seed=0)
+        with pytest.raises(ValueError, match="architecture"):
+            MlpNet.stack([a, MlpNet([4, 8, 1], "linear", seed=0)])
+        pair = MlpNet.stack([a, a])
+        with pytest.raises(ValueError, match="solo nets"):
+            MlpNet.stack([pair, pair])
+        with pytest.raises(ValueError, match="no members"):
+            a.member(0)
+        with pytest.raises(ValueError, match=r"is not \(2, n, 4\)"):
+            pair.forward(np.ones((3, 5, 4)))
+        with pytest.raises(ValueError, match=r"is not \(2, n, 4\)"):
+            pair.forward(np.ones((5, 4)))
+        _, cache = pair.forward(np.ones((2, 5, 4)), cache=True)
+        with pytest.raises(ValueError, match="solo net or a member"):
+            pair.backward(cache, np.ones((2, 5, 1)))
+        with pytest.raises(ValueError, match="save each member"):
+            pair.save("unused.bin")
 
 
 def test_hard_update():

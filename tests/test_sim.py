@@ -10,7 +10,7 @@ from followrl.config import LEADER_OU
 from followrl.control import REVERSE_HEADER, read_reverse_csv
 from followrl.datasets import HEADER, parse_trajectory_csv
 from followrl.ddpg import _episode_scenario
-from followrl.simcore import LEADER_HEADER, read_csv
+from followrl.simcore import LEADER_HEADER, read_csv, write_csv
 
 CFG = SimConfig()
 
@@ -75,6 +75,46 @@ class TestOuPath:
     def test_deterministic(self):
         p = OuParams()
         assert np.array_equal(ou_path(p, 100, 0.1, seed=9), ou_path(p, 100, 0.1, seed=9))
+
+
+def reference_ou_path(params, n_steps, dt, seed):
+    """ou_path stepping numpy elements one by one: the bit-for-bit
+    reference for its Python-float loop."""
+    rng = np.random.default_rng(seed)
+    x = np.empty(n_steps)
+    x[0] = params.x0
+    noise = params.sigma * math.sqrt(dt) * rng.standard_normal(n_steps - 1)
+    for k in range(n_steps - 1):
+        x[k + 1] = x[k] + params.theta * (params.mu - x[k]) * dt + noise[k]
+    return x
+
+
+def reference_leader_profile(seed, duration, cfg, ou):
+    """gen_leader_profile over numpy elements, as reference_ou_path."""
+    n = max(1, int(round(duration / cfg.dt)))
+    raw = reference_ou_path(OuParams(ou.theta, ou.sigma, ou.mu, 0.0), n,
+                            cfg.dt, seed)
+    v = np.empty(n)
+    v[0] = 0.0
+    for k in range(1, n):
+        lo = v[k - 1] + cfg.a_min * cfg.dt
+        hi = v[k - 1] + cfg.a_max * cfg.dt
+        v[k] = min(max(min(max(raw[k], lo), hi), 0.0), cfg.v_des)
+    return v
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 400),
+       theta=st.floats(0.0, 2.0), sigma=st.floats(0.0, 5.0),
+       mu=st.floats(-10.0, 30.0), x0=st.floats(-10.0, 30.0),
+       dt=st.sampled_from([0.01, 0.05, 0.1, 0.3]))
+def test_episode_starts_match_element_loops(seed, n, theta, sigma, mu, x0, dt):
+    ou = OuParams(theta, sigma, mu, x0)
+    assert (ou_path(ou, n, dt, seed=seed).tobytes()
+            == reference_ou_path(ou, n, dt, seed).tobytes())
+    cfg = SimConfig(dt=dt)
+    assert (gen_leader_profile(seed, n * dt, cfg, ou).tobytes()
+            == reference_leader_profile(seed, n * dt, cfg, ou).tobytes())
 
 
 class TestLeaderProfile:
@@ -317,6 +357,17 @@ TRAJECTORY_BREAKS = {
 CSV_CASES = ([(reader, fault) for reader in CSV_READERS for fault in CSV_BREAKS]
              + [("reverse", fault) for fault in REVERSE_BREAKS]
              + [("trajectory", fault) for fault in TRAJECTORY_BREAKS])
+
+
+def test_write_csv_writes_each_float_as_its_repr(tmp_path):
+    # csv.writer writes a float as its repr, so the file holds the
+    # shortest text that reads back as the same double
+    rows = np.array([[0.1, -0.0, 1e-310, 1e22], [np.nan, np.inf, -np.inf, 2.0],
+                     [1 / 3, -5e-324, 123456789.125, 0.0]])
+    path = tmp_path / "values.csv"
+    write_csv(path, ["a", "b", "c", "d"], rows)
+    assert path.read_text().splitlines() == ["a,b,c,d"] + [
+        ",".join(map(repr, row)) for row in rows.tolist()]
 
 
 def test_csv_readers_accept_valid_files(tmp_path):
