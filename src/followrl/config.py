@@ -177,12 +177,16 @@ def load_config(path):
     """Read a key=value config file into a dict of config dataclasses.
 
     Sections map to the dataclasses above, and each value is read as the
-    type of its field's default.  Unknown sections or keys, and values that
-    do not parse, raise a ValueError naming them, so typos never pass
-    silently.  Missing sections fall back to defaults, and a path of None
-    gives the defaults of every section.
+    type of its field's default.  Keys match field names exactly, case
+    included.  Unknown sections or keys, and values that do not parse,
+    raise a ValueError naming them, so typos never pass silently.  Missing
+    sections fall back to defaults, and a path of None gives the defaults
+    of every section.
     """
     parser = configparser.ConfigParser()
+    # keys are field names, matched case-sensitively: configparser's default
+    # lowercasing would leave T, T_lim and IDM's T unreachable
+    parser.optionxform = str
     if path is not None:
         with open(path) as fh:
             parser.read_file(fh)

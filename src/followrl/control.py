@@ -136,7 +136,7 @@ def track_accel_commands(cn: ControlNet, model: PowertrainParams, commands,
     commanded accel."""
     v = v0
     achieved, speeds = [], []
-    for a_cmd in commands:
+    for a_cmd in np.asarray(commands, dtype=float).tolist():
         throttle, brake = accel_to_pedals(cn, v, a_cmd)
         accel, v = powertrain_step(model, throttle, brake, v, PEDAL_DT)
         achieved.append(accel)

@@ -93,18 +93,21 @@ def build_transitions(ep: FollowingEpisode, cfg: SimConfig, rcfg: RewardConfig):
     if n < 3:
         raise ValueError("episode too short to relabel (need >= 3 rows)")
     dt = cfg.dt
-    _, v_l, v, gap = ep.records.T
+    v = ep.records[:, 2]
     accel = (v[1:] - v[:-1]) / dt                       # a_t for t in [0, N-2]
     clipped = int(np.sum((accel < cfg.a_min) | (accel > cfg.a_max)))
     accel = np.clip(accel, cfg.a_min, cfg.a_max)
 
     jerk = (accel[1:] - accel[:-1]) / dt                # jerk[t-1] at row t
     # rows t in [1, N-1] normalized once: row t is the state of transition t
-    # and the next state of transition t-1
-    rows = np.array([normalize_state(*row, cfg)
-                     for row in zip(v[1:], accel, v_l[1:], gap[1:])])
+    # and the next state of transition t-1.  Python floats: the same IEEE
+    # arithmetic as numpy scalars, faster
+    _, vl_rows, v_rows, gap_rows = ep.records[1:].T.tolist()
+    rows = np.array([normalize_state(*row, cfg) for row in
+                     zip(v_rows, accel.tolist(), vl_rows, gap_rows)])
     rewards = np.array([reward_total(*row, rcfg).total for row in
-                        zip(v[2:], v_l[2:], gap[2:], jerk.tolist())])
+                        zip(v_rows[1:], vl_rows[1:], gap_rows[1:],
+                            jerk.tolist())])
     out = Batch(rows[:-1], accel[1:], rewards, rows[1:].copy(),
                 np.arange(n - 2) == n - 3)
     return RelabeledDataset(out, [(ep.id, n - 2)], clipped)

@@ -22,13 +22,19 @@ SUITE_DURATION = 100.0  # s, length of each synthetic_suite scenario
 
 
 def ttc(gap, v_f, v_l):
-    """Time to collision gap/(v_f - v_l) while closing; None otherwise."""
-    if gap <= 0:
+    """Time to collision gap/(v_f - v_l), element by element over gap and
+    speed columns: the quotient where closing (v_f > v_l), NaN elsewhere.
+    IEEE subtraction and division are correctly rounded, so each element
+    equals the scalar quotient; a closing speed so small that the quotient
+    overflows gives inf, without numpy's warning.  A gap <= 0 (a collision)
+    raises ValueError."""
+    gap, v_f, v_l = (np.asarray(c, dtype=float) for c in (gap, v_f, v_l))
+    if np.any(gap <= 0):
         raise ValueError("ttc requires gap > 0")
-    if v_f > v_l:
-        # as a Python float, an overflow gives inf without numpy's warning
-        return float(gap) / (v_f - v_l)
-    return None
+    out = np.full(gap.shape, math.nan)
+    with np.errstate(over="ignore"):
+        np.divide(gap, v_f - v_l, out=out, where=v_f > v_l)
+    return out
 
 
 @dataclass
@@ -90,7 +96,8 @@ def run_scenario(agent, sc: Scenario, cfg: SimConfig = None,
     """Deterministic greedy rollout of the agent through the scenario, one
     row per env step; also the loop behind greedy_eval and the recorded
     stand-in human data (datasets.rollout_episode).  Collision terminates
-    the trace on the collision row, with the collided flag set."""
+    the trace on the collision row, with the collided flag set and a NaN
+    TTC."""
     cfg = cfg or SimConfig()
     cfg = dataclasses.replace(cfg, max_steps=len(sc.profile) - 1)
     env = FollowEnv(cfg, rcfg or RewardConfig())
@@ -101,12 +108,15 @@ def run_scenario(agent, sc: Scenario, cfg: SimConfig = None,
         action = agent.act(env.follower.speed, env.follower.accel,
                            env.leader.speed, env.gap)
         _, reward, _, info = env.step(action)
-        tc = ttc(info.gap, info.v, info.v_l) if info.gap > 0 else None
         rows.append((info.t, info.v_l, info.v, info.gap, info.accel,
-                     info.jerk, reward, math.nan if tc is None else tc))
-    cols = [np.array(c) for c in zip(*rows)]
-    return RunTrace(getattr(agent, "name", type(agent).__name__), *cols,
-                    collided=info.collision)
+                     info.jerk, reward))
+    t, v_l, v, gap, accel, jerk, reward = (np.array(c) for c in zip(*rows))
+    # TTC from the columns once; a collision row keeps NaN
+    tc = np.full(len(t), math.nan)
+    ok = slice(len(t) - info.collision)
+    tc[ok] = ttc(gap[ok], v[ok], v_l[ok])
+    return RunTrace(getattr(agent, "name", type(agent).__name__), t, v_l, v,
+                    gap, accel, jerk, reward, tc, collided=info.collision)
 
 
 # builtin-s53's leader speed as (start s, speed at start m/s, slope m/s^2)

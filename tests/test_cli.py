@@ -260,6 +260,26 @@ class TestConfigFile:
                            r"in section \[ddpg\]"):
             load_config(str(cfg))
 
+    @pytest.mark.parametrize("section, key, raw, want", [
+        ("reward", "T", "1.0", 1.0), ("reward", "T_lim", "12", 12.0),
+        ("idm", "T", "1.2", 1.2)])
+    def test_capitalized_key_sets_its_field(self, tmp_path, section, key, raw,
+                                            want):
+        # configparser lowercases keys by default, so these fields were
+        # once rejected as unknown keys 't' and 't_lim'
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {raw}\n")
+        assert getattr(load_config(str(cfg))[section], key) == want
+
+    @pytest.mark.parametrize("section, key", [
+        ("reward", "t"), ("reward", "t_lim"), ("idm", "t"), ("sim", "DT")])
+    def test_wrong_case_key_rejected(self, tmp_path, section, key):
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text(f"[{section}]\n{key} = 1.0\n")
+        with pytest.raises(ValueError, match=rf"unknown key '{key}' in "
+                           rf"section \[{section}\]"):
+            load_config(str(cfg))
+
     def test_unknown_section_rejected(self, tmp_path):
         # a mistyped section name would drop all of its settings
         cfg = tmp_path / "lab.cfg"

@@ -1,38 +1,92 @@
 """Scenario runner, TTC statistics and comparison-report tests."""
 
+import dataclasses
 import hashlib
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from followrl.baselines import IdmController, idm_equilibrium_gap
-from followrl.config import RewardConfig, SimConfig
+from followrl.baselines import BcPolicy, IdmController, idm_equilibrium_gap
+from followrl.config import IdmParams, RewardConfig, SimConfig
+from followrl.ddpg import DdpgAgent, train_stage1
 from followrl.evaluate import (TRACE_COLUMNS, RunTrace, Scenario,
                                compare_report, run_scenario,
                                scenario_from_episode, self_defined_profile,
                                synthetic_suite, ttc, ttc_summary)
+from followrl.nets import MlpNet
+from followrl.simcore import FollowEnv
 
 
 class TestTtc:
     def test_basic_value(self):
-        assert ttc(20.0, 12.0, 10.0) == pytest.approx(10.0)
+        assert ttc([20.0], [12.0], [10.0]).tolist() == [pytest.approx(10.0)]
 
-    def test_opening_is_none(self):
-        assert ttc(20.0, 10.0, 12.0) is None
+    def test_opening_is_nan(self):
+        assert np.isnan(ttc([20.0], [10.0], [12.0])).all()
 
-    def test_equal_speeds_is_none(self):
-        assert ttc(20.0, 10.0, 10.0) is None
+    def test_equal_speeds_is_nan(self):
+        assert np.isnan(ttc([20.0], [10.0], [10.0])).all()
 
     def test_zero_gap_rejected(self):
         with pytest.raises(ValueError):
-            ttc(0.0, 12.0, 10.0)
+            ttc([5.0, 0.0], [12.0, 12.0], [10.0, 10.0])
 
     def test_overflow_is_inf_without_warning(self):
-        # the env's gap is a numpy float; a follower creeping 1e-308 m/s
-        # faster than its leader once raised numpy's overflow warning
-        assert ttc(np.float64(3.7), 1e-308, 0.0) == math.inf
+        # a follower creeping 1e-308 m/s faster than its leader overflows
+        # the quotient; pytest turns numpy's overflow warning into an error
+        assert ttc([3.7], [1e-308], [0.0]).tolist() == [math.inf]
+
+
+def scalar_ttc(gap, v_f, v_l):
+    """The per-step TTC that run_scenario took before TTC came from the
+    trace columns: the reference for ttc, row by row."""
+    if gap <= 0:
+        raise ValueError("ttc requires gap > 0")
+    if v_f > v_l:
+        return float(gap) / (v_f - v_l)
+    return None
+
+
+GAPS = st.floats(0.0, 250.0, exclude_min=True)
+SPEEDS = st.floats(0.0, 40.0)
+TTC_ROWS = st.one_of(
+    st.tuples(GAPS, SPEEDS, SPEEDS),                        # either way
+    st.builds(lambda g, v: (g, v, v), GAPS, SPEEDS),        # equal speeds
+    st.tuples(GAPS, st.just(1e-308), st.just(0.0)))         # may overflow
+
+
+class TestTtcColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(TTC_ROWS, max_size=30))
+    @example(rows=[(3.7, 1e-308, 0.0), (20.0, 12.0, 10.0), (20.0, 10.0, 12.0),
+                   (20.0, 10.0, 10.0)])
+    def test_matches_scalar_row_by_row(self, rows):
+        # closing, opening and equal speeds; 3.7 m closed at 1e-308 m/s
+        # overflows to inf, and pytest turns any numpy warning into an error
+        gap, v_f, v_l = np.array(rows, dtype=float).reshape(-1, 3).T
+        got = ttc(gap, v_f, v_l)
+        assert got.shape == (len(rows),)
+        for value, row in zip(got.tolist(), rows):
+            want = scalar_ttc(*row)
+            if want is None:
+                assert math.isnan(value)
+            else:
+                assert value == want
+        if (3.7, 1e-308, 0.0) in rows:
+            assert math.inf in got.tolist()
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.lists(TTC_ROWS, max_size=10),
+           bad=st.floats(max_value=0.0, allow_nan=False), at=st.integers(0, 10))
+    def test_gap_at_or_below_zero_rejected(self, rows, bad, at):
+        rows.insert(min(at, len(rows)), (bad, 12.0, 10.0))
+        gap, v_f, v_l = np.array(rows).T
+        with pytest.raises(ValueError, match="gap > 0"):
+            ttc(gap, v_f, v_l)
 
 
 def _trace_with_ttc(vals):
@@ -175,6 +229,87 @@ class TestScenarios:
         assert sc.initial_gap == ep.records[0, 3]
         assert sc.follower_speed == ep.records[0, 2]
         assert np.array_equal(sc.profile, ep.records[:, 1])
+
+
+def reference_run_scenario(agent, sc, cfg, rcfg):
+    """run_scenario as it was before it took TTC from the trace columns:
+    a scalar TTC per step, and the leader profile a numpy array in the env
+    as FollowEnv held it then, so that every value derived from the leader
+    speed is a numpy scalar.  The bit-for-bit reference for run_scenario."""
+    cfg = dataclasses.replace(cfg, max_steps=len(sc.profile) - 1)
+    env = FollowEnv(cfg, rcfg)
+    env.reset(sc.profile, initial_gap=sc.initial_gap,
+              follower_speed=sc.follower_speed)
+    env.profile = np.asarray(sc.profile, dtype=float)
+    rows = []
+    while not env.done:
+        action = agent.act(env.follower.speed, env.follower.accel,
+                           env.leader.speed, env.gap)
+        _, reward, _, info = env.step(action)
+        tc = scalar_ttc(info.gap, info.v, info.v_l) if info.gap > 0 else None
+        rows.append((info.t, info.v_l, info.v, info.gap, info.accel,
+                     info.jerk, reward, math.nan if tc is None else tc))
+    cols = [np.array(c) for c in zip(*rows)]
+    return RunTrace(getattr(agent, "name", type(agent).__name__), *cols,
+                    collided=info.collision)
+
+
+AGENTS = {
+    "idm": lambda cfg: IdmController(IdmParams(), cfg),
+    "bc": lambda cfg: BcPolicy(MlpNet([4, 32, 32, 1], "tanh", seed=5), cfg),
+    "ddpg": lambda cfg: DdpgAgent(sim_cfg=cfg, seed=0),
+}
+# from 15 m/s, 5 m behind a standing leader: even a_min cannot stop in time
+CRASH = Scenario("crash", np.zeros(201), initial_gap=5.0, follower_speed=15.0)
+
+
+class TestRunScenarioReference:
+    @pytest.mark.parametrize("agent", sorted(AGENTS))
+    @pytest.mark.parametrize("scenario", ["builtin", "synthetic", "crash"])
+    def test_matches_reference_bytes(self, agent, scenario):
+        cfg, rcfg = SimConfig(), RewardConfig()
+        sc = {"builtin": self_defined_profile(cfg.dt),
+              "synthetic": synthetic_suite(1, seed=4, cfg=cfg)[0],
+              "crash": CRASH}[scenario]
+        got = run_scenario(AGENTS[agent](cfg), sc, cfg, rcfg)
+        want = reference_run_scenario(AGENTS[agent](cfg), sc, cfg, rcfg)
+        assert (got.agent, got.collided) == (want.agent, want.collided)
+        assert got.collided == (scenario == "crash")
+        for col in TRACE_COLUMNS:
+            a, b = getattr(got, col), getattr(want, col)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), col
+            assert a.tobytes() == b.tobytes(), col
+
+
+class TestPythonFloats:
+    """The scalar episode path runs on Python floats: arithmetic on numpy
+    scalars is several times slower, and an np.float64 in a repr-hashed or
+    written record prints as np.float64(...)."""
+
+    @pytest.mark.parametrize("agent", sorted(AGENTS))
+    def test_step_and_act_values_are_floats(self, agent):
+        cfg = SimConfig()
+        sc = synthetic_suite(1, seed=4, cfg=cfg)[0]
+        env = FollowEnv(cfg, RewardConfig())
+        env.reset(sc.profile, sc.initial_gap)
+        policy = AGENTS[agent](cfg)
+        while not env.done:
+            action = policy.act(env.follower.speed, env.follower.accel,
+                                env.leader.speed, env.gap)
+            assert type(action) is float
+            _, reward, _, info = env.step(action)
+            assert type(reward) is float
+            for f in dataclasses.fields(info):
+                want = bool if f.name == "collision" else float
+                assert type(getattr(info, f.name)) is want, f.name
+
+    def test_episode_stats_are_floats(self):
+        agent = DdpgAgent(sim_cfg=SimConfig(max_steps=100), seed=0)
+        history = train_stage1(agent, 400, seed=0)
+        assert history
+        for stats in history:
+            assert type(stats.mean_reward) is float
+            assert type(stats.at_bound) is float
 
 
 class TestReports:

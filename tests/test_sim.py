@@ -1,9 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from followrl import FollowEnv, OuParams, SimConfig, gen_leader_profile, normalize_state, ou_path
 from followrl.config import LEADER_OU
@@ -368,6 +370,35 @@ def test_write_csv_writes_each_float_as_its_repr(tmp_path):
     write_csv(path, ["a", "b", "c", "d"], rows)
     assert path.read_text().splitlines() == ["a,b,c,d"] + [
         ",".join(map(repr, row)) for row in rows.tolist()]
+
+
+def reference_write_csv(path, header, rows):
+    """write_csv as it was when csv.writer wrote every row: the
+    byte-for-byte reference for the one-format version."""
+    rows = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows.tolist())
+
+
+SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2e-308,
+            -1e-310, 1e22, 1e16, 0.1, 1 / 3, 1.7976931348623157e308]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=arrays(np.float64, st.tuples(st.integers(0, 8), st.integers(1, 9)),
+                   elements=st.floats() | st.sampled_from(SPECIALS)))
+@example(rows=np.array([SPECIALS[:8], SPECIALS[5:]]))
+@example(rows=np.array([[x] for x in SPECIALS]))        # one column
+@example(rows=np.empty((0, 3)))                          # no rows
+def test_write_csv_matches_csv_writer_bytes(tmp_path, rows):
+    header = [f"c{k}" for k in range(rows.shape[1])]
+    write_csv(tmp_path / "got.csv", header, rows)
+    reference_write_csv(tmp_path / "want.csv", header, rows)
+    assert (tmp_path / "got.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
 
 
 def test_csv_readers_accept_valid_files(tmp_path):
