@@ -209,9 +209,10 @@ def save_transition_store(path, ds: RelabeledDataset):
 
 def load_transition_store(path):
     """Read a store written by save_transition_store.  A missing member,
-    columns of unequal length, states not shaped (n, 4), a non-finite
-    value, or a manifest that is unreadable, lacks a key or counts other
-    than the store's rows raise ValueError naming the file."""
+    columns of unequal length, states not shaped (n, 4), dones not bool or
+    another column not float64, a non-finite value, or a manifest that is
+    unreadable, lacks a key or counts other than the store's rows raise
+    ValueError naming the file."""
     path = os.fspath(path)
     if not os.path.exists(path) and os.path.exists(path + ".npz"):
         path = path + ".npz"
@@ -227,6 +228,12 @@ def load_transition_store(path):
     if shapes != [(n, STATE_DIM), (n,), (n,), (n, STATE_DIM), (n,)]:
         raise ValueError(f"{path}: column shapes {shapes}; want one length n, "
                          f"(n, {STATE_DIM}) states and next_states, (n,) others")
+    # a float done of 0.5 would bootstrap at half weight in train_step
+    for name, col in zip(names, batch.columns):
+        want = np.dtype(bool if name == "dones" else np.float64)
+        if col.dtype != want:
+            raise ValueError(f"{path}: member {name} has dtype {col.dtype}, "
+                             f"not {want}")
     if not all(np.isfinite(col).all() for col in batch.columns):
         raise ValueError(f"{path}: non-finite value in the store")
     provenance, clipped = [], 0

@@ -237,13 +237,17 @@ class DdpgAgent:
         actor, critic = self.actor, self.critic
 
         # the critic step leaves the actor as it is, so actor(s) and
-        # actor_target(s') are one stacked forward; then critic(s, a) and
-        # critic_target(s', a') are another
-        xs = np.empty((2, n, STATE_DIM))
-        xs[0], xs[1] = s, s2
-        (u, a2), acache = self.actors.forward(xs, cache=True)
+        # actor_target(s') are one stacked forward; a held update needs
+        # only actor_target(s').  Then critic(s, a) and critic_target(s', a')
+        # are one stacked forward
+        if update_actor:
+            xs = np.empty((2, n, STATE_DIM))
+            xs[0], xs[1] = s, s2
+            (u, a2), acache = self.actors.forward(xs, cache=True)
+        else:
+            a2 = self.actor_target.forward(s2)
         xc = np.empty((2, n, STATE_DIM + 1))
-        xc[:, :, :STATE_DIM] = xs
+        xc[0, :, :STATE_DIM], xc[1, :, :STATE_DIM] = s, s2
         xc[0, :, STATE_DIM:], xc[1, :, STATE_DIM:] = a, a2
         (q, q2), ccache = self.critics.forward(xc, cache=True)
         y = r[:, None] + self.cfg.gamma * live * q2
@@ -253,7 +257,7 @@ class DdpgAgent:
             raise ValueError(f"non-finite critic loss {critic_loss}: the batch "
                              "or the nets hold a non-finite value")
         grads = critic.backward(member_cache(ccache, 0), 2.0 * diff / n,
-                                need_input=False)
+                                need_input=False, out=self.critic_opt.grad)
         opt_step(critic, grads, self.critic_opt)
 
         actor_q = None
@@ -266,7 +270,8 @@ class DdpgAgent:
             # pre-activation, by descending on its negative
             acache = member_cache(acache, 0)
             dpre = 2.0 * PREACT_L2 * acache["pre"][-1] / n
-            opt_step(actor, actor.backward(acache, -da, dpre, need_input=False),
+            opt_step(actor, actor.backward(acache, -da, dpre, need_input=False,
+                                           out=self.actor_opt.grad),
                      self.actor_opt)
             actor_q = float(qa.sum() / n)
 

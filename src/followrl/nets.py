@@ -45,6 +45,15 @@ class MlpNet:
         self._lead = flat.shape[:-1]
         self._layout = _layout(self.sizes)
         self.weights, self.biases = _views(self._layout, flat)
+        # backward's last ``out`` and its _views
+        self._grad_views = (None, None, None)
+        # forward's and backward's 2-D product.  np.dot gives matmul's bits
+        # at less cost per call, but for a 1 x 1 by 1 x 1 product, where it
+        # keeps the sign of a zero that matmul makes +0.0; only a layer of
+        # one input and one output meets that product.  A stack's products
+        # broadcast over the member axis, which np.dot does not do
+        unit_layer = (1, 1) in zip(self.sizes, self.sizes[1:])
+        self._product = np.matmul if self._lead or unit_layer else np.dot
         return self
 
     @classmethod
@@ -94,10 +103,11 @@ class MlpNet:
                 or h.shape[-1] != self.sizes[0]):
             want = ", ".join([*map(str, lead), "n", str(self.sizes[0])])
             raise ValueError(f"input shape {h.shape} is not ({want})")
+        product = self._product
         pre, post = [], [h]
         last = self.n_layers - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w
+            z = product(h, w)
             z += b
             pre.append(z)
             if i < last:
@@ -111,18 +121,34 @@ class MlpNet:
             return h, {"pre": pre, "post": post}
         return h
 
-    def backward(self, cache, dout, dpre=None, need_input=True):
+    def backward(self, cache, dout, dpre=None, need_input=True, out=None):
         """Exact gradients for every parameter and the input, given the
         gradient of a scalar loss w.r.t. the network output.  ``dpre`` adds
         the gradient of an extra loss term on the head's pre-activation.
         "flat" holds the parameter gradients in ``self.flat``'s layout, and
         "weights" and "biases" are its _views.  With need_input=False the
-        "input" entry is None and its last matmul is skipped.  A stack's
+        "input" entry is None and its last product is skipped.  Given
+        ``out``, a C-contiguous float64 array shaped like ``self.flat``,
+        "flat" is ``out`` and the gradients are written into it; its views
+        are made once and kept until another ``out`` comes.  A stack's
         members each run their own backward (see member_cache)."""
         if self._lead:
             raise ValueError("backward runs on a solo net or a member")
-        flat = np.empty_like(self.flat)
-        dw, db = _views(self._layout, flat)
+        if out is None:
+            flat = np.empty_like(self.flat)
+            dw, db = _views(self._layout, flat)
+        else:
+            if self._grad_views[0] is not out:
+                if (not isinstance(out, np.ndarray) or out.dtype != np.float64
+                        or out.shape != self.flat.shape
+                        or not out.flags.c_contiguous):
+                    raise ValueError(
+                        f"out must be a C-contiguous float64 array of the "
+                        f"parameter shape {self.flat.shape}, got "
+                        f"{getattr(out, 'dtype', type(out).__name__)} "
+                        f"{np.shape(out)}")
+                self._grad_views = (out, *_views(self._layout, out))
+            flat, dw, db = self._grad_views
         din = self._backprop(cache, dout, dpre, dw, db, need_input)
         return {"flat": flat, "weights": dw, "biases": db, "input": din}
 
@@ -139,6 +165,7 @@ class MlpNet:
         last = self.n_layers - 1
         pre, post = cache["pre"], cache["post"]
         grad = np.asarray(dout, dtype=float)
+        product = self._product
         for i in range(last, -1, -1):
             if i == last:
                 if self.out_activation == "tanh":
@@ -150,11 +177,11 @@ class MlpNet:
                 # grad is the fresh product of the layer above
                 grad *= pre[i] > 0.0
             if dw is not None:
-                np.matmul(post[i].T, grad, dw[i])
+                product(post[i].T, grad, dw[i])
                 np.add.reduce(grad, 0, None, db[i])
             if i == 0 and not need_input:
                 return None
-            grad = grad @ self.weights[i].T
+            grad = product(grad, self.weights[i].T)
         return grad
 
     def save(self, path):
@@ -244,6 +271,8 @@ class AdamState:
         self.t = 0
         self.m = np.zeros_like(net.flat)
         self.v = np.zeros_like(net.flat)
+        # the gradient's buffer, for net.backward(..., out=state.grad)
+        self.grad = np.empty_like(net.flat)
         # opt_step's scratch: it writes its temporaries here
         self.work = (np.empty_like(net.flat), np.empty_like(net.flat))
 
@@ -302,7 +331,7 @@ def fit_mse(sizes, x, y, lo, hi, epochs, seed):
             diff = lo + (u + 1.0) / 2.0 * (hi - lo) - y[idx]
             # d(mse)/du = 2*diff/m * d(pred)/du, d(pred)/du = (hi - lo)/2
             grads = net.backward(cache, 2.0 * diff * ((hi - lo) / 2.0) / len(idx),
-                                 need_input=False)
+                                 need_input=False, out=opt.grad)
             opt_step(net, grads, opt)
     return net
 

@@ -363,6 +363,23 @@ class TestStore:
         with pytest.raises(ValueError, match="broken.npz"):
             load_transition_store(path)
 
+    @pytest.mark.parametrize("member, cast", [
+        ("dones", lambda col: np.where(col, 1.0, 0.5)),
+        ("states", lambda col: col.astype(np.float32))],
+        ids=["float dones", "float32 states"])
+    def test_column_dtypes_checked(self, tmp_path, member, cast):
+        # float dones of 0.5 would bootstrap at half weight in train_step
+        ds = relabel_episodes(make_synthetic(1, 5, CFG, RCFG, duration=5.0),
+                              CFG, RCFG)
+        save_transition_store(tmp_path / "good.npz", ds)
+        with np.load(tmp_path / "good.npz") as data:
+            cols = {key: data[key] for key in data.files}
+        cols[member] = cast(cols[member])
+        path = tmp_path / "typed.npz"
+        np.savez(path, **cols)
+        with pytest.raises(ValueError, match=f"typed.npz: member {member} "):
+            load_transition_store(path)
+
     @pytest.mark.parametrize("defect", ["truncated", "no episodes",
                                         "n_transitions 5", "episode counts"])
     def test_broken_manifest_rejected(self, tmp_path, defect):

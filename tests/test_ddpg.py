@@ -346,11 +346,16 @@ class TestTrainStep:
         rows[5] = make_transition(rng, reward=float("nan"))
         batch = batch_of(rows)
         before = {name: getattr(agent, name).flat.copy() for name in NETS}
+        opts = (agent.critic_opt, agent.actor_opt)
+        moments = [(opt.m.copy(), opt.v.copy()) for opt in opts]
         with pytest.raises(ValueError, match="non-finite"):
             agent.train_step(batch)
         for name in NETS:
             assert np.array_equal(getattr(agent, name).flat, before[name])
         assert agent.critic_opt.t == agent.actor_opt.t == 0
+        for opt, (m, v) in zip(opts, moments):
+            assert opt.m.tobytes() == m.tobytes()
+            assert opt.v.tobytes() == v.tobytes()
 
 
 def reference_train_step(ref, batch, update_actor=True):
@@ -419,6 +424,24 @@ class TestStackedUpdate:
             assert net_bytes(agent) == net_bytes(ref)
         assert agent.actor_opt.t == ref.actor_opt.t > 0
 
+    def test_other_batch_sizes_on_optimizer_buffers(self):
+        # the gradients go into each AdamState's own buffer; batches of
+        # 32, 7, 1 and 32 rows in turn, the actor held every other update,
+        # must each still give the reference's bits
+        agent = DdpgAgent(seed=2)
+        ref = reference_of(agent)
+        rng = np.random.default_rng(30)
+        for step, n in enumerate([32, 7, 1, 32] * 2):
+            update_actor = step % 2 == 1
+            batch = batch_of([make_transition(rng, done=bool(rng.random() < 0.2))
+                              for _ in range(n)])
+            got = agent.train_step(batch, update_actor)
+            want = reference_train_step(ref, batch, update_actor)
+            assert got["critic_loss"] == want["critic_loss"]
+            assert got["actor_q"] == (want["actor_q"] if update_actor else None)
+            assert net_bytes(agent) == net_bytes(ref)
+        assert agent.actor_opt.t == 4 and agent.critic_opt.t == 8
+
     def test_assigned_nets_train_as_loaded_ones(self, tmp_path):
         # acceptance criterion 6 assigns .copy() nets into a fresh agent;
         # that copies them into the agent's stacks and trains exactly as
@@ -468,12 +491,18 @@ class TestStackedUpdate:
                  "soft_update": 2})])
     def test_calls_per_update(self, monkeypatch, update_actor, want):
         # the fused update: one stacked forward per online/target pair,
-        # and no Q(s, actor(s)) forward while the actor is held
+        # and no Q(s, actor(s)) forward while the actor is held; every
+        # gradient goes into its optimizer's own buffer
         calls = dict.fromkeys(want, 0)
+        forwards, outs = [], []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "forward":
+                    forwards.append((args[0], np.shape(args[1])))
+                if name == "backward":
+                    outs.append(kwargs.get("out"))
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -483,10 +512,17 @@ class TestStackedUpdate:
             monkeypatch.setattr(ddpg, name, counted(name, getattr(ddpg, name)))
         agent = DdpgAgent(seed=0)
         rng = np.random.default_rng(20)
-        batch = batch_of([make_transition(rng) for _ in range(32)])
+        n = 32
+        batch = batch_of([make_transition(rng) for _ in range(n)])
         for _ in range(3):
             agent.train_step(batch, update_actor)
         assert calls == {name: 3 * count for name, count in want.items()}
+        grads = [agent.critic_opt.grad] + [agent.actor_opt.grad] * update_actor
+        assert [id(out) for out in outs] == [id(g) for g in grads] * 3
+        if not update_actor:
+            # actor_target(s') alone, then the critics stack
+            assert forwards == [(agent.actor_target, (n, STATE_DIM)),
+                                (agent.critics, (2, n, STATE_DIM + 1))] * 3
 
 
 class TestConfigChecks:

@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from followrl import AdamState, MlpNet, opt_step, soft_update
@@ -19,6 +21,47 @@ def straight_line_forward(net, x):
         else:
             h = z
     return h
+
+
+def matmul_forward(net, x):
+    """MlpNet.forward with every product through np.matmul: the
+    bit-for-bit reference for its np.dot products.  Returns (output,
+    cache)."""
+    h = np.asarray(x, dtype=float)
+    pre, post = [], [h]
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = h @ w
+        z += b
+        pre.append(z)
+        if i < net.n_layers - 1:
+            h = np.maximum(z, 0.0)
+        elif net.out_activation == "tanh":
+            h = np.tanh(z)
+        else:
+            h = z
+        post.append(h)
+    return h, {"pre": pre, "post": post}
+
+
+def matmul_backward(net, cache, dout, dpre=None):
+    """MlpNet.backward's "flat" and "input" with every product through
+    np.matmul, the reference as matmul_forward is."""
+    pre, post = cache["pre"], cache["post"]
+    last = net.n_layers - 1
+    grad = np.asarray(dout, dtype=float)
+    parts = [None] * net.n_layers
+    for i in range(last, -1, -1):
+        if i == last:
+            if net.out_activation == "tanh":
+                grad = grad * (1.0 - post[i + 1] ** 2)
+            if dpre is not None:
+                grad = grad + dpre
+        else:
+            grad *= pre[i] > 0.0
+        parts[i] = np.concatenate(((post[i].T @ grad).ravel(),
+                                   np.add.reduce(grad, 0)))
+        grad = grad @ net.weights[i].T
+    return np.concatenate(parts), grad
 
 
 def numeric_grad(f, x, h=1e-5):
@@ -156,6 +199,93 @@ class TestBackward:
         assert trimmed["flat"].tobytes() == full["flat"].tobytes()
         assert (net.input_grad(cache, dout).tobytes()
                 == net.backward(cache, dout)["input"].tobytes())
+
+
+class TestBackwardInto:
+    @pytest.mark.parametrize("sizes,act", ARCHS)
+    def test_results_are_views_of_out(self, sizes, act):
+        # out=buf writes what the allocating call returns into buf; a
+        # second buffer, and then the first again, must each get it too
+        rng = np.random.default_rng(4)
+        net = MlpNet(sizes, act, seed=7)
+        bufs = [np.empty_like(net.flat), np.empty_like(net.flat)]
+        for buf in (bufs[0], bufs[1], bufs[0]):
+            _, cache = net.forward(rng.standard_normal((6, sizes[0])), cache=True)
+            dout = rng.standard_normal((6, sizes[-1]))
+            dpre = rng.standard_normal((6, sizes[-1]))
+            fresh = net.backward(cache, dout, dpre)
+            into = net.backward(cache, dout, dpre, out=buf)
+            assert into["flat"] is buf
+            assert_views(buf, into["weights"] + into["biases"])
+            assert into["flat"].tobytes() == fresh["flat"].tobytes()
+            assert into["input"].tobytes() == fresh["input"].tobytes()
+            assert not np.shares_memory(fresh["flat"], buf)
+
+    def test_member_writes_into_out(self):
+        pair = MlpNet.stack(solo_nets([5, 32, 32, 1], "linear", 2, 3))
+        _, cache = pair.forward(np.ones((2, 4, 5)), cache=True)
+        for k in range(2):
+            member = pair.member(k)
+            buf = AdamState(member).grad
+            got = member.backward(member_cache(cache, k), np.ones((4, 1)),
+                                  need_input=False, out=buf)
+            want = member.backward(member_cache(cache, k), np.ones((4, 1)))
+            assert got["flat"] is buf and got["input"] is None
+            assert buf.tobytes() == want["flat"].tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda p: np.empty(p - 1), lambda p: np.empty((1, p)),
+        lambda p: np.empty(p, dtype=np.float32), lambda p: np.empty(2 * p)[::2],
+        lambda p: [0.0] * p],
+        ids=["short", "2-D", "float32", "strided", "list"])
+    def test_bad_out_rejected(self, make):
+        net = MlpNet([4, 8, 1], "tanh", seed=0)
+        p = net.flat.size
+        _, cache = net.forward(np.ones((3, 4)), cache=True)
+        bad = make(p)
+        with pytest.raises(ValueError,
+                           match=rf"\({p},\).*{re.escape(str(np.shape(bad)))}"):
+            net.backward(cache, np.ones((3, 1)), out=bad)
+
+
+class TestDotProducts:
+    # np.dot takes a 1 x 1 by 1 x 1 product as a scalar one, keeping the
+    # sign of a zero that matmul turns into +0.0; a one-row batch through a
+    # layer of one input and one output meets it.  The actor's shape at one
+    # row has a 1 x 1 operand in backward, but no such product
+    @example(sizes=[1, 1, 1], act="linear", k=0, n=1, with_dpre=False, seed=0)
+    @example(sizes=[3, 1, 1, 2], act="tanh", k=2, n=1, with_dpre=True, seed=2)
+    @example(sizes=[4, 32, 32, 1], act="tanh", k=0, n=1, with_dpre=True, seed=0)
+    @settings(max_examples=80, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 40), min_size=2, max_size=4),
+           act=st.sampled_from(["linear", "tanh"]), k=st.integers(0, 3),
+           n=st.integers(1, 64), with_dpre=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_match_matmul_reference(self, sizes, act, k, n, with_dpre, seed):
+        # a solo net (k = 0) and the members of a K = k stack take their
+        # 2-D products with np.dot: forward, its cache, backward and
+        # input_grad must be matmul's, bit for bit
+        nets = solo_nets(sizes, act, max(k, 1), seed % 1000)
+        if k:
+            pair = MlpNet.stack(nets)
+            nets = [pair.member(j) for j in range(k)]
+        rng = np.random.default_rng(seed)
+        for net in nets:
+            x = rng.standard_normal((n, sizes[0])) * 3.0
+            dout = rng.standard_normal((n, sizes[-1]))
+            dpre = rng.standard_normal((n, sizes[-1])) if with_dpre else None
+            out, cache = net.forward(x, cache=True)
+            want, want_cache = matmul_forward(net, x)
+            assert out.tobytes() == want.tobytes()
+            for key in ("pre", "post"):
+                assert [a.tobytes() for a in cache[key]] == \
+                       [a.tobytes() for a in want_cache[key]]
+            got = net.backward(cache, dout, dpre)
+            flat, din = matmul_backward(net, want_cache, dout, dpre)
+            assert got["flat"].tobytes() == flat.tobytes()
+            assert got["input"].tobytes() == din.tobytes()
+            assert (net.input_grad(cache, dout).tobytes()
+                    == matmul_backward(net, want_cache, dout)[1].tobytes())
 
 
 class TestAdam:
