@@ -202,6 +202,8 @@ def load_config(path):
                 f.name: getattr(defaults, f.name)
                 for f in dataclasses.fields(cls)
                 if not dataclasses.is_dataclass(getattr(defaults, f.name))
+                # every leader profile starts at 0 m/s, whatever x0 says
+                and (name, f.name) != ("leader_ou", "x0")
             }
             for key, raw in parser.items(name):
                 if key not in valid:

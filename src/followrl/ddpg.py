@@ -356,12 +356,13 @@ def _train_online(agent, budget, rng, rcfg, leader_ou, sample_fn, progress,
     for used in range(budget):
         if env.done:
             sc = _episode_scenario(rng, sim_cfg, leader_ou)
-            obs = env.reset(sc.profile, sc.initial_gap)
+            obs = normalize_state(*env.reset(sc.profile, sc.initial_gap), sim_cfg)
             agent.noise.reset()
             total, at_bound = 0.0, 0
         action = agent.select_action(obs, explore=True)
         at_bound += action in (sim_cfg.a_min, sim_cfg.a_max)
-        next_obs, reward, done, info = env.step(action)
+        state, reward, done, info = env.step(action)
+        next_obs = normalize_state(*state, sim_cfg)
         # horizon exhaustion is not a real terminal state: bootstrap through
         # it so late-episode values are not dragged toward zero
         terminal = info.collision or info.gap > sim_cfg.g_max

@@ -98,16 +98,12 @@ def run_scenario(agent, sc: Scenario, cfg: SimConfig = None,
     stand-in human data (datasets.rollout_episode).  Collision terminates
     the trace on the collision row, with the collided flag set and a NaN
     TTC."""
-    cfg = cfg or SimConfig()
-    cfg = dataclasses.replace(cfg, max_steps=len(sc.profile) - 1)
-    env = FollowEnv(cfg, rcfg or RewardConfig())
-    env.reset(sc.profile, initial_gap=sc.initial_gap,
-              follower_speed=sc.follower_speed)
+    cfg = dataclasses.replace(cfg or SimConfig(), max_steps=len(sc.profile) - 1)
+    env = FollowEnv(cfg, rcfg)
+    obs = env.reset(sc.profile, sc.initial_gap, sc.follower_speed)
     rows = []
     while not env.done:
-        action = agent.act(env.follower.speed, env.follower.accel,
-                           env.leader.speed, env.gap)
-        _, reward, _, info = env.step(action)
+        obs, reward, _, info = env.step(agent.act(*obs))
         rows.append((info.t, info.v_l, info.v, info.gap, info.accel,
                      info.jerk, reward))
     t, v_l, v, gap, accel, jerk, reward = (np.array(c) for c in zip(*rows))

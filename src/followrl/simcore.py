@@ -1,7 +1,8 @@
 """1-D leader-follower environment with OU-generated leader profiles.
 
-Fixed steps of SimConfig.dt, bumper-to-bumper gap bookkeeping, and the
-4-component normalized observation fed to every learned policy.
+Fixed steps of SimConfig.dt and bumper-to-bumper gap bookkeeping.  The env
+returns the physical state (v, a, v_l, g); normalize_state is the
+4-component encoding each learned policy applies to it.
 """
 
 import csv
@@ -166,9 +167,11 @@ class StepInfo:
 class FollowEnv:
     """Deterministic longitudinal leader-follower world.
 
+    reset and step return the state (v, a, v_l, g) as Python floats, in
+    the argument order of every controller's act and of normalize_state.
     Episodes terminate on collision (gap <= 0), on gap > g_max, or after
-    max_steps; reset rejects leader profiles too short to cover a full
-    episode.  It draws no random numbers: callers choose each start.
+    max_steps; reset rejects a profile too short for a full episode and a
+    non-finite start.  It draws no random numbers: callers choose each start.
     """
 
     def __init__(self, cfg: SimConfig = None, rcfg: RewardConfig = None):
@@ -189,6 +192,13 @@ class FollowEnv:
             raise ValueError(
                 f"leader profile has {len(profile)} samples; an episode of "
                 f"{cfg.max_steps} steps needs at least {cfg.max_steps + 1}")
+        # a finite start keeps every later state finite
+        bad = np.flatnonzero(~np.isfinite(profile))
+        if len(bad):
+            raise ValueError(f"non-finite leader profile value at index {bad[0]}")
+        for name, x in (("initial_gap", initial_gap), ("follower_speed", follower_speed)):
+            if not math.isfinite(x):
+                raise ValueError(f"non-finite {name} {x}")
         # Python floats: the same IEEE arithmetic as numpy scalars, several
         # times faster per operation, and every value derived from the
         # leader speed (position, gap, reward, StepInfo) stays a float
@@ -198,15 +208,11 @@ class FollowEnv:
         self.follower = VehicleState(0.0, float(follower_speed), 0.0)
         self.leader = VehicleState(float(initial_gap) + cfg.vehicle_length,
                                    self.profile[0], 0.0)
-        return self._observe()
+        return self.follower.speed, 0.0, self.leader.speed, self.gap
 
     @property
     def gap(self):
         return self.leader.position - self.follower.position - self.cfg.vehicle_length
-
-    def _observe(self):
-        return normalize_state(self.follower.speed, self.follower.accel,
-                               self.leader.speed, self.gap, self.cfg)
 
     def step(self, action):
         if self.done:
@@ -225,8 +231,7 @@ class FollowEnv:
         self.follower.speed = v_new
 
         i = self.step_index
-        vl_old = self.profile[i]
-        vl_new = self.profile[i + 1]
+        vl_old, vl_new = self.profile[i], self.profile[i + 1]
         self.leader.position += 0.5 * (vl_old + vl_new) * cfg.dt
         self.leader.speed = vl_new
 
@@ -236,13 +241,9 @@ class FollowEnv:
 
         gap = self.gap
         collision = gap <= 0.0
-        if collision:
-            reward = COLLISION_REWARD
-        else:
-            reward = reward_total(v_new, vl_new, gap, jerk, self.rcfg).total
-
-        out_of_range = gap > cfg.g_max
-        self.done = collision or out_of_range or self.step_index >= cfg.max_steps
+        reward = (COLLISION_REWARD if collision
+                  else reward_total(v_new, vl_new, gap, jerk, self.rcfg).total)
+        self.done = collision or gap > cfg.g_max or self.step_index >= cfg.max_steps
         info = StepInfo(self.step_index * cfg.dt, gap, v_new, vl_new, a_app,
                         jerk, collision)
-        return self._observe(), reward, self.done, info
+        return (v_new, a_app, vl_new, gap), reward, self.done, info

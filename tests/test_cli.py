@@ -260,6 +260,17 @@ class TestConfigFile:
                            r"in section \[ddpg\]"):
             load_config(str(cfg))
 
+    def test_leader_ou_x0_rejected(self, tmp_path):
+        # every leader profile starts at 0 m/s, so a leader x0 once loaded
+        # and changed nothing; the exploration noise's x0 is still read
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("[leader_ou]\nx0 = 12.5\n")
+        with pytest.raises(ValueError, match=r"unknown key 'x0' in section "
+                           r"\[leader_ou\]"):
+            load_config(str(cfg))
+        cfg.write_text("[noise_ou]\nx0 = 0.25\n")
+        assert load_config(str(cfg))["ddpg"].noise.x0 == 0.25
+
     @pytest.mark.parametrize("section, key, raw, want", [
         ("reward", "T", "1.0", 1.0), ("reward", "T_lim", "12", 12.0),
         ("idm", "T", "1.2", 1.2)])

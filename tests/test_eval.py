@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -12,13 +13,13 @@ from hypothesis import strategies as st
 
 from followrl.baselines import BcPolicy, IdmController, idm_equilibrium_gap
 from followrl.config import IdmParams, RewardConfig, SimConfig
-from followrl.ddpg import DdpgAgent, train_stage1
+from followrl.ddpg import DdpgAgent, greedy_eval, train_stage1
 from followrl.evaluate import (TRACE_COLUMNS, RunTrace, Scenario,
                                compare_report, run_scenario,
                                scenario_from_episode, self_defined_profile,
                                synthetic_suite, ttc, ttc_summary)
 from followrl.nets import MlpNet
-from followrl.simcore import FollowEnv
+from followrl.simcore import FollowEnv, normalize_state
 
 
 class TestTtc:
@@ -291,13 +292,13 @@ class TestPythonFloats:
         cfg = SimConfig()
         sc = synthetic_suite(1, seed=4, cfg=cfg)[0]
         env = FollowEnv(cfg, RewardConfig())
-        env.reset(sc.profile, sc.initial_gap)
+        state = env.reset(sc.profile, sc.initial_gap)
         policy = AGENTS[agent](cfg)
         while not env.done:
-            action = policy.act(env.follower.speed, env.follower.accel,
-                                env.leader.speed, env.gap)
+            assert [type(x) for x in state] == [float] * 4
+            action = policy.act(*state)
             assert type(action) is float
-            _, reward, _, info = env.step(action)
+            state, reward, _, info = env.step(action)
             assert type(reward) is float
             for f in dataclasses.fields(info):
                 want = bool if f.name == "collision" else float
@@ -310,6 +311,55 @@ class TestPythonFloats:
         for stats in history:
             assert type(stats.mean_reward) is float
             assert type(stats.at_bound) is float
+
+
+class TestOneEncodingPerStep:
+    """The env returns the physical state and each learned policy encodes
+    it once: a rollout made two normalize_state calls per step when the
+    env encoded a state that nothing read."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Calls of normalize_state, through every module that imported it
+        by name, and of FollowEnv.reset and step."""
+        counts = {"normalize": 0, "reset": 0, "step": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("followrl")
+                    and getattr(mod, "normalize_state", None) is normalize_state):
+                monkeypatch.setattr(mod, "normalize_state",
+                                    counted("normalize", normalize_state))
+        for key in ("reset", "step"):
+            monkeypatch.setattr(FollowEnv, key,
+                                counted(key, getattr(FollowEnv, key)))
+        return counts
+
+    @pytest.mark.parametrize("agent, per_step", [("ddpg", 1), ("bc", 1),
+                                                 ("idm", 0)])
+    def test_rollout(self, counts, agent, per_step):
+        cfg = SimConfig()
+        sc = synthetic_suite(1, seed=4, cfg=cfg)[0]
+        trace = run_scenario(AGENTS[agent](cfg), sc, cfg, RewardConfig())
+        assert counts["step"] == len(trace.t) > 0
+        assert counts["normalize"] == per_step * len(trace.t)
+
+    def test_greedy_eval(self, counts):
+        agent = DdpgAgent(sim_cfg=SimConfig(max_steps=100), seed=0)
+        greedy_eval(agent, n_episodes=3, seed=0)
+        assert counts["reset"] == 3 and counts["step"] > 0
+        assert counts["normalize"] == counts["step"]
+
+    def test_train_stage1(self, counts):
+        # one encoding per step plus one per episode start
+        agent = DdpgAgent(sim_cfg=SimConfig(max_steps=50), seed=0)
+        train_stage1(agent, 120, seed=0)
+        assert counts["step"] == 120 and counts["reset"] >= 3
+        assert counts["normalize"] == counts["step"] + counts["reset"]
 
 
 class TestReports:

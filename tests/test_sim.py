@@ -153,11 +153,15 @@ class TestReset:
         assert sc.initial_gap == seeded_gap(gap_seed, cfg)
         env = FollowEnv(cfg)
         prof = make_profile(5, 200)
-        o1 = env.reset(prof, sc.initial_gap)
+        s1 = env.reset(prof, sc.initial_gap)
         g1 = env.gap
-        env.reset(prof, sc.initial_gap)
+        assert env.reset(prof, sc.initial_gap) == s1
         assert env.gap == g1
-        assert o1[0] == 0.0 and o1[2] == pytest.approx(5.0 / 20.0)
+        # reset returns the physical start (v, a, v_l, g); a policy
+        # encodes it with normalize_state
+        assert s1 == (0.0, 0.0, 5.0, g1)
+        obs = normalize_state(*s1, cfg)
+        assert obs[0] == 0.0 and obs[2] == pytest.approx(5.0 / 20.0)
 
     def test_gap_distribution(self):
         cfg = short_cfg(max_steps=1)
@@ -178,6 +182,26 @@ class TestReset:
         env = FollowEnv(short_cfg())
         with pytest.raises(ValueError):
             env.reset(make_profile(0, 100), 50.0)
+
+    @pytest.mark.parametrize("where, value", [
+        ("profile", math.nan), ("profile", math.inf),
+        ("initial_gap", math.inf), ("follower_speed", math.nan)])
+    def test_rejects_non_finite_start(self, where, value):
+        # reset rejects the start before the episode runs: a NaN leader
+        # speed once raised only at step 4, and an inf one ended an IDM
+        # rollout silently as an escape at gap inf
+        kwargs = {"profile": make_profile(5, 200), "initial_gap": 20.0,
+                  "follower_speed": 5.0}
+        if where == "profile":
+            kwargs["profile"][5] = value
+            match = "leader profile value at index 5"
+        else:
+            kwargs[where] = value
+            match = f"{where} {value}"
+        env = FollowEnv(short_cfg())
+        with pytest.raises(ValueError, match="non-finite " + match):
+            env.reset(**kwargs)
+        assert env.done
 
 
 class TestStep:
@@ -316,12 +340,18 @@ class TestStep:
         cfg = short_cfg()
         env = FollowEnv(cfg)
         prof = gen_leader_profile(8, 20.1, cfg)
-        obs = env.reset(prof, seeded_gap(3, cfg))
+        state = env.reset(prof, seeded_gap(3, cfg))
         rng = np.random.default_rng(5)
         done = False
         while not done:
+            # step returns the physical state its StepInfo describes, and
+            # its encoding keeps the accel and gap components in [0, 1]
+            obs = normalize_state(*state, cfg)
             assert 0.0 <= obs[1] <= 1.0 and 0.0 <= obs[3] <= 1.0
-            obs, _, done, _ = env.step(rng.uniform(-9, 5))
+            state, _, done, info = env.step(rng.uniform(-9, 5))
+            assert state == (info.v, info.accel, info.v_l, info.gap)
+        obs = normalize_state(*state, cfg)
+        assert 0.0 <= obs[1] <= 1.0 and 0.0 <= obs[3] <= 1.0
 
 
 # Each reader of the numeric CSV codec, with a valid three-row file.
