@@ -10,7 +10,8 @@ from .nets import MlpNet, fit_mse
 from .simcore import normalize_state, scale_action
 
 
-def idm_accel(v, v_l, g, p: IdmParams = None, a_min=-9.0, a_max=5.0):
+def idm_accel(v, v_l, g, p: IdmParams = None, a_min=SimConfig.a_min,
+              a_max=SimConfig.a_max):
     """IDM acceleration a*[1 - (v/v_des)^delta - (s*/g)^2] with
     s* = g_min + v*T + v*dv/(2*sqrt(a*b)), clipped to [a_min, a_max]."""
     p = p or IdmParams()

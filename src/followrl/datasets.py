@@ -126,6 +126,8 @@ def split_train_eval(parts, frac=0.95, seed=0):
     """
     if not parts or all(len(p) == 0 for p in parts):
         raise ValueError("nothing to split")
+    if not 0.0 < frac < 1.0:
+        raise ValueError(f"frac must lie in (0, 1), got {frac}")
     rng = np.random.default_rng(seed)
     if len(parts) >= 20:
         order = rng.permutation(len(parts))
@@ -153,6 +155,8 @@ def split_train_eval(parts, frac=0.95, seed=0):
 
 
 def merge_parts(parts):
+    if not parts:
+        raise ValueError("no datasets to merge")
     return RelabeledDataset(
         Batch.concat([p.transitions for p in parts]),
         [prov for p in parts for prov in p.provenance],

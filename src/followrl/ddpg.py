@@ -257,7 +257,7 @@ class DdpgAgent:
             raise ValueError(f"non-finite critic loss {critic_loss}: the batch "
                              "or the nets hold a non-finite value")
         grads = critic.backward(member_cache(ccache, 0), 2.0 * diff / n,
-                                need_input=False, out=self.critic_opt.grad)
+                                out=self.critic_opt.grads)
         opt_step(critic, grads, self.critic_opt)
 
         actor_q = None
@@ -270,8 +270,8 @@ class DdpgAgent:
             # pre-activation, by descending on its negative
             acache = member_cache(acache, 0)
             dpre = 2.0 * PREACT_L2 * acache["pre"][-1] / n
-            opt_step(actor, actor.backward(acache, -da, dpre, need_input=False,
-                                           out=self.actor_opt.grad),
+            opt_step(actor, actor.backward(acache, -da, dpre,
+                                           out=self.actor_opt.grads),
                      self.actor_opt)
             actor_q = float(qa.sum() / n)
 

@@ -45,8 +45,6 @@ class MlpNet:
         self._lead = flat.shape[:-1]
         self._layout = _layout(self.sizes)
         self.weights, self.biases = _views(self._layout, flat)
-        # backward's last ``out`` and its _views
-        self._grad_views = (None, None, None)
         # forward's and backward's 2-D product.  np.dot gives matmul's bits
         # at less cost per call, but for a 1 x 1 by 1 x 1 product, where it
         # keeps the sign of a zero that matmul makes +0.0; only a layer of
@@ -121,45 +119,31 @@ class MlpNet:
             return h, {"pre": pre, "post": post}
         return h
 
-    def backward(self, cache, dout, dpre=None, need_input=True, out=None):
-        """Exact gradients for every parameter and the input, given the
-        gradient of a scalar loss w.r.t. the network output.  ``dpre`` adds
-        the gradient of an extra loss term on the head's pre-activation.
-        "flat" holds the parameter gradients in ``self.flat``'s layout, and
-        "weights" and "biases" are its _views.  With need_input=False the
-        "input" entry is None and its last product is skipped.  Given
-        ``out``, a C-contiguous float64 array shaped like ``self.flat``,
-        "flat" is ``out`` and the gradients are written into it; its views
-        are made once and kept until another ``out`` comes.  A stack's
-        members each run their own backward (see member_cache)."""
+    def backward(self, cache, dout, dpre=None, out=None):
+        """Exact parameter gradients, given the gradient of a scalar loss
+        w.r.t. the network output; ``dpre`` adds the gradient of an extra
+        loss term on the head's pre-activation.  Returns a gradient set:
+        "flat" in ``self.flat``'s layout, "weights" and "biases" its
+        _views.  Given ``out``, a gradient set of this net's shape such as
+        AdamState.grads, writes into it and returns it.  A stack's members
+        each run their own backward (see member_cache)."""
         if self._lead:
             raise ValueError("backward runs on a solo net or a member")
         if out is None:
-            flat = np.empty_like(self.flat)
-            dw, db = _views(self._layout, flat)
-        else:
-            if self._grad_views[0] is not out:
-                if (not isinstance(out, np.ndarray) or out.dtype != np.float64
-                        or out.shape != self.flat.shape
-                        or not out.flags.c_contiguous):
-                    raise ValueError(
-                        f"out must be a C-contiguous float64 array of the "
-                        f"parameter shape {self.flat.shape}, got "
-                        f"{getattr(out, 'dtype', type(out).__name__)} "
-                        f"{np.shape(out)}")
-                self._grad_views = (out, *_views(self._layout, out))
-            flat, dw, db = self._grad_views
-        din = self._backprop(cache, dout, dpre, dw, db, need_input)
-        return {"flat": flat, "weights": dw, "biases": db, "input": din}
+            out = _grad_set(self)
+        elif out["flat"].shape != self.flat.shape:
+            raise ValueError(f"gradient set shape {out['flat'].shape} != "
+                             f"parameter shape {self.flat.shape}")
+        self._backprop(cache, dout, dpre, out["weights"], out["biases"])
+        return out
 
     def input_grad(self, cache, dout):
-        """The "input" entry of backward(cache, dout), bit for bit, without
-        computing the parameter gradients."""
-        return self._backprop(cache, dout, None, None, None, True)
+        """Gradient w.r.t. the input, given dout as backward takes it."""
+        return self._backprop(cache, dout)
 
-    def _backprop(self, cache, dout, dpre, dw, db, need_input):
-        """Input gradient, or None unless need_input; also fills the views
-        dw, db unless they are None."""
+    def _backprop(self, cache, dout, dpre=None, dw=None, db=None):
+        """Given views dw, db, fills them with the parameter gradients and
+        skips layer 0's input product; else returns the input gradient."""
         if cache is None or "post" not in cache:
             raise ValueError("backward needs the cache from a forward call")
         last = self.n_layers - 1
@@ -179,8 +163,8 @@ class MlpNet:
             if dw is not None:
                 product(post[i].T, grad, dw[i])
                 np.add.reduce(grad, 0, None, db[i])
-            if i == 0 and not need_input:
-                return None
+                if i == 0:
+                    return None
             grad = product(grad, self.weights[i].T)
         return grad
 
@@ -255,6 +239,13 @@ def _views(layout, flat):
             [flat[:, b].reshape(k, 1, -1) for _, _, b in layout])
 
 
+def _grad_set(net):
+    """A gradient set: "flat" like net.flat, "weights" and "biases" its _views."""
+    flat = np.empty_like(net.flat)
+    weights, biases = _views(net._layout, flat)
+    return {"flat": flat, "weights": weights, "biases": biases}
+
+
 def _n_parameters(sizes):
     return sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
 
@@ -271,8 +262,8 @@ class AdamState:
         self.t = 0
         self.m = np.zeros_like(net.flat)
         self.v = np.zeros_like(net.flat)
-        # the gradient's buffer, for net.backward(..., out=state.grad)
-        self.grad = np.empty_like(net.flat)
+        # net.backward(..., out=state.grads) writes the gradient here
+        self.grads = _grad_set(net)
         # opt_step's scratch: it writes its temporaries here
         self.work = (np.empty_like(net.flat), np.empty_like(net.flat))
 
@@ -331,7 +322,7 @@ def fit_mse(sizes, x, y, lo, hi, epochs, seed):
             diff = lo + (u + 1.0) / 2.0 * (hi - lo) - y[idx]
             # d(mse)/du = 2*diff/m * d(pred)/du, d(pred)/du = (hi - lo)/2
             grads = net.backward(cache, 2.0 * diff * ((hi - lo) / 2.0) / len(idx),
-                                 need_input=False, out=opt.grad)
+                                 out=opt.grads)
             opt_step(net, grads, opt)
     return net
 

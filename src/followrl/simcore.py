@@ -192,13 +192,16 @@ class FollowEnv:
             raise ValueError(
                 f"leader profile has {len(profile)} samples; an episode of "
                 f"{cfg.max_steps} steps needs at least {cfg.max_steps + 1}")
-        # a finite start keeps every later state finite
-        bad = np.flatnonzero(~np.isfinite(profile))
+        # a finite start keeps every state finite; speeds >= 0 keep accels in bounds
+        bad = np.flatnonzero(~(np.isfinite(profile) & (profile >= 0.0)))
         if len(bad):
-            raise ValueError(f"non-finite leader profile value at index {bad[0]}")
+            fault = "negative" if np.isfinite(profile[bad[0]]) else "non-finite"
+            raise ValueError(f"{fault} leader profile value at index {bad[0]}")
         for name, x in (("initial_gap", initial_gap), ("follower_speed", follower_speed)):
             if not math.isfinite(x):
                 raise ValueError(f"non-finite {name} {x}")
+        if follower_speed < 0.0:
+            raise ValueError(f"negative follower_speed {follower_speed}")
         # Python floats: the same IEEE arithmetic as numpy scalars, several
         # times faster per operation, and every value derived from the
         # leader speed (position, gap, reward, StepInfo) stays a float

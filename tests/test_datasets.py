@@ -11,7 +11,7 @@ from followrl.config import IdmParams
 from followrl.datasets import (FollowingEpisode, RelabeledDataset,
                                build_transitions, ingest,
                                load_transition_store, make_synthetic,
-                               relabel_episodes, rollout_episode,
+                               merge_parts, relabel_episodes, rollout_episode,
                                save_transition_store,
                                split_train_eval, write_trajectory_csv)
 from followrl.simcore import FollowEnv, gen_leader_profile
@@ -289,6 +289,22 @@ class TestSplit:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             split_train_eval([], 0.95, seed=0)
+
+    @pytest.mark.parametrize("frac", [0.0, -0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("n_eps", [3, 20])
+    def test_frac_outside_unit_interval_rejected(self, frac, n_eps):
+        # 0 once crashed in merge_parts on an empty train share, and 1.5
+        # split 20 episodes 19/1
+        parts = [build_transitions(constant_episode(22), CFG, RCFG)
+                 for _ in range(n_eps)]
+        with pytest.raises(ValueError, match=rf"frac .*\(0, 1\).* {frac}"):
+            split_train_eval(parts, frac, seed=0)
+
+    def test_merge_nothing_rejected(self):
+        with pytest.raises(ValueError, match="no datasets to merge"):
+            merge_parts([])
+        with pytest.raises(ValueError, match="no datasets to merge"):
+            relabel_episodes([], CFG, RCFG)
 
 
 class TestHistogram:

@@ -517,7 +517,7 @@ class TestStackedUpdate:
         for _ in range(3):
             agent.train_step(batch, update_actor)
         assert calls == {name: 3 * count for name, count in want.items()}
-        grads = [agent.critic_opt.grad] + [agent.actor_opt.grad] * update_actor
+        grads = [agent.critic_opt.grads] + [agent.actor_opt.grads] * update_actor
         assert [id(out) for out in outs] == [id(g) for g in grads] * 3
         if not update_actor:
             # actor_target(s') alone, then the critics stack

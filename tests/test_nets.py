@@ -44,8 +44,9 @@ def matmul_forward(net, x):
 
 
 def matmul_backward(net, cache, dout, dpre=None):
-    """MlpNet.backward's "flat" and "input" with every product through
-    np.matmul, the reference as matmul_forward is."""
+    """MlpNet.backward's "flat" and the input gradient (input_grad's when
+    dpre is None) with every product through np.matmul, the reference as
+    matmul_forward is."""
     pre, post = cache["pre"], cache["post"]
     last = net.n_layers - 1
     grad = np.asarray(dout, dtype=float)
@@ -141,7 +142,7 @@ class TestBackward:
                 scale = np.maximum(np.abs(num), 1e-6)
                 assert np.max(np.abs(g - num) / scale) < 1e-4
             g_in = numeric_grad(loss, x)
-            assert np.allclose(grads["input"], g_in, atol=1e-6)
+            assert np.allclose(net.input_grad(cache, w), g_in, atol=1e-6)
 
     @pytest.mark.parametrize("sizes,act", ARCHS)
     def test_preactivation_term_finite_difference(self, sizes, act):
@@ -164,7 +165,6 @@ class TestBackward:
             num = numeric_grad(loss, p)
             scale = np.maximum(np.abs(num), 1e-6)
             assert np.max(np.abs(g - num) / scale) < 1e-4
-        assert np.allclose(grads["input"], numeric_grad(loss, x), atol=1e-6)
 
     def test_zero_output_gradient(self):
         net = MlpNet([4, 8, 2], "linear", seed=5)
@@ -177,8 +177,7 @@ class TestBackward:
         net.weights[0][...] = 1.0
         net.biases[0][...] = 0.0
         _, cache = net.forward(np.zeros((1, 1)), cache=True)
-        grads = net.backward(cache, np.array([[3.0]]))
-        assert grads["input"][0, 0] == pytest.approx(3.0)
+        assert net.input_grad(cache, np.array([[3.0]]))[0, 0] == pytest.approx(3.0)
 
     def test_stale_cache_rejected(self):
         net = MlpNet([2, 2], "linear", seed=0)
@@ -187,65 +186,85 @@ class TestBackward:
 
     @pytest.mark.parametrize("sizes,act", ARCHS + [([4, 1], "tanh")])
     def test_without_input_gradient(self, sizes, act):
-        # need_input=False skips only the input gradient's last matmul
+        # backward gives the parameter gradients only and skips layer 0's
+        # input product, a one-layer net's only one; input_grad gives the
+        # input gradient.  Each is the matmul reference's, bit for bit
         rng = np.random.default_rng(3)
         net = MlpNet(sizes, act, seed=6)
         _, cache = net.forward(rng.standard_normal((9, sizes[0])), cache=True)
         dout = rng.standard_normal((9, sizes[-1]))
         dpre = rng.standard_normal((9, sizes[-1]))
-        full = net.backward(cache, dout, dpre)
-        trimmed = net.backward(cache, dout, dpre, need_input=False)
-        assert trimmed["input"] is None
-        assert trimmed["flat"].tobytes() == full["flat"].tobytes()
+        grads = net.backward(cache, dout, dpre)
+        assert set(grads) == {"flat", "weights", "biases"}
+        assert (grads["flat"].tobytes()
+                == matmul_backward(net, cache, dout, dpre)[0].tobytes())
         assert (net.input_grad(cache, dout).tobytes()
-                == net.backward(cache, dout)["input"].tobytes())
+                == matmul_backward(net, cache, dout)[1].tobytes())
+
+    @pytest.mark.parametrize("sizes,act", ARCHS)
+    def test_net_state_unchanged(self, sizes, act):
+        # a net holds its parameters and their layout; backward, fresh or
+        # into a gradient set, leaves every attribute as it was
+        net = MlpNet(sizes, act, seed=2)
+        before = dict(vars(net))
+        flat = net.flat.copy()
+        _, cache = net.forward(np.ones((3, sizes[0])), cache=True)
+        net.backward(cache, np.ones((3, sizes[-1])))
+        net.backward(cache, np.ones((3, sizes[-1])), out=AdamState(net).grads)
+        net.input_grad(cache, np.ones((3, sizes[-1])))
+        assert vars(net).keys() == before.keys()
+        assert all(vars(net)[k] is v for k, v in before.items())
+        assert net.flat.tobytes() == flat.tobytes()
 
 
 class TestBackwardInto:
     @pytest.mark.parametrize("sizes,act", ARCHS)
     def test_results_are_views_of_out(self, sizes, act):
-        # out=buf writes what the allocating call returns into buf; a
-        # second buffer, and then the first again, must each get it too
+        # out=opt.grads writes what the allocating call returns into that
+        # gradient set and returns it; a second set, and then the first
+        # again, must each get it too
         rng = np.random.default_rng(4)
         net = MlpNet(sizes, act, seed=7)
-        bufs = [np.empty_like(net.flat), np.empty_like(net.flat)]
-        for buf in (bufs[0], bufs[1], bufs[0]):
+        sets = [AdamState(net).grads, AdamState(net).grads]
+        for grads in (sets[0], sets[1], sets[0]):
+            flat = grads["flat"]
             _, cache = net.forward(rng.standard_normal((6, sizes[0])), cache=True)
             dout = rng.standard_normal((6, sizes[-1]))
             dpre = rng.standard_normal((6, sizes[-1]))
             fresh = net.backward(cache, dout, dpre)
-            into = net.backward(cache, dout, dpre, out=buf)
-            assert into["flat"] is buf
-            assert_views(buf, into["weights"] + into["biases"])
-            assert into["flat"].tobytes() == fresh["flat"].tobytes()
-            assert into["input"].tobytes() == fresh["input"].tobytes()
-            assert not np.shares_memory(fresh["flat"], buf)
+            into = net.backward(cache, dout, dpre, out=grads)
+            assert into is grads and into["flat"] is flat
+            assert_views(flat, into["weights"] + into["biases"])
+            assert flat.tobytes() == fresh["flat"].tobytes()
+            assert not np.shares_memory(fresh["flat"], flat)
 
     def test_member_writes_into_out(self):
         pair = MlpNet.stack(solo_nets([5, 32, 32, 1], "linear", 2, 3))
         _, cache = pair.forward(np.ones((2, 4, 5)), cache=True)
         for k in range(2):
             member = pair.member(k)
-            buf = AdamState(member).grad
+            grads = AdamState(member).grads
             got = member.backward(member_cache(cache, k), np.ones((4, 1)),
-                                  need_input=False, out=buf)
+                                  out=grads)
             want = member.backward(member_cache(cache, k), np.ones((4, 1)))
-            assert got["flat"] is buf and got["input"] is None
-            assert buf.tobytes() == want["flat"].tobytes()
+            assert got is grads
+            assert not np.shares_memory(grads["flat"], pair.flat)
+            assert grads["flat"].tobytes() == want["flat"].tobytes()
 
     @pytest.mark.parametrize("make", [
-        lambda p: np.empty(p - 1), lambda p: np.empty((1, p)),
-        lambda p: np.empty(p, dtype=np.float32), lambda p: np.empty(2 * p)[::2],
-        lambda p: [0.0] * p],
-        ids=["short", "2-D", "float32", "strided", "list"])
+        lambda net: MlpNet([4, 7, 1], "tanh", seed=0),
+        lambda net: MlpNet([5, 8, 1], "tanh", seed=0),
+        lambda net: MlpNet.stack([net, net])],
+        ids=["short", "long", "2-D"])
     def test_bad_out_rejected(self, make):
+        # the gradient set of another architecture, or of a stack
         net = MlpNet([4, 8, 1], "tanh", seed=0)
-        p = net.flat.size
         _, cache = net.forward(np.ones((3, 4)), cache=True)
-        bad = make(p)
-        with pytest.raises(ValueError,
-                           match=rf"\({p},\).*{re.escape(str(np.shape(bad)))}"):
-            net.backward(cache, np.ones((3, 1)), out=bad)
+        grads = AdamState(make(net)).grads
+        with pytest.raises(ValueError, match=re.escape(
+                f"gradient set shape {grads['flat'].shape} != parameter "
+                f"shape {net.flat.shape}")):
+            net.backward(cache, np.ones((3, 1)), out=grads)
 
 
 class TestDotProducts:
@@ -281,9 +300,8 @@ class TestDotProducts:
                 assert [a.tobytes() for a in cache[key]] == \
                        [a.tobytes() for a in want_cache[key]]
             got = net.backward(cache, dout, dpre)
-            flat, din = matmul_backward(net, want_cache, dout, dpre)
-            assert got["flat"].tobytes() == flat.tobytes()
-            assert got["input"].tobytes() == din.tobytes()
+            assert (got["flat"].tobytes()
+                    == matmul_backward(net, want_cache, dout, dpre)[0].tobytes())
             assert (net.input_grad(cache, dout).tobytes()
                     == matmul_backward(net, want_cache, dout)[1].tobytes())
 

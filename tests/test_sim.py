@@ -203,6 +203,23 @@ class TestReset:
             env.reset(**kwargs)
         assert env.done
 
+    @pytest.mark.parametrize("where", ["profile", "follower_speed"])
+    def test_rejects_negative_speed(self, where):
+        # a negative start speed once made the speed floor's -v/dt the
+        # applied accel: 30 m/s^2 from -3 m/s, above a_max
+        kwargs = {"profile": make_profile(5, 200), "initial_gap": 20.0,
+                  "follower_speed": 5.0}
+        if where == "profile":
+            kwargs["profile"][7] = -2.0
+            match = "negative leader profile value at index 7"
+        else:
+            kwargs[where] = -3.0
+            match = "negative follower_speed -3.0"
+        env = FollowEnv(short_cfg())
+        with pytest.raises(ValueError, match=match):
+            env.reset(**kwargs)
+        assert env.done
+
 
 class TestStep:
     def test_statics(self):
