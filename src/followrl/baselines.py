@@ -7,7 +7,7 @@ import numpy as np
 
 from .config import IdmParams, SimConfig
 from .nets import MlpNet, fit_mse
-from .simcore import normalize_state, scale_action
+from .simcore import STATE_DIM, normalize_state, scale_action
 
 
 def idm_accel(v, v_l, g, p: IdmParams = None, a_min=SimConfig.a_min,
@@ -67,7 +67,7 @@ def bc_train(train_ds, epochs=20, seed=0, sim_cfg: SimConfig = None):
         raise ValueError("empty training split")
     sim_cfg = sim_cfg or SimConfig()
     rows = train_ds.transitions
-    net = fit_mse([4, 32, 32, 1], rows.states, rows.actions[:, None],
+    net = fit_mse([STATE_DIM, 32, 32, 1], rows.states, rows.actions[:, None],
                   sim_cfg.a_min, sim_cfg.a_max, epochs, seed)
     return BcPolicy(net, sim_cfg)
 

@@ -40,10 +40,7 @@ def cmd_reward_probe(args, cfg):
 
 
 def cmd_make_synthetic(args, cfg):
-    idm_params = cfg["idm"]
-    if args.idm_time_gap is not None:
-        idm_params = dataclasses.replace(idm_params, T=args.idm_time_gap)
-    controller = baselines.IdmController(idm_params, cfg["sim"])
+    controller = baselines.IdmController(cfg["idm"], cfg["sim"])
     episodes = datasets.make_synthetic(args.episodes, args.seed, cfg["sim"],
                                        cfg["reward"], controller,
                                        cfg["leader_ou"])
@@ -227,7 +224,6 @@ def build_parser():
     sp.add_argument("--episodes", type=int, default=25)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--idm-time-gap", type=float, default=None)
 
     sp = add("ingest", cmd_ingest, help="parse and relabel trajectory CSVs")
     sp.add_argument("--in", dest="inputs", required=True, help="file or glob")

@@ -19,10 +19,11 @@ import numpy as np
 
 from .baselines import IdmController
 from .config import LEADER_OU, RewardConfig, SimConfig
-from .ddpg import STATE_DIM, Batch, ReplayBuffer
+from .ddpg import Batch, ReplayBuffer
 from .evaluate import Scenario, run_scenario
 from .reward import reward_total
-from .simcore import gen_leader_profile, normalize_state, read_csv, write_csv
+from .simcore import (STATE_DIM, FollowEnv, gen_leader_profile, normalize_state,
+                      read_csv, write_csv)
 
 HEADER = ["t_s", "v_leader_mps", "v_follower_mps", "gap_m"]
 
@@ -118,40 +119,27 @@ def relabel_episodes(episodes, cfg: SimConfig, rcfg: RewardConfig):
 
 
 def split_train_eval(parts, frac=0.95, seed=0):
-    """Split a list of per-episode RelabeledDatasets ~95/5 by episode.
-
-    With fewer than 20 episodes the split falls back to contiguous
-    transition blocks inside each episode, so the eval share is never
-    empty.  Deterministic under the seed.
-    """
+    """Split a list of per-episode RelabeledDatasets ~95/5 by episode: each
+    episode lands whole in one share, and both shares hold at least one.
+    Needs two or more episodes.  Deterministic under the seed."""
     if not parts or all(len(p) == 0 for p in parts):
         raise ValueError("nothing to split")
+    if len(parts) < 2:
+        raise ValueError("a split needs at least 2 episodes, got 1")
     if not 0.0 < frac < 1.0:
         raise ValueError(f"frac must lie in (0, 1), got {frac}")
-    rng = np.random.default_rng(seed)
-    if len(parts) >= 20:
-        order = rng.permutation(len(parts))
-        total = sum(len(p) for p in parts)
-        train_parts, eval_parts, tally = [], [], 0
-        for i in order:
-            if tally < frac * total:
-                train_parts.append(parts[i])
-                tally += len(parts[i])
-            else:
-                eval_parts.append(parts[i])
-        if not eval_parts:
-            eval_parts.append(train_parts.pop())
-        return merge_parts(train_parts), merge_parts(eval_parts)
-    train, evl = [], []
-    for p in parts:
-        cut = int(round(frac * len(p)))
-        cut = min(max(cut, 0), len(p) - 1) if len(p) > 1 else len(p)
-        eid = p.provenance[0][0]
-        train.append(RelabeledDataset(p.transitions.take(slice(cut)),
-                                      [(eid, cut)], p.clipped_actions))
-        evl.append(RelabeledDataset(p.transitions.take(slice(cut, None)),
-                                    [(eid, len(p) - cut)]))
-    return merge_parts(train), merge_parts(evl)
+    order = np.random.default_rng(seed).permutation(len(parts))
+    total = sum(len(p) for p in parts)
+    train_parts, eval_parts, tally = [], [], 0
+    for i in order:
+        if tally < frac * total:
+            train_parts.append(parts[i])
+            tally += len(parts[i])
+        else:
+            eval_parts.append(parts[i])
+    if not eval_parts:
+        eval_parts.append(train_parts.pop())
+    return merge_parts(train_parts), merge_parts(eval_parts)
 
 
 def merge_parts(parts):
@@ -215,8 +203,8 @@ def load_transition_store(path):
     """Read a store written by save_transition_store.  A missing member,
     columns of unequal length, states not shaped (n, 4), dones not bool or
     another column not float64, a non-finite value, or a manifest that is
-    unreadable, lacks a key or counts other than the store's rows raise
-    ValueError naming the file."""
+    missing, unreadable, lacks a key or counts other than the store's rows
+    raise ValueError naming the file."""
     path = os.fspath(path)
     if not os.path.exists(path) and os.path.exists(path + ".npz"):
         path = path + ".npz"
@@ -240,24 +228,23 @@ def load_transition_store(path):
                              f"not {want}")
     if not all(np.isfinite(col).all() for col in batch.columns):
         raise ValueError(f"{path}: non-finite value in the store")
-    provenance, clipped = [], 0
     base = path[:-4] if path.endswith(".npz") else path
     manifest_path = base + ".manifest.json"
-    if os.path.exists(manifest_path):
-        try:
-            with open(manifest_path) as fh:
-                manifest = json.load(fh)
-            provenance = [(e["id"], e["transitions"])
-                          for e in manifest["episodes"]]
-            clipped = manifest["clipped_actions"]
-            counts = (manifest["n_transitions"], sum(k for _, k in provenance))
-        except (ValueError, KeyError, TypeError) as err:
-            raise ValueError(f"{manifest_path}: unreadable manifest "
-                             f"({type(err).__name__}: {err})") from None
-        if counts != (n, n):
-            raise ValueError(f"{manifest_path}: n_transitions {counts[0]} "
-                             f"and episode counts summing to {counts[1]} do "
-                             f"not both match the store's {n} rows")
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        provenance = [(e["id"], e["transitions"]) for e in manifest["episodes"]]
+        clipped = manifest["clipped_actions"]
+        counts = (manifest["n_transitions"], sum(k for _, k in provenance))
+    except FileNotFoundError:
+        raise ValueError(f"{manifest_path}: missing manifest") from None
+    except (ValueError, KeyError, TypeError) as err:
+        raise ValueError(f"{manifest_path}: unreadable manifest "
+                         f"({type(err).__name__}: {err})") from None
+    if counts != (n, n):
+        raise ValueError(f"{manifest_path}: n_transitions {counts[0]} "
+                         f"and episode counts summing to {counts[1]} do "
+                         f"not both match the store's {n} rows")
     return RelabeledDataset(batch, provenance, clipped)
 
 
@@ -286,11 +273,13 @@ def rollout_episode(controller, profile, cfg: SimConfig, rcfg: RewardConfig,
     if len(profile) <= cfg.max_steps:
         raise ValueError(f"leader profile has {len(profile)} samples; "
                          f"{cfg.max_steps} steps need {cfg.max_steps + 1}")
-    trace = run_scenario(controller, Scenario(
-        episode_id, profile[:cfg.max_steps + 1], initial_gap), cfg, rcfg)
+    profile = profile[:cfg.max_steps + 1]
+    # the start row is the env's: its gap (g0 + L) - 0 - L may not be g0
+    v, _, v_l, g = FollowEnv(cfg, rcfg).reset(profile, initial_gap)
+    trace = run_scenario(controller, Scenario(episode_id, profile, initial_gap),
+                         cfg, rcfg)
     n = len(trace.t) - trace.collided
-    L = cfg.vehicle_length  # the env's start gap (g0 + L) - 0 - L may not be g0
-    records = np.vstack([(0.0, profile[0], 0.0, (initial_gap + L) - 0.0 - L),
+    records = np.vstack([(0.0, v_l, v, g),
                          np.column_stack((trace.t, trace.v_leader,
                                           trace.v_follower, trace.gap))[:n]])
     return FollowingEpisode(episode_id, records), trace.reward[:n].tolist()

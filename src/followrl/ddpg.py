@@ -16,8 +16,8 @@ from .config import LEADER_OU, DdpgConfig, OuParams, RewardConfig, SimConfig
 from .evaluate import Scenario, run_scenario
 from .nets import (AdamState, MlpNet, hard_update, member_cache, opt_step,
                    soft_update)
-from .simcore import (FollowEnv, OuNoise, gen_leader_profile, normalize_state,
-                      scale_action, unscale_action)
+from .simcore import (STATE_DIM, FollowEnv, OuNoise, gen_leader_profile,
+                      normalize_state, scale_action, unscale_action)
 
 # Adam turns a fresh critic's noise-sized dQ/da into full lr-sized actor
 # steps, which pinned the tanh actor at an action bound within its first
@@ -34,9 +34,6 @@ PREACT_L2 = 1e-3
 # online net and its target are one K = 2 stack
 _NETS = {"actor": ("actors", 0), "critic": ("critics", 0),
          "actor_target": ("actors", 1), "critic_target": ("critics", 1)}
-
-# normalized state (v, a, v_l, g); see simcore.normalize_state
-STATE_DIM = 4
 
 # gradient steps between off-policy training's greedy evaluation episodes
 OFFPOLICY_EVAL_EVERY = 2000
@@ -93,9 +90,7 @@ class Batch:
         self.dones[i] = tr.done
 
     def take(self, idx):
-        """Rows idx, an index array or a slice, copied into a new Batch."""
-        if isinstance(idx, slice):
-            idx = np.arange(len(self))[idx]
+        """Rows idx, an index array, copied into a new Batch."""
         return Batch(*(col.take(idx, axis=0) for col in self.columns))
 
 

@@ -18,6 +18,9 @@ from .reward import reward_total
 # as the gap closes, so this is its limit value.
 COLLISION_REWARD = -1.0
 
+# the width of normalize_state's (v, a, v_l, g) vector
+STATE_DIM = 4
+
 
 def normalize_state(v, a, v_l, g, cfg: SimConfig):
     """Map raw (v, accel, leader v, gap) to the dimensionless 4-vector

@@ -12,9 +12,11 @@ import pytest
 
 from followrl import DdpgAgent, MlpNet
 from followrl.cli import main
-from followrl.config import (PowertrainParams, RewardConfig, SimConfig,
-                             load_config)
-from followrl.datasets import ingest, load_transition_store
+from followrl.baselines import IdmController
+from followrl.config import (IdmParams, PowertrainParams, RewardConfig,
+                             SimConfig, load_config)
+from followrl.datasets import (ingest, load_transition_store, make_synthetic,
+                               write_trajectory_csv)
 from followrl.simcore import LEADER_HEADER, read_csv
 
 
@@ -70,6 +72,30 @@ class TestPipeline:
             "--out", str(tmp_path))
         files = sorted(os.listdir(tmp_path))
         assert files == ["synthetic-000.csv", "synthetic-001.csv"]
+
+    def test_make_synthetic_idm_from_config(self, tmp_path):
+        # IDM's time gap has one handle, [idm] T
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("[idm]\nT = 1.8\n")
+        run("make-synthetic", "--config", str(cfg), "--episodes", "2",
+            "--seed", "3", "--out", str(tmp_path / "cli"))
+        sim = SimConfig()
+        want = make_synthetic(2, 3, sim, RewardConfig(),
+                              IdmController(IdmParams(T=1.8), sim))
+        for ep in want:
+            path = tmp_path / f"{ep.id}.csv"
+            write_trajectory_csv(path, ep)
+            assert (tmp_path / "cli" / path.name).read_bytes() == \
+                path.read_bytes()
+        default = make_synthetic(2, 3, sim, RewardConfig())
+        assert not np.array_equal(default[0].records, want[0].records)
+
+    def test_idm_time_gap_flag_removed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            run("make-synthetic", "--idm-time-gap", "1.0", "--out",
+                str(tmp_path))
+        assert "unrecognized arguments: --idm-time-gap 1.0" in \
+            capsys.readouterr().err
 
     def test_ingest_store(self, synth_store):
         ds = load_transition_store(synth_store)

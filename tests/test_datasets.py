@@ -279,12 +279,35 @@ class TestSplit:
             total = len(train) + len(evl)
             assert 0.90 <= len(train) / total <= 0.99
 
-    def test_few_episodes_block_split(self):
-        parts = [build_transitions(constant_episode(100), CFG, RCFG)
+    def test_few_episodes_kept_whole(self):
+        # fewer than 20 episodes were once cut in two, each episode landing
+        # in both shares
+        rng = np.random.default_rng(8)
+        for n_eps in (3, 5, 19):
+            parts = []
+            for k in range(n_eps):
+                ep = constant_episode(int(rng.integers(20, 120)))
+                ep.id = f"ep{k}"
+                parts.append(build_transitions(ep, CFG, RCFG))
+            train, evl = split_train_eval(parts, 0.95, seed=0)
+            assert len(train) > 0 and len(evl) > 0
+            assert len(train) + len(evl) == sum(len(p) for p in parts)
+            shares = train.provenance + evl.provenance
+            assert sorted(shares) == sorted(p.provenance[0] for p in parts)
+            assert {eid for eid, _ in train.provenance}.isdisjoint(
+                eid for eid, _ in evl.provenance)
+
+    def test_small_frac_keeps_a_train_share(self):
+        # 3 episodes of 20 transitions at frac 0.02 once gave 0 train rows
+        parts = [build_transitions(constant_episode(22), CFG, RCFG)
                  for _ in range(3)]
-        train, evl = split_train_eval(parts, 0.95, seed=0)
-        assert len(evl) > 0
-        assert len(train) + len(evl) == 3 * 98
+        train, evl = split_train_eval(parts, 0.02, seed=0)
+        assert len(train) == 20 and len(evl) == 40
+
+    def test_one_episode_rejected(self):
+        parts = [build_transitions(constant_episode(100), CFG, RCFG)]
+        with pytest.raises(ValueError, match="at least 2 episodes"):
+            split_train_eval(parts, 0.95, seed=0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -417,6 +440,16 @@ class TestStore:
                 data["episodes"][0]["transitions"] -= 1
             manifest.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="store.manifest.json: "):
+            load_transition_store(path)
+
+    def test_missing_manifest_rejected(self, tmp_path):
+        # a store without its manifest once loaded with no provenance
+        path = tmp_path / "store.npz"
+        save_transition_store(path, relabel_episodes(
+            make_synthetic(1, 5, CFG, RCFG, duration=5.0), CFG, RCFG))
+        (tmp_path / "store.manifest.json").unlink()
+        with pytest.raises(ValueError,
+                           match="store.manifest.json: missing manifest"):
             load_transition_store(path)
 
     def test_save_rejects_non_finite(self, tmp_path):
