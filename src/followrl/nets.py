@@ -45,13 +45,14 @@ class MlpNet:
         self._lead = flat.shape[:-1]
         self._layout = _layout(self.sizes)
         self.weights, self.biases = _views(self._layout, flat)
-        # forward's and backward's 2-D product.  np.dot gives matmul's bits
-        # at less cost per call, but for a 1 x 1 by 1 x 1 product, where it
-        # keeps the sign of a zero that matmul makes +0.0; only a layer of
-        # one input and one output meets that product.  A stack's products
-        # broadcast over the member axis, which np.dot does not do
+        # forward's and backward's 2-D product.  ndarray.dot gives matmul's
+        # bits at less cost per call, but for a 1 x 1 by 1 x 1 product, where
+        # it keeps the sign of a zero that matmul makes +0.0; only a layer of
+        # one input and one output meets that product.  It runs np.dot's
+        # routine without np.dot's __array_function__ dispatch.  A stack's
+        # products broadcast over the member axis, which dot does not do
         unit_layer = (1, 1) in zip(self.sizes, self.sizes[1:])
-        self._product = np.matmul if self._lead or unit_layer else np.dot
+        self._product = np.matmul if self._lead or unit_layer else np.ndarray.dot
         return self
 
     @classmethod
@@ -313,13 +314,17 @@ def fit_mse(sizes, x, y, lo, hi, epochs, seed):
     net = MlpNet(sizes, "tanh", seed=net_seed)
     opt = AdamState(net, lr=FIT_LR)
     rng = np.random.default_rng(shuffle_seed)
+    # take() gathers a minibatch faster than fancy indexing does, but on a
+    # strided view it copies the whole array first: copy such inputs once
+    x = np.ascontiguousarray(x, dtype=float)
+    y = np.ascontiguousarray(y, dtype=float)
     n = len(y)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, FIT_BATCH):
             idx = order[start:start + FIT_BATCH]
-            u, cache = net.forward(x[idx], cache=True)
-            diff = lo + (u + 1.0) / 2.0 * (hi - lo) - y[idx]
+            u, cache = net.forward(x.take(idx, axis=0), cache=True)
+            diff = lo + (u + 1.0) / 2.0 * (hi - lo) - y.take(idx, axis=0)
             # d(mse)/du = 2*diff/m * d(pred)/du, d(pred)/du = (hi - lo)/2
             grads = net.backward(cache, 2.0 * diff * ((hi - lo) / 2.0) / len(idx),
                                  out=opt.grads)

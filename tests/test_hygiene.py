@@ -1,6 +1,6 @@
 """Source hygiene: no followrl module imports a name it never uses, every
-module-level function and class is named somewhere else, and every config
-field is read by the code it configures."""
+module-level function and class is named somewhere else, every config
+field is read by the code it configures, and no module names np.dot."""
 
 import ast
 from collections import Counter
@@ -106,3 +106,25 @@ def test_every_config_field_read():
     assert unread_fields((SRC / "config.py").read_text(),
                          [p.read_text() for p in MODULES
                           if p.name != "config.py"]) == []
+
+
+def numpy_dot_uses(source):
+    """Lines naming numpy's dot function, ``np.dot`` or ``numpy.dot``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "dot"
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in ("np", "numpy"))
+
+
+def test_checker_finds_numpy_dot():
+    source = ("import numpy as np\nz = np.dot(a, b)\nf = np.dot\n"
+              "g = np.ndarray.dot\nw = a.dot(b)\n")
+    assert numpy_dot_uses(source) == [2, 3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_numpy_dot(path):
+    # np.dot's __array_function__ dispatch is a sizeable share of a
+    # product's cost at the nets' sizes; MlpNet._product is the one entry
+    # point for products
+    assert numpy_dot_uses(path.read_text()) == []

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from followrl import AdamState, MlpNet, opt_step, soft_update
-from followrl.nets import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, hard_update, member_cache
+from followrl.nets import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, FIT_BATCH, FIT_LR,
+                           fit_mse, hard_update, member_cache)
 
 
 def straight_line_forward(net, x):
@@ -25,7 +26,7 @@ def straight_line_forward(net, x):
 
 def matmul_forward(net, x):
     """MlpNet.forward with every product through np.matmul: the
-    bit-for-bit reference for its np.dot products.  Returns (output,
+    bit-for-bit reference for its ndarray.dot products.  Returns (output,
     cache)."""
     h = np.asarray(x, dtype=float)
     pre, post = [], [h]
@@ -268,10 +269,10 @@ class TestBackwardInto:
 
 
 class TestDotProducts:
-    # np.dot takes a 1 x 1 by 1 x 1 product as a scalar one, keeping the
-    # sign of a zero that matmul turns into +0.0; a one-row batch through a
-    # layer of one input and one output meets it.  The actor's shape at one
-    # row has a 1 x 1 operand in backward, but no such product
+    # ndarray.dot takes a 1 x 1 by 1 x 1 product as a scalar one, keeping
+    # the sign of a zero that matmul turns into +0.0; a one-row batch
+    # through a layer of one input and one output meets it.  The actor's
+    # shape at one row has a 1 x 1 operand in backward, but no such product
     @example(sizes=[1, 1, 1], act="linear", k=0, n=1, with_dpre=False, seed=0)
     @example(sizes=[3, 1, 1, 2], act="tanh", k=2, n=1, with_dpre=True, seed=2)
     @example(sizes=[4, 32, 32, 1], act="tanh", k=0, n=1, with_dpre=True, seed=0)
@@ -282,7 +283,7 @@ class TestDotProducts:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_match_matmul_reference(self, sizes, act, k, n, with_dpre, seed):
         # a solo net (k = 0) and the members of a K = k stack take their
-        # 2-D products with np.dot: forward, its cache, backward and
+        # 2-D products with ndarray.dot: forward, its cache, backward and
         # input_grad must be matmul's, bit for bit
         nets = solo_nets(sizes, act, max(k, 1), seed % 1000)
         if k:
@@ -304,6 +305,72 @@ class TestDotProducts:
                     == matmul_backward(net, want_cache, dout, dpre)[0].tobytes())
             assert (net.input_grad(cache, dout).tobytes()
                     == matmul_backward(net, want_cache, dout)[1].tobytes())
+
+    @pytest.mark.parametrize("sizes, form, want", [
+        ([4, 32, 32, 1], "solo", np.ndarray.dot),
+        ([4, 32, 32, 1], "member", np.ndarray.dot),
+        ([4, 32, 32, 1], "stack", np.matmul),
+        ([1, 1, 1], "solo", np.matmul),
+        ([3, 1, 1, 2], "member", np.matmul),
+    ])
+    def test_product_choice(self, sizes, form, want):
+        # ndarray.dot is np.dot's routine without its dispatch; a stack
+        # broadcasts over the member axis and a 1 -> 1 layer needs matmul's
+        # sign of zero
+        pair = MlpNet.stack(solo_nets(sizes, "tanh", 2, 0))
+        net = {"solo": MlpNet(sizes, "tanh", seed=0), "member": pair.member(1),
+               "stack": pair}[form]
+        assert net._product is want
+
+
+def reference_fit_mse(sizes, x, y, lo, hi, epochs, seed):
+    """fit_mse's loop gathering each minibatch by fancy indexing: the
+    bit-for-bit reference for its take() gathers."""
+    net_seed, shuffle_seed = np.random.SeedSequence(seed).spawn(2)
+    net = MlpNet(sizes, "tanh", seed=net_seed)
+    opt = AdamState(net, lr=FIT_LR)
+    rng = np.random.default_rng(shuffle_seed)
+    n = len(y)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, FIT_BATCH):
+            idx = order[start:start + FIT_BATCH]
+            u, cache = net.forward(x[idx], cache=True)
+            diff = lo + (u + 1.0) / 2.0 * (hi - lo) - y[idx]
+            grads = net.backward(cache, 2.0 * diff * ((hi - lo) / 2.0) / len(idx),
+                                 out=opt.grads)
+            opt_step(net, grads, opt)
+    return net
+
+
+def fit_inputs(kind):
+    """(sizes, x, y, lo, hi) in the forms fit_mse's callers pass."""
+    rng = np.random.default_rng(11)
+    if kind == "strided":
+        # train_control_net: columns of one (n, 5) array
+        samples = rng.uniform(0.0, 1.0, size=(300, 5))
+        return [3, 16, 16, 2], samples[:, :3], samples[:, 3:], 0.0, 1.0
+    n = 70 if kind == "70-rows" else 200
+    states = rng.standard_normal((n, 4))
+    actions = rng.uniform(-3.0, 2.0, size=n)
+    # bc_train: a column view of the actions
+    x, y = states, actions[:, None]
+    if kind == "lists":
+        x, y = x.tolist(), y.tolist()
+    return [4, 32, 32, 1], x, y, -3.0, 2.0
+
+
+class TestFitMse:
+    @pytest.mark.parametrize("kind", ["strided", "bc-column", "lists", "70-rows"])
+    def test_matches_fancy_index_reference(self, kind):
+        # 70 rows leave a last minibatch of 6
+        sizes, x, y, lo, hi = fit_inputs(kind)
+        x_before, y_before = np.array(x), np.array(y)
+        net = fit_mse(sizes, x, y, lo, hi, 3, 5)
+        ref = reference_fit_mse(sizes, np.asarray(x), np.asarray(y), lo, hi, 3, 5)
+        assert net.flat.tobytes() == ref.flat.tobytes()
+        assert np.array(x).tobytes() == x_before.tobytes()
+        assert np.array(y).tobytes() == y_before.tobytes()
 
 
 class TestAdam:
