@@ -161,12 +161,17 @@ def cmd_eval(args, cfg):
 
 
 def cmd_report(args, cfg):
-    for root, _, files in sorted(os.walk(args.indir)):
-        if "ttc_summary.csv" in files:
-            print(f"== {root}")
-            with open(os.path.join(root, "ttc_summary.csv")) as fh:
-                for line in fh:
-                    print("  " + line.rstrip())
+    if not os.path.isdir(args.indir):
+        sys.exit(f"report --in {args.indir}: not a directory")
+    roots = [root for root, _, files in sorted(os.walk(args.indir))
+             if "ttc_summary.csv" in files]
+    if not roots:
+        sys.exit(f"report --in {args.indir}: no ttc_summary.csv found")
+    for root in roots:
+        print(f"== {root}")
+        with open(os.path.join(root, "ttc_summary.csv")) as fh:
+            for line in fh:
+                print("  " + line.rstrip())
 
 
 # the path flags each control subcommand cannot run without

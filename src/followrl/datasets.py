@@ -290,6 +290,8 @@ def make_synthetic(n_episodes, seed, cfg: SimConfig, rcfg: RewardConfig,
     """Fabricate a stand-in human dataset by rolling out IDM (clipped to
     cfg's accel bounds) or any act-style controller behind OU leaders.
     ``duration`` (seconds) optionally shortens the episode horizon."""
+    if n_episodes < 1:
+        raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     if duration is not None:
         cfg = replace(cfg, max_steps=int(round(duration / cfg.dt)))
     controller = controller or IdmController(sim_cfg=cfg)

@@ -447,6 +447,8 @@ def greedy_eval(agent: DdpgAgent, n_episodes=20, seed=0, rcfg=None,
                 leader_ou: OuParams = LEADER_OU):
     """Exploration-free rollouts on fresh OU leaders; reports the mean
     per-step reward and total collisions."""
+    if n_episodes < 1:
+        raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
     traces = []
     for _ in range(n_episodes):

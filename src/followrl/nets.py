@@ -14,6 +14,10 @@ import numpy as np
 MAGIC = b"FRLN"
 _ACT_CODES = {"linear": 0, "tanh": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
+# the ReLU's and its mask's zero: numpy takes a 0-d array as it is, where a
+# Python float is converted to one on every call
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
 
 
 class MlpNet:
@@ -110,7 +114,7 @@ class MlpNet:
             z += b
             pre.append(z)
             if i < last:
-                h = np.maximum(z, 0.0)
+                h = np.maximum(z, _ZERO)
             elif self.out_activation == "tanh":
                 h = np.tanh(z)
             else:
@@ -160,10 +164,10 @@ class MlpNet:
                     grad = grad + dpre
             else:
                 # grad is the fresh product of the layer above
-                grad *= pre[i] > 0.0
+                grad *= pre[i] > _ZERO
             if dw is not None:
                 product(post[i].T, grad, dw[i])
-                np.add.reduce(grad, 0, None, db[i])
+                np.add.reduce(grad, 0, None, db[i], keepdims=True)
                 if i == 0:
                     return None
             grad = product(grad, self.weights[i].T)
@@ -230,14 +234,13 @@ def _layout(sizes):
 
 def _views(layout, flat):
     """Weight and bias views into flat in _layout's order: (n_in, n_out)
-    and (n_out,) for a vector, (K, n_in, n_out) and (K, 1, n_out) for the
-    (K, P) rows of a stack."""
-    if flat.ndim == 1:
-        return ([flat[w].reshape(shape) for w, shape, _ in layout],
-                [flat[b] for _, _, b in layout])
-    k = len(flat)
-    return ([flat[:, w].reshape(k, *shape) for w, shape, _ in layout],
-            [flat[:, b].reshape(k, 1, -1) for _, _, b in layout])
+    and (1, n_out) for a vector, (K, n_in, n_out) and (K, 1, n_out) for
+    the (K, P) rows of a stack.  A vector's bias is one row of a stack's,
+    so a one-row forward's bias add is a same-shape add on numpy's trivial
+    loop rather than a broadcast."""
+    lead = flat.shape[:-1]
+    return ([flat[..., w].reshape(*lead, *shape) for w, shape, _ in layout],
+            [flat[..., b].reshape(*lead, 1, -1) for _, _, b in layout])
 
 
 def _grad_set(net):

@@ -30,7 +30,10 @@ def reward_safe(v, v_l, g, cfg: RewardConfig):
     """
     if g <= 0:
         raise ValueError("reward_safe requires g > 0; handle collision upstream")
-    b_kin = (v - v_l) / g if v > v_l else 0.0
+    return _safe_term((v - v_l) / g if v > v_l else 0.0, cfg)
+
+
+def _safe_term(b_kin, cfg: RewardConfig):
     if b_kin > cfg.b_comf:
         return -math.tanh((b_kin - cfg.b_comf) / (-cfg.a_min))
     return 0.0
@@ -38,9 +41,8 @@ def reward_safe(v, v_l, g, cfg: RewardConfig):
 
 def _gap_scales(v, cfg: RewardConfig):
     g_opt = v * cfg.T + cfg.g_min
-    g_var = 0.5 * g_opt
     g_lim = v * cfg.T_lim + 2.0 * cfg.g_min
-    return g_opt, g_var, g_lim
+    return g_opt, g_lim
 
 
 def reward_gap(v, g, cfg: RewardConfig):
@@ -48,8 +50,11 @@ def reward_gap(v, g, cfg: RewardConfig):
     linearly to zero at g_lim = v*T_lim + 2*g_min, clamped at 0 beyond."""
     if v < 0 or g < 0:
         raise ValueError("reward_gap requires v >= 0 and g >= 0")
-    g_opt, g_var, g_lim = _gap_scales(v, cfg)
-    z = (g - g_opt) / g_var
+    return _gap_term(g, *_gap_scales(v, cfg))
+
+
+def _gap_term(g, g_opt, g_lim):
+    z = (g - g_opt) / (0.5 * g_opt)
     gauss = math.exp(-0.5 * z * z)      # phi(z)/phi(0)
     if g < g_opt:
         return gauss
@@ -70,11 +75,19 @@ def reward_jerk(jerk, cfg: RewardConfig):
 def reward_total(v, v_l, g, jerk, cfg: RewardConfig):
     """Weighted sum of the three sub-rewards, with the breakdown kept for
     diagnostics.  Supremum is w_gap = 0.5, attained at v = v_l, g = g_opt,
-    jerk = 0."""
-    r_s = reward_safe(v, v_l, g, cfg)
-    r_g = reward_gap(v, g, cfg)
+    jerk = 0.
+
+    The terms are reward_safe's, reward_gap's and reward_jerk's, bit for
+    bit, and their input checks run in that order; b_kin, g_opt and g_lim
+    are computed once and shared by the terms and the breakdown."""
+    if g <= 0:
+        raise ValueError("reward_safe requires g > 0; handle collision upstream")
+    if v < 0:
+        raise ValueError("reward_gap requires v >= 0 and g >= 0")
+    b_kin = (v - v_l) / g if v > v_l else 0.0
+    g_opt, g_lim = _gap_scales(v, cfg)
+    r_s = _safe_term(b_kin, cfg)
+    r_g = _gap_term(g, g_opt, g_lim)
     r_j = reward_jerk(jerk, cfg)
     total = cfg.w_safe * r_s + cfg.w_gap * r_g + cfg.w_jerk * r_j
-    b_kin = (v - v_l) / g if v > v_l else 0.0
-    g_opt, _, g_lim = _gap_scales(v, cfg)
     return RewardBreakdown(r_s, r_g, r_j, total, b_kin, g_opt, g_lim)

@@ -110,12 +110,13 @@ def write_csv(path, header, rows):
     """Numeric CSV: the header line, then one line per row of ``rows``, an
     (n, len(header)) array, each value written as repr(float) so that it
     reads back bit-exactly.  That is csv.writer's form for a float, and no
-    float's repr needs quoting, so each row is one %r format."""
+    float's repr needs quoting, so the whole array is one %r format over
+    its flattened values."""
     rows = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
     line = ",".join(["%r"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.write("".join([line % tuple(row) for row in rows.tolist()]))
+        fh.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def read_csv(path, header):

@@ -209,6 +209,33 @@ class TestTrainEval:
         assert not (tmp_path / "rep").exists()
 
 
+class TestBadCounts:
+    def test_make_synthetic_negative_episodes(self, tmp_path):
+        with pytest.raises(ValueError, match="n_episodes must be >= 1, got -2"):
+            run("make-synthetic", "--episodes", "-2", "--out",
+                str(tmp_path / "data"))
+        assert not (tmp_path / "data").exists()
+
+    def test_eval_zero_scenarios(self, tmp_path):
+        with pytest.raises(ValueError, match="n_scenarios must be >= 1, got 0"):
+            run("eval", "--agents", "idm", "--scenario", "suite:synthetic",
+                "--n-scenarios", "0", "--out", str(tmp_path / "rep"))
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("make, fault", [
+        (lambda path: None, "not a directory"),
+        (lambda path: path.write_text("x"), "not a directory"),
+        (lambda path: (path / "sub").mkdir(parents=True),
+         "no ttc_summary.csv found")], ids=["missing", "file", "empty"])
+    def test_report_needs_summaries(self, tmp_path, capsys, make, fault):
+        path = tmp_path / "rep"
+        make(path)
+        with pytest.raises(SystemExit, match=re.escape(
+                f"report --in {path}: {fault}")):
+            run("report", "--in", str(path))
+        assert capsys.readouterr().out == ""
+
+
 class TestControlCli:
     @pytest.mark.parametrize("argv, flag", [
         (["collect"], "--out"), (["train", "--out", "n.bin"], "--data"),

@@ -357,6 +357,13 @@ class TestHistogram:
             reward_histogram(RelabeledDataset([]))
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_make_synthetic_needs_an_episode(n):
+    # a count below 1 once returned no episodes without error
+    with pytest.raises(ValueError, match=f"n_episodes must be >= 1, got {n}"):
+        make_synthetic(n, 0, CFG, RCFG)
+
+
 class TestStore:
     def test_save_load_round_trip(self, tmp_path):
         eps = make_synthetic(2, 5, CFG, RCFG)

@@ -167,6 +167,46 @@ class TestBatch:
                             batch)
 
 
+def assert_c_contiguous(batch):
+    assert all(col.flags.c_contiguous for col in batch.columns)
+
+
+class TestContiguousColumns:
+    """Batch.take gathers with ndarray.take, which copies a non-contiguous
+    column whole before it gathers (51 us against 0.69 us for 32 of 6,000
+    rows): every Batch that replay and mixing sample from has C-contiguous
+    columns."""
+
+    def test_batch_operations(self):
+        rows = tagged_rows(40, 3)
+        batch = batch_of(rows)
+        assert_c_contiguous(Batch.empty(7))
+        assert_c_contiguous(batch)
+        assert_c_contiguous(batch.take(np.arange(40)[::-3]))
+        assert_c_contiguous(Batch.concat([batch.take(np.arange(5)), batch]))
+        mixed = sample_mixed(buffer_of(rows[:20]), buffer_of(rows[20:]), 32,
+                             0.6, np.random.default_rng(0))
+        assert_c_contiguous(mixed)
+
+    def test_buffer_after_growth(self):
+        # the rows start at 1,024 and double up to the capacity
+        buf = filled_buffer(1500, capacity=3000)
+        assert len(buf.rows) == 2048
+        assert_c_contiguous(buf.rows)
+        assert_c_contiguous(buf.sample(np.random.default_rng(1), 32))
+
+    def test_recorded_data(self, tmp_path):
+        sim, rcfg = SimConfig(), RewardConfig()
+        ep = datasets.make_synthetic(1, 2, sim, rcfg, duration=10.0)[0]
+        ds = datasets.build_transitions(ep, sim, rcfg)
+        assert_c_contiguous(ds.transitions)
+        path = str(tmp_path / "store.npz")
+        datasets.save_transition_store(path, ds)
+        loaded = datasets.load_transition_store(path)
+        assert_c_contiguous(loaded.transitions)
+        assert_c_contiguous(loaded.to_buffer().rows)
+
+
 class TestSampleMixed:
     # simulation rows carry rewards 0.., practical rows 100..
     def test_all_practical(self):
@@ -551,6 +591,12 @@ class TestConfigChecks:
                  "off-policy": lambda: train_fully_offpolicy(agent, buf, -1)}
         with pytest.raises(ValueError, match="budget"):
             train[mode]()
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_greedy_eval_needs_an_episode(self, n):
+        # 0 episodes once died inside np.concatenate
+        with pytest.raises(ValueError, match=f"n_episodes must be >= 1, got {n}"):
+            ddpg.greedy_eval(DdpgAgent(seed=0), n_episodes=n)
 
     @pytest.mark.parametrize("ratio", [-0.1, 1.5])
     def test_stage2_ratio_rejected_on_entry(self, ratio):

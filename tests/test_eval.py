@@ -19,6 +19,7 @@ from followrl.evaluate import (TRACE_COLUMNS, RunTrace, Scenario,
                                scenario_from_episode, self_defined_profile,
                                synthetic_suite, ttc, ttc_summary)
 from followrl.nets import MlpNet
+from followrl.reward import reward_total
 from followrl.simcore import FollowEnv, normalize_state
 
 
@@ -97,7 +98,34 @@ def _trace_with_ttc(vals):
                     np.array(vals, dtype=float))
 
 
+def reference_ttc_summary(trace):
+    """ttc_summary as it was when its sums ran over np.float64 scalars: the
+    bit-for-bit reference for the sums over Python floats."""
+    vals = trace.ttc[np.isfinite(trace.ttc)]
+    vals = vals[vals <= 10.0]
+    if len(vals) == 0:
+        return (math.nan,) * 4 + (0, 0)
+    n = len(vals)
+    mean = math.fsum(vals) / n
+    std = math.sqrt(math.fsum((v - mean) ** 2 for v in vals) / n)
+    return (float(np.min(vals)), mean, float(np.median(vals)), std,
+            int(np.sum(vals < 2.0)), n)
+
+
 class TestTtcSummary:
+    @settings(max_examples=200, deadline=None)
+    @given(vals=st.lists(st.floats(0.0, 12.0, exclude_min=True)
+                         | st.sampled_from([math.nan, math.inf, 5e-324,
+                                            1e-300, 10.0, 2.0]),
+                         max_size=60))
+    @example(vals=[1.0, 3.0, 11.0, math.nan])
+    @example(vals=[1e-300, 9.999999999999998, 5e-324])
+    def test_matches_float64_reference(self, vals):
+        trace = _trace_with_ttc(vals)
+        got = dataclasses.astuple(ttc_summary(trace))
+        want = reference_ttc_summary(trace)
+        assert list(map(repr, got)) == list(map(repr, want))
+
     def test_hand_case(self):
         # {1, 3, 11, none}: 11 exceeds the 10 s threshold, the NaN is
         # dropped, leaving {1, 3}.
@@ -172,6 +200,12 @@ class TestScenarios:
         assert all(x.initial_gap == y.initial_gap for x, y in zip(a, b))
         gaps = [s.initial_gap for s in synthetic_suite(20, seed=0)]
         assert min(gaps) >= 10.0 and max(gaps) <= 100.0
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_synthetic_suite_needs_a_scenario(self, n):
+        # a count below 1 once returned an empty suite without error
+        with pytest.raises(ValueError, match=f"n_scenarios must be >= 1, got {n}"):
+            synthetic_suite(n, seed=0)
 
     def test_run_scenario_idm(self):
         # IDM through the built-in profile: full length, no collision,
@@ -313,6 +347,29 @@ class TestPythonFloats:
             assert type(stats.at_bound) is float
 
 
+def count_calls(monkeypatch, functions, methods=()):
+    """Calls by key: of each (key, function) of functions, through every
+    followrl module that imported it by name, and of each (key, class,
+    name) method of methods.  Returns the dict of counts."""
+    counts = {}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for key, fn in functions:
+        counts[key] = 0
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("followrl")
+                    and getattr(mod, fn.__name__, None) is fn):
+                monkeypatch.setattr(mod, fn.__name__, counted(key, fn))
+    for key, cls, name in methods:
+        counts[key] = 0
+        monkeypatch.setattr(cls, name, counted(key, getattr(cls, name)))
+    return counts
+
+
 class TestOneEncodingPerStep:
     """The env returns the physical state and each learned policy encodes
     it once: a rollout made two normalize_state calls per step when the
@@ -320,24 +377,9 @@ class TestOneEncodingPerStep:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Calls of normalize_state, through every module that imported it
-        by name, and of FollowEnv.reset and step."""
-        counts = {"normalize": 0, "reset": 0, "step": 0}
-
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-        for mod in list(sys.modules.values()):
-            if (getattr(mod, "__name__", "").startswith("followrl")
-                    and getattr(mod, "normalize_state", None) is normalize_state):
-                monkeypatch.setattr(mod, "normalize_state",
-                                    counted("normalize", normalize_state))
-        for key in ("reset", "step"):
-            monkeypatch.setattr(FollowEnv, key,
-                                counted(key, getattr(FollowEnv, key)))
-        return counts
+        """Calls of normalize_state and of FollowEnv.reset and step."""
+        return count_calls(monkeypatch, [("normalize", normalize_state)],
+                           [(key, FollowEnv, key) for key in ("reset", "step")])
 
     @pytest.mark.parametrize("agent, per_step", [("ddpg", 1), ("bc", 1),
                                                  ("idm", 0)])
@@ -360,6 +402,31 @@ class TestOneEncodingPerStep:
         train_stage1(agent, 120, seed=0)
         assert counts["step"] == 120 and counts["reset"] >= 3
         assert counts["normalize"] == counts["step"] + counts["reset"]
+
+
+class TestTracedLayerCalls:
+    """A rollout reaches reward_total once per env step that ends without a
+    collision, and a BC policy MlpNet.forward once per step.  perfbench
+    traces both names (reward.reward_total, nets.forward_single) and fails
+    its rollout workload when either records no call."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        return count_calls(monkeypatch, [("reward", reward_total)],
+                           [("forward", MlpNet, "forward"),
+                            ("step", FollowEnv, "step")])
+
+    @pytest.mark.parametrize("agent", ["idm", "bc"])
+    @pytest.mark.parametrize("scenario", ["synthetic", "crash"])
+    def test_run_scenario(self, counts, agent, scenario):
+        cfg = SimConfig()
+        sc = {"synthetic": synthetic_suite(1, seed=4, cfg=cfg)[0],
+              "crash": CRASH}[scenario]
+        trace = run_scenario(AGENTS[agent](cfg), sc, cfg, RewardConfig())
+        assert trace.collided == (scenario == "crash")
+        assert counts["step"] == len(trace.t) > 1
+        assert counts["reward"] == len(trace.t) - trace.collided
+        assert counts["forward"] == (len(trace.t) if agent == "bc" else 0)
 
 
 class TestReports:

@@ -323,6 +323,138 @@ class TestDotProducts:
         assert net._product is want
 
 
+def vector_biases(net, flat=None):
+    """The bias views a solo net or a member held when they were (n_out,)
+    vectors, into ``flat`` (the net's own by default); a stack's were
+    (K, 1, n_out) then as now."""
+    if net.flat.ndim == 2:
+        return net.biases
+    flat = net.flat if flat is None else flat
+    return [flat[b] for _, _, b in net._layout]
+
+
+def vector_bias_forward(net, x):
+    """MlpNet.forward as it ran with vector biases and a Python-float
+    zero: the bit-for-bit reference for the (1, n_out) bias rows and the
+    0-d zero.  Returns (output, cache)."""
+    h = np.asarray(x, dtype=float)
+    pre, post = [], [h]
+    for i, (w, b) in enumerate(zip(net.weights, vector_biases(net))):
+        z = net._product(h, w)
+        z += b
+        pre.append(z)
+        if i < net.n_layers - 1:
+            h = np.maximum(z, 0.0)
+        elif net.out_activation == "tanh":
+            h = np.tanh(z)
+        else:
+            h = z
+        post.append(h)
+    return h, {"pre": pre, "post": post}
+
+
+def vector_bias_backward(net, cache, dout, dpre=None):
+    """MlpNet.backward's "flat" and input_grad's result as they ran with
+    vector bias gradients and a Python-float zero, the reference as
+    vector_bias_forward is."""
+    flat = np.empty_like(net.flat)
+    dw = [flat[w].reshape(shape) for w, shape, _ in net._layout]
+    db = vector_biases(net, flat)
+    pre, post = cache["pre"], cache["post"]
+    last = net.n_layers - 1
+    grad = np.asarray(dout, dtype=float)
+    for i in range(last, -1, -1):
+        if i == last:
+            if net.out_activation == "tanh":
+                grad = grad * (1.0 - post[i + 1] ** 2)
+            if dpre is not None:
+                grad = grad + dpre
+        else:
+            grad *= pre[i] > 0.0
+        net._product(post[i].T, grad, dw[i])
+        np.add.reduce(grad, 0, None, db[i])
+        grad = net._product(grad, net.weights[i].T)
+    return flat, grad
+
+
+def vector_bias_init(sizes, act, seed):
+    """MlpNet(sizes, act, seed).flat as drawn when each bias was an
+    (n_out,) vector."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+        bound = 1.0 / np.sqrt(n_in)
+        parts.append(rng.uniform(-bound, bound, size=(n_in, n_out)).ravel())
+        parts.append(rng.uniform(-bound, bound, size=n_out))
+    return np.concatenate(parts)
+
+
+BIAS_ARCHS = ARCHS + [([1, 1, 1], "linear"), ([3, 1, 1, 2], "tanh")]
+
+
+class TestBiasRows:
+    """A solo net's and a member's biases are (1, n_out) rows, the row of a
+    stack's (K, 1, n_out), so that a one-row forward adds them on numpy's
+    same-shape loop; the bits are those of the vector biases before."""
+
+    @pytest.mark.parametrize("n", [1, 32])
+    @pytest.mark.parametrize("form", ["solo", "member", "stack"])
+    @pytest.mark.parametrize("sizes, act", BIAS_ARCHS)
+    def test_match_vector_bias_reference(self, sizes, act, form, n):
+        rng = np.random.default_rng(n + len(sizes))
+        pair = MlpNet.stack(solo_nets(sizes, act, 2, 8))
+        nets = {"solo": [MlpNet(sizes, act, seed=8)],
+                "member": [pair.member(0), pair.member(1)],
+                "stack": [pair]}[form]
+        for net in nets:
+            shape = net.flat.shape[:-1] + (n, sizes[0])
+            x = rng.standard_normal(shape) * 3.0
+            out, cache = net.forward(x, cache=True)
+            want, want_cache = vector_bias_forward(net, x)
+            assert out.tobytes() == want.tobytes()
+            for key in ("pre", "post"):
+                assert [a.tobytes() for a in cache[key]] == \
+                       [a.tobytes() for a in want_cache[key]]
+            members = ([(pair.member(k), member_cache(cache, k))
+                        for k in range(2)] if form == "stack" else [(net, cache)])
+            for member, mcache in members:
+                dout = rng.standard_normal((n, sizes[-1]))
+                dpre = rng.standard_normal((n, sizes[-1]))
+                flat, _ = vector_bias_backward(member, mcache, dout, dpre)
+                assert member.backward(mcache, dout, dpre)["flat"].tobytes() \
+                    == flat.tobytes()
+                into = member.backward(mcache, dout, dpre,
+                                       out=AdamState(member).grads)
+                assert into["flat"].tobytes() == flat.tobytes()
+                assert (member.input_grad(mcache, dout).tobytes()
+                        == vector_bias_backward(member, mcache, dout)[1].tobytes())
+
+    @pytest.mark.parametrize("sizes, act", BIAS_ARCHS)
+    def test_shapes_and_views(self, sizes, act):
+        pair = MlpNet.stack(solo_nets(sizes, act, 2, 1))
+        solo = MlpNet(sizes, act, seed=1)
+        for k in range(2):
+            member = pair.member(k)
+            for i, b in enumerate(member.biases):
+                row = pair.biases[i][k]
+                assert b.shape == row.shape == (1, sizes[i + 1])
+                assert b.ctypes.data == row.ctypes.data
+                assert np.shares_memory(b, pair.flat)
+        _, cache = solo.forward(np.ones((3, sizes[0])), cache=True)
+        sets = [AdamState(solo).grads, AdamState(pair.member(1)).grads,
+                solo.backward(cache, np.ones((3, sizes[-1])))]
+        for i, n_out in enumerate(sizes[1:]):
+            assert solo.biases[i].shape == (1, n_out)
+            assert all(s["biases"][i].shape == (1, n_out) for s in sets)
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    @pytest.mark.parametrize("sizes, act", BIAS_ARCHS)
+    def test_init_unchanged(self, sizes, act, seed):
+        # a (1, n) draw takes the same values as an (n,) one
+        assert (MlpNet(sizes, act, seed=seed).flat.tobytes()
+                == vector_bias_init(sizes, act, seed).tobytes())
+
+
 def reference_fit_mse(sizes, x, y, lo, hi, epochs, seed):
     """fit_mse's loop gathering each minibatch by fancy indexing: the
     bit-for-bit reference for its take() gathers."""

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,3 +123,77 @@ def test_safe_monotone_in_b_kin():
     gaps = np.linspace(9.9, 0.1, 100)
     vals = [reward_safe(20.0, 0.0, g, CFG) for g in gaps]
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
+
+
+def reference_reward_total(v, v_l, g, jerk, cfg):
+    """reward_total as it was when it called reward_safe and reward_gap and
+    then computed b_kin, g_opt and g_lim again: the bit-for-bit reference
+    for the one pass."""
+    if g <= 0:
+        raise ValueError("reward_safe requires g > 0; handle collision upstream")
+    b_kin = (v - v_l) / g if v > v_l else 0.0
+    r_s = (-math.tanh((b_kin - cfg.b_comf) / (-cfg.a_min))
+           if b_kin > cfg.b_comf else 0.0)
+    if v < 0 or g < 0:
+        raise ValueError("reward_gap requires v >= 0 and g >= 0")
+    g_opt = v * cfg.T + cfg.g_min
+    g_var = 0.5 * g_opt
+    g_lim = v * cfg.T_lim + 2.0 * cfg.g_min
+    z = (g - g_opt) / g_var
+    gauss = math.exp(-0.5 * z * z)
+    if g < g_opt:
+        r_g = gauss
+    elif g > g_lim:
+        r_g = 0.0
+    else:
+        r_g = gauss * (1.0 - (g - g_opt) / (g_lim - g_opt))
+    r_j = reward_jerk(jerk, cfg)
+    total = cfg.w_safe * r_s + cfg.w_gap * r_g + cfg.w_jerk * r_j
+    b_kin = (v - v_l) / g if v > v_l else 0.0
+    g_opt = v * cfg.T + cfg.g_min
+    g_lim = v * cfg.T_lim + 2.0 * cfg.g_min
+    return (r_s, r_g, r_j, total, b_kin, g_opt, g_lim)
+
+
+def reward_grid():
+    """(v, v_l, g, jerk) states: closing and opening, b_kin above and below
+    b_comf, and g below g_opt, between g_opt and g_lim, and beyond g_lim."""
+    for v in (0.0, 0.3, 7.0, 13.7, 30.0):
+        g_opt = v * CFG.T + CFG.g_min
+        g_lim = v * CFG.T_lim + 2.0 * CFG.g_min
+        gaps = (0.05, 0.5 * g_opt, g_opt, 0.5 * (g_opt + g_lim), g_lim,
+                3.0 * g_lim)
+        for v_l in (0.0, 0.5 * v, v, v + 4.0):
+            for g in gaps:
+                for jerk in (-75.0, 0.0, 1.0 / 3.0):
+                    yield v, v_l, g, jerk
+
+
+def test_total_matches_reference_field_by_field():
+    branches = set()
+    for v, v_l, g, jerk in reward_grid():
+        got = reward_total(v, v_l, g, jerk, CFG)
+        want = reference_reward_total(v, v_l, g, jerk, CFG)
+        fields = (got.r_safe, got.r_gap, got.r_jerk, got.total, got.b_kin,
+                  got.g_opt, got.g_lim)
+        for a, b in zip(fields, want):
+            assert a == b and repr(a) == repr(b), (v, v_l, g, jerk)
+        branches.add(("closing" if v > v_l else "opening",
+                      "brake" if got.b_kin > CFG.b_comf else "comfort",
+                      "short" if g < got.g_opt else
+                      "beyond" if g > got.g_lim else "between"))
+    assert {b[0] for b in branches} == {"closing", "opening"}
+    assert {b[1] for b in branches} == {"brake", "comfort"}
+    assert {b[2] for b in branches} == {"short", "between", "beyond"}
+
+
+@pytest.mark.parametrize("v, v_l, g, jerk", [
+    (5.0, 0.0, 0.0, 0.0), (5.0, 0.0, -1.0, 0.0), (-1.0, 0.0, 5.0, 0.0),
+    (-1.0, 0.0, -1.0, 0.0), (5.0, 0.0, 5.0, math.inf),
+    (-1.0, 0.0, 5.0, math.nan)])
+def test_total_rejects_as_reference(v, v_l, g, jerk):
+    # the same check fails first, with the same message
+    with pytest.raises(ValueError) as want:
+        reference_reward_total(v, v_l, g, jerk, CFG)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        reward_total(v, v_l, g, jerk, CFG)

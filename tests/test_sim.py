@@ -429,6 +429,16 @@ def reference_write_csv(path, header, rows):
         w.writerows(rows.tolist())
 
 
+def per_row_write_csv(path, header, rows):
+    """write_csv as it was when it formatted each row with one %r format:
+    the byte-for-byte reference for the one format over the whole array."""
+    rows = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+    line = ",".join(["%r"] * len(header)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.write("".join([line % tuple(row) for row in rows.tolist()]))
+
+
 SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2e-308,
             -1e-310, 1e22, 1e16, 0.1, 1 / 3, 1.7976931348623157e308]
 
@@ -439,13 +449,15 @@ SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2e-308,
                    elements=st.floats() | st.sampled_from(SPECIALS)))
 @example(rows=np.array([SPECIALS[:8], SPECIALS[5:]]))
 @example(rows=np.array([[x] for x in SPECIALS]))        # one column
+@example(rows=np.array([SPECIALS]))                      # one row
 @example(rows=np.empty((0, 3)))                          # no rows
 def test_write_csv_matches_csv_writer_bytes(tmp_path, rows):
     header = [f"c{k}" for k in range(rows.shape[1])]
     write_csv(tmp_path / "got.csv", header, rows)
-    reference_write_csv(tmp_path / "want.csv", header, rows)
-    assert (tmp_path / "got.csv").read_bytes() == \
-        (tmp_path / "want.csv").read_bytes()
+    got = (tmp_path / "got.csv").read_bytes()
+    for reference in (reference_write_csv, per_row_write_csv):
+        reference(tmp_path / "want.csv", header, rows)
+        assert got == (tmp_path / "want.csv").read_bytes(), reference.__name__
 
 
 def test_csv_readers_accept_valid_files(tmp_path):
