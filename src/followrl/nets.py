@@ -14,10 +14,20 @@ import numpy as np
 MAGIC = b"FRLN"
 _ACT_CODES = {"linear": 0, "tanh": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
-# the ReLU's and its mask's zero: numpy takes a 0-d array as it is, where a
-# Python float is converted to one on every call
-_ZERO = np.zeros(())
-_ZERO.flags.writeable = False
+
+
+def _const(value):
+    """A read-only 0-d float64 array.  numpy takes a 0-d array operand as it
+    is, where a Python float is converted to one on every call; read-only,
+    so a stray ``out=`` raises instead of changing it."""
+    a = np.array(value, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+# the ReLU's and its mask's zero, the tanh derivative's and fit_mse's one,
+# and fit_mse's two
+_ZERO, _ONE, _TWO = _const(0.0), _const(1.0), _const(2.0)
 
 
 class MlpNet:
@@ -49,6 +59,13 @@ class MlpNet:
         self._lead = flat.shape[:-1]
         self._layout = _layout(self.sizes)
         self.weights, self.biases = _views(self._layout, flat)
+        # the layer plan forward and _backprop run: the hidden (weight,
+        # bias) pairs, the head's pair and its activation, and each weight's
+        # transposed view
+        self._hidden = list(zip(self.weights[:-1], self.biases[:-1]))
+        self._head = (self.weights[-1], self.biases[-1])
+        self._tanh = out_activation == "tanh"
+        self._weights_t = [w.swapaxes(-1, -2) for w in self.weights]
         # forward's and backward's 2-D product.  ndarray.dot gives matmul's
         # bits at less cost per call, but for a 1 x 1 by 1 x 1 product, where
         # it keeps the sign of a zero that matmul makes +0.0; only a layer of
@@ -107,20 +124,22 @@ class MlpNet:
             want = ", ".join([*map(str, lead), "n", str(self.sizes[0])])
             raise ValueError(f"input shape {h.shape} is not ({want})")
         product = self._product
-        pre, post = [], [h]
-        last = self.n_layers - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        if cache:
+            pre, post = [], [h]
+        for w, b in self._hidden:
             z = product(h, w)
             z += b
-            pre.append(z)
-            if i < last:
-                h = np.maximum(z, _ZERO)
-            elif self.out_activation == "tanh":
-                h = np.tanh(z)
-            else:
-                h = z
-            post.append(h)
+            h = np.maximum(z, _ZERO)
+            if cache:
+                pre.append(z)
+                post.append(h)
+        w, b = self._head
+        z = product(h, w)
+        z += b
+        h = np.tanh(z) if self._tanh else z
         if cache:
+            pre.append(z)
+            post.append(h)
             return h, {"pre": pre, "post": post}
         return h
 
@@ -151,27 +170,29 @@ class MlpNet:
         skips layer 0's input product; else returns the input gradient."""
         if cache is None or "post" not in cache:
             raise ValueError("backward needs the cache from a forward call")
-        last = self.n_layers - 1
         pre, post = cache["pre"], cache["post"]
         grad = np.asarray(dout, dtype=float)
-        product = self._product
-        for i in range(last, -1, -1):
-            if i == last:
-                if self.out_activation == "tanh":
-                    # the cached output is tanh(z)
-                    grad = grad * (1.0 - post[i + 1] ** 2)
-                if dpre is not None:
-                    grad = grad + dpre
-            else:
-                # grad is the fresh product of the layer above
-                grad *= pre[i] > _ZERO
-            if dw is not None:
-                product(post[i].T, grad, dw[i])
-                np.add.reduce(grad, 0, None, db[i], keepdims=True)
-                if i == 0:
-                    return None
-            grad = product(grad, self.weights[i].T)
-        return grad
+        if self._tanh:
+            # the cached output is tanh(z)
+            grad = grad * (_ONE - post[-1] ** 2)
+        if dpre is not None:
+            grad = grad + dpre
+        product, weights_t = self._product, self._weights_t
+        # below the head, grad is always the fresh product of the layer
+        # above, so the ReLU mask applies in place
+        if dw is None:
+            for i in range(len(weights_t) - 1, 0, -1):
+                grad = product(grad, weights_t[i])
+                grad *= pre[i - 1] > _ZERO
+            return product(grad, weights_t[0])
+        for i in range(len(weights_t) - 1, 0, -1):
+            product(post[i].T, grad, dw[i])
+            np.add.reduce(grad, 0, None, db[i], keepdims=True)
+            grad = product(grad, weights_t[i])
+            grad *= pre[i - 1] > _ZERO
+        product(post[0].T, grad, dw[0])
+        np.add.reduce(grad, 0, None, db[0], keepdims=True)
+        return None
 
     def save(self, path):
         """One flat binary file: magic, layer count, sizes, activation code,
@@ -256,6 +277,12 @@ def _n_parameters(sizes):
 
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# opt_step's operands, each as a 0-d array
+_B1, _B2, _EPS = _const(ADAM_BETA1), _const(ADAM_BETA2), _const(ADAM_EPS)
+_1_B1, _1_B2 = _const(1.0 - ADAM_BETA1), _const(1.0 - ADAM_BETA2)
+# every ADAM_FLUSH_EVERY steps opt_step sets first moments of magnitude
+# below ADAM_TINY_M to zero
+ADAM_FLUSH_EVERY, ADAM_TINY_M = 1000, 1e-200
 
 
 class AdamState:
@@ -271,6 +298,15 @@ class AdamState:
         # opt_step's scratch: it writes its temporaries here
         self.work = (np.empty_like(net.flat), np.empty_like(net.flat))
 
+    @property
+    def lr(self):
+        return float(self._lr)
+
+    @lr.setter
+    def lr(self, value):
+        # opt_step's operand, kept as a 0-d array with the setting
+        self._lr = _const(value)
+
 
 def opt_step(net: MlpNet, grads, state: AdamState):
     """One Adam update in place; grads is the dict from net.backward()."""
@@ -279,28 +315,40 @@ def opt_step(net: MlpNet, grads, state: AdamState):
         raise ValueError(f"gradient shape {g.shape} != parameter shape "
                          f"{net.flat.shape}")
     state.t += 1
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    bias1 = 1.0 - b1 ** state.t
-    bias2 = 1.0 - b2 ** state.t
+    bias1 = 1.0 - ADAM_BETA1 ** state.t
+    bias2 = 1.0 - ADAM_BETA2 ** state.t
     m, v = state.m, state.v
     step, denom = state.work
     # m = b1*m + (1 - b1)*g, v = b2*v + (1 - b2)*g*g and then
     # flat -= lr*(m/bias1) / (sqrt(v/bias2) + eps), in this order of
-    # operations, with every temporary in the scratch arrays
-    m *= b1
-    np.multiply(1.0 - b1, g, step)
+    # operations, with every temporary in the scratch arrays.  A bias
+    # correction rounds to exactly 1.0 from t = 356 (bias1) and t = 37,412
+    # (bias2) on, and dividing a double by 1.0 returns it unchanged, so
+    # that divide is skipped
+    m *= _B1
+    np.multiply(_1_B1, g, step)
     m += step
-    v *= b2
-    np.multiply(1.0 - b2, g, step)
+    v *= _B2
+    np.multiply(_1_B2, g, step)
     step *= g
     v += step
-    np.divide(m, bias1, step)
-    np.multiply(state.lr, step, step)
-    np.divide(v, bias2, denom)
-    np.sqrt(denom, denom)
-    denom += ADAM_EPS
+    if bias1 == 1.0:
+        np.multiply(state._lr, m, step)
+    else:
+        np.divide(m, bias1, step)
+        np.multiply(state._lr, step, step)
+    if bias2 == 1.0:
+        np.sqrt(v, denom)
+    else:
+        np.divide(v, bias2, denom)
+        np.sqrt(denom, denom)
+    denom += _EPS
     step /= denom
     net.flat -= step
+    if state.t % ADAM_FLUSH_EVERY == 0:
+        # a dead ReLU unit's gradient is exactly zero, so its first moment
+        # decays by b1 per step into subnormals, on which arithmetic is slow
+        m[np.abs(m) < ADAM_TINY_M] = 0.0
 
 
 FIT_BATCH = 32
@@ -309,27 +357,41 @@ FIT_LR = 0.001
 
 def fit_mse(sizes, x, y, lo, hi, epochs, seed):
     """Fit a tanh-headed MlpNet, its output mapped linearly onto [lo, hi],
-    to targets y (n, sizes[-1]) from inputs x by MSE over shuffled
-    minibatches of FIT_BATCH rows.  Deterministic under the seed."""
+    to targets y (n, sizes[-1]) from inputs x (n, sizes[0]) by MSE over
+    shuffled minibatches of FIT_BATCH rows.  Deterministic under the
+    seed.  Malformed data raises ValueError before any training."""
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
-    net_seed, shuffle_seed = np.random.SeedSequence(seed).spawn(2)
-    net = MlpNet(sizes, "tanh", seed=net_seed)
-    opt = AdamState(net, lr=FIT_LR)
-    rng = np.random.default_rng(shuffle_seed)
     # take() gathers a minibatch faster than fancy indexing does, but on a
     # strided view it copies the whole array first: copy such inputs once
     x = np.ascontiguousarray(x, dtype=float)
     y = np.ascontiguousarray(y, dtype=float)
-    n = len(y)
+    n = x.shape[0] if x.ndim else 0
+    if x.shape != (n, sizes[0]) or y.shape != (n, sizes[-1]):
+        raise ValueError(f"x {x.shape} and y {y.shape} are not "
+                         f"(n, {sizes[0]}) and (n, {sizes[-1]})")
+    if n < 1:
+        raise ValueError("fit_mse needs at least one row")
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"need finite lo < hi, got lo={lo}, hi={hi}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x or y holds a non-finite value")
+    net_seed, shuffle_seed = np.random.SeedSequence(seed).spawn(2)
+    net = MlpNet(sizes, "tanh", seed=net_seed)
+    opt = AdamState(net, lr=FIT_LR)
+    rng = np.random.default_rng(shuffle_seed)
+    # the loop's operands as 0-d arrays: lo, hi - lo, (hi - lo)/2, and the
+    # row count of a full minibatch and of the last, short one
+    lo_, span, half_span = _const(lo), _const(hi - lo), _const((hi - lo) / 2.0)
+    counts = {m: _const(m) for m in (FIT_BATCH, n % FIT_BATCH)}
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, FIT_BATCH):
             idx = order[start:start + FIT_BATCH]
             u, cache = net.forward(x.take(idx, axis=0), cache=True)
-            diff = lo + (u + 1.0) / 2.0 * (hi - lo) - y.take(idx, axis=0)
+            diff = lo_ + (u + _ONE) / _TWO * span - y.take(idx, axis=0)
             # d(mse)/du = 2*diff/m * d(pred)/du, d(pred)/du = (hi - lo)/2
-            grads = net.backward(cache, 2.0 * diff * ((hi - lo) / 2.0) / len(idx),
+            grads = net.backward(cache, _TWO * diff * half_span / counts[len(idx)],
                                  out=opt.grads)
             opt_step(net, grads, opt)
     return net

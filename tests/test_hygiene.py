@@ -1,12 +1,16 @@
 """Source hygiene: no followrl module imports a name it never uses, every
 module-level function and class is named somewhere else, every config
-field is read by the code it configures, and no module names np.dot."""
+field is read by the code it configures, no module names np.dot, and
+nets' 0-d operands cannot be changed in place."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from followrl import nets
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "followrl"
@@ -128,3 +132,39 @@ def test_no_numpy_dot(path):
     # product's cost at the nets' sizes; MlpNet._product is the one entry
     # point for products
     assert numpy_dot_uses(path.read_text()) == []
+
+
+def test_nets_operands_read_only_0d():
+    # numpy takes a 0-d array operand as it is, where a Python float is
+    # converted on every call.  One shared by every call must not be
+    # writeable, so that a stray out= raises instead of changing it
+    operands = {name: value for name, value in vars(nets).items()
+                if isinstance(value, np.ndarray)}
+    assert {"_ZERO", "_ONE", "_TWO", "_B1", "_B2", "_1_B1", "_1_B2",
+            "_EPS"} <= operands.keys()
+    for name, a in operands.items():
+        assert a.shape == () and a.dtype == np.float64, name
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(a, a, out=a)
+
+
+@pytest.mark.parametrize("lr", [3e-4, 0.1])
+def test_adam_lr_setting_is_the_step_lr(lr):
+    # opt_step reads a 0-d copy of AdamState.lr: setting lr mid-run must
+    # step exactly as a fresh state with that lr and the same moments
+    rng = np.random.default_rng(4)
+    net = nets.MlpNet([3, 8, 1], "linear", seed=1)
+    grads = [{"flat": rng.standard_normal(net.flat.shape)} for _ in range(10)]
+    state = nets.AdamState(net, lr=1e-3)
+    for g in grads[:5]:
+        nets.opt_step(net, g, state)
+    state.lr = lr
+    assert state.lr == lr
+    fresh_net = net.copy()
+    fresh = nets.AdamState(fresh_net, lr=lr)
+    fresh.t, fresh.m[...], fresh.v[...] = state.t, state.m, state.v
+    for g in grads[5:]:
+        nets.opt_step(net, g, state)
+        nets.opt_step(fresh_net, g, fresh)
+        assert net.flat.tobytes() == fresh_net.flat.tobytes()

@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from followrl import AdamState, MlpNet, opt_step, soft_update
-from followrl.nets import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, FIT_BATCH, FIT_LR,
-                           fit_mse, hard_update, member_cache)
+from followrl.nets import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ADAM_FLUSH_EVERY,
+                           ADAM_TINY_M, FIT_BATCH, FIT_LR, fit_mse, hard_update,
+                           member_cache)
 
 
 def straight_line_forward(net, x):
@@ -64,6 +65,35 @@ def matmul_backward(net, cache, dout, dpre=None):
                                    np.add.reduce(grad, 0)))
         grad = grad @ net.weights[i].T
     return np.concatenate(parts), grad
+
+
+def per_layer_backprop(net, cache, dout, dpre=None, into=True):
+    """MlpNet._backprop as it ran before its layer plan: one loop over every
+    layer, branching per layer on the head, its activation and the gradient
+    target.  The bit-for-bit reference for the plan's head-then-hidden
+    passes.  Returns backward's "flat" when ``into``, else input_grad's
+    result."""
+    flat = np.empty_like(net.flat)
+    dw = [flat[w].reshape(shape) for w, shape, _ in net._layout]
+    db = [flat[b].reshape(1, -1) for _, _, b in net._layout]
+    last = net.n_layers - 1
+    pre, post = cache["pre"], cache["post"]
+    grad = np.asarray(dout, dtype=float)
+    for i in range(last, -1, -1):
+        if i == last:
+            if net.out_activation == "tanh":
+                grad = grad * (1.0 - post[i + 1] ** 2)
+            if dpre is not None:
+                grad = grad + dpre
+        else:
+            grad *= pre[i] > 0.0
+        if into:
+            net._product(post[i].T, grad, dw[i])
+            np.add.reduce(grad, 0, None, db[i], keepdims=True)
+            if i == 0:
+                return flat
+        grad = net._product(grad, net.weights[i].T)
+    return grad
 
 
 def numeric_grad(f, x, h=1e-5):
@@ -455,6 +485,49 @@ class TestBiasRows:
                 == vector_bias_init(sizes, act, seed).tobytes())
 
 
+class TestLayerPlan:
+    """forward and _backprop run a plan fixed when the net is bound: the
+    hidden layers as one uniform loop, the head on its own, no cache lists
+    unless asked for.  The bits are those of the per-layer loop before."""
+
+    @pytest.mark.parametrize("n", [1, 32])
+    @pytest.mark.parametrize("form", ["solo", "member", "stack"])
+    @pytest.mark.parametrize("sizes, act", BIAS_ARCHS + [([4, 1], "tanh")])
+    def test_forward_without_cache(self, sizes, act, form, n):
+        rng = np.random.default_rng(n + 3 * len(sizes))
+        pair = MlpNet.stack(solo_nets(sizes, act, 2, 4))
+        nets = {"solo": [MlpNet(sizes, act, seed=4)],
+                "member": [pair.member(0), pair.member(1)],
+                "stack": [pair]}[form]
+        for net in nets:
+            x = rng.standard_normal(net.flat.shape[:-1] + (n, sizes[0])) * 3.0
+            assert (net.forward(x).tobytes()
+                    == net.forward(x, cache=True)[0].tobytes())
+
+    @pytest.mark.parametrize("with_dpre", [False, True])
+    @pytest.mark.parametrize("n", [1, 32])
+    @pytest.mark.parametrize("form", ["solo", "member"])
+    @pytest.mark.parametrize("sizes, act", BIAS_ARCHS + [([4, 1], "tanh")])
+    def test_backprop_matches_per_layer_loop(self, sizes, act, form, n,
+                                             with_dpre):
+        rng = np.random.default_rng(7 * n + len(sizes))
+        net = (MlpNet(sizes, act, seed=5) if form == "solo"
+               else MlpNet.stack(solo_nets(sizes, act, 2, 5)).member(1))
+        x = rng.standard_normal((n, sizes[0])) * 3.0
+        dout = rng.standard_normal((n, sizes[-1]))
+        dpre = rng.standard_normal((n, sizes[-1])) if with_dpre else None
+        dout_before = dout.tobytes()
+        _, cache = net.forward(x, cache=True)
+        want = per_layer_backprop(net, cache, dout, dpre)
+        assert net.backward(cache, dout, dpre)["flat"].tobytes() == want.tobytes()
+        into = net.backward(cache, dout, dpre, out=AdamState(net).grads)
+        assert into["flat"].tobytes() == want.tobytes()
+        assert (net.input_grad(cache, dout).tobytes()
+                == per_layer_backprop(net, cache, dout, into=False).tobytes())
+        # the head's first step makes a fresh array: dout is the caller's
+        assert dout.tobytes() == dout_before
+
+
 def reference_fit_mse(sizes, x, y, lo, hi, epochs, seed):
     """fit_mse's loop gathering each minibatch by fancy indexing: the
     bit-for-bit reference for its take() gathers."""
@@ -504,6 +577,31 @@ class TestFitMse:
         assert np.array(x).tobytes() == x_before.tobytes()
         assert np.array(y).tobytes() == y_before.tobytes()
 
+    @pytest.mark.parametrize("change, match", [
+        (lambda x, y, lo, hi: (x, y[:60], lo, hi), r"\(100, 4\) and y \(60, 2\)"),
+        (lambda x, y, lo, hi: (x[:, :3], y, lo, hi), r"x \(100, 3\)"),
+        # an (n, 1) target would broadcast over both outputs
+        (lambda x, y, lo, hi: (x, y[:, :1], lo, hi),
+         r"y \(100, 1\) are not \(n, 4\) and \(n, 2\)"),
+        (lambda x, y, lo, hi: (x[0], y[0], lo, hi), r"x \(4,\) and y \(2,\)"),
+        (lambda x, y, lo, hi: (x[:0], y[:0], lo, hi), "at least one row"),
+        (lambda x, y, lo, hi: (x, y, hi, lo), "lo=2.0, hi=-3.0"),
+        (lambda x, y, lo, hi: (x, y, lo, lo), "lo=-3.0, hi=-3.0"),
+        (lambda x, y, lo, hi: (x, y, float("nan"), hi), "lo=nan"),
+        (lambda x, y, lo, hi: (x, y, lo, float("inf")), "hi=inf"),
+        (lambda x, y, lo, hi: (np.where(x > 2.0, np.nan, x), y, lo, hi),
+         "non-finite"),
+        (lambda x, y, lo, hi: (x, np.where(y > 1.0, np.inf, y), lo, hi),
+         "non-finite"),
+    ], ids=["short-y", "narrow-x", "one-column-y", "one-row-vector", "no-rows",
+            "lo-above-hi", "lo-equals-hi", "nan-lo", "inf-hi", "nan-x", "inf-y"])
+    def test_malformed_data_rejected(self, change, match):
+        rng = np.random.default_rng(2)
+        x, y = rng.standard_normal((100, 4)), rng.uniform(-3.0, 2.0, (100, 2))
+        x, y, lo, hi = change(x, y, -3.0, 2.0)
+        with pytest.raises(ValueError, match=match):
+            fit_mse([4, 8, 2], x, y, lo, hi, 1, 0)
+
 
 class TestAdam:
     def test_zero_gradient_no_change(self):
@@ -543,22 +641,57 @@ class TestAdam:
             opt_step(net, {"flat": np.zeros(net.flat.size - 1)}, AdamState(net))
 
     def test_matches_textbook_expression(self):
-        # opt_step writes its temporaries into scratch arrays; the result
-        # must be the plain expression's, bit for bit, step after step
+        # opt_step writes its temporaries into scratch arrays and skips a
+        # bias correction once it rounds to 1.0 (t = 356 and 37,412); every
+        # ADAM_FLUSH_EVERY steps it zeros first moments below ADAM_TINY_M.
+        # The result must be the plain expression's, bit for bit, step after
+        # step, from a fresh state and from states at step start - 1: the
+        # runs from 350 and 37,405 cross the two switch points, and the run
+        # from 980 the first zeroing step
+        for start in (1, 350, 980, 37_405):
+            self.check_textbook_run(start)
+
+    @staticmethod
+    def check_textbook_run(start):
         net = MlpNet([5, 32, 32, 1], "linear", seed=2)
         ref, state = net.flat.copy(), AdamState(net, lr=3e-4)
+        rng = np.random.default_rng(5 + start)
         m, v = np.zeros_like(ref), np.zeros_like(ref)
-        rng = np.random.default_rng(5)
-        for t in range(1, 41):
+        if start > 1:
+            m = rng.standard_normal(ref.shape) * 10.0 ** rng.integers(-210, -2, ref.shape)
+            v = rng.random(ref.shape) * 10.0 ** rng.integers(-12, 0, ref.shape)
+        state.t, state.m[...], state.v[...] = start - 1, m, v
+        # a dead unit's gradient is exactly zero: its moments only decay
+        dead = rng.random(ref.shape) < 0.3
+        for t in range(start, start + 40):
             g = rng.standard_normal(ref.shape) * 10.0 ** rng.integers(-12, 3)
+            g[dead] = 0.0
             opt_step(net, {"flat": g}, state)
             m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
             v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
             ref -= (3e-4 * (m / (1.0 - ADAM_BETA1 ** t))
                     / (np.sqrt(v / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPS))
-            assert net.flat.tobytes() == ref.tobytes()
-            assert state.m.tobytes() == m.tobytes()
-            assert state.v.tobytes() == v.tobytes()
+            if t % ADAM_FLUSH_EVERY == 0:
+                tiny = np.abs(m) < ADAM_TINY_M
+                assert np.any(tiny & (m != 0.0))
+                m = np.where(tiny, 0.0, m)
+            assert net.flat.tobytes() == ref.tobytes(), (start, t)
+            assert state.m.tobytes() == m.tobytes(), (start, t)
+
+    def test_tiny_first_moments_zeroed(self):
+        # a dead unit's zero gradient decays its first moment toward the
+        # subnormals; every ADAM_FLUSH_EVERY steps such moments become 0
+        net = MlpNet([1, 2], "linear", seed=0)
+        state = AdamState(net)
+        state.t = ADAM_FLUSH_EVERY - 2
+        state.m[...] = [1e-3, 1e-199, -1e-250, 5e-324]
+        zero = {"flat": np.zeros_like(net.flat)}
+        opt_step(net, zero, state)
+        assert np.all(state.m != 0.0)
+        opt_step(net, zero, state)
+        assert state.m[0] == 1e-3 * ADAM_BETA1 ** 2
+        assert state.m[1] == 1e-199 * ADAM_BETA1 ** 2 > ADAM_TINY_M
+        assert state.m[2:].tobytes() == np.zeros(2).tobytes()
 
 
 class TestSoftUpdate:
@@ -661,6 +794,10 @@ class TestSaveLoad:
 
 def assert_flat_views(net):
     assert_views(net.flat, net.parameters())
+    # the layer plan forward and _backprop run holds the same views
+    assert net._hidden + [net._head] == list(zip(net.weights, net.biases))
+    assert all(w_t.base is w.base and np.array_equal(w_t, w.T)
+               for w_t, w in zip(net._weights_t, net.weights))
 
 
 def assert_views(flat, parts):
