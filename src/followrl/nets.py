@@ -59,12 +59,7 @@ class MlpNet:
         self._lead = flat.shape[:-1]
         self._layout = _layout(self.sizes)
         self.weights, self.biases = _views(self._layout, flat)
-        # the layer plan forward and _backprop run: the hidden (weight,
-        # bias) pairs, the head's pair and its activation, and each weight's
-        # transposed view
-        self._hidden = list(zip(self.weights[:-1], self.biases[:-1]))
-        self._head = (self.weights[-1], self.biases[-1])
-        self._tanh = out_activation == "tanh"
+        # each weight's transposed view, for _backprop
         self._weights_t = [w.swapaxes(-1, -2) for w in self.weights]
         # forward's and backward's 2-D product.  ndarray.dot gives matmul's
         # bits at less cost per call, but for a 1 x 1 by 1 x 1 product, where
@@ -126,17 +121,17 @@ class MlpNet:
         product = self._product
         if cache:
             pre, post = [], [h]
-        for w, b in self._hidden:
+        weights, biases = self.weights, self.biases
+        for w, b in zip(weights[:-1], biases[:-1]):
             z = product(h, w)
             z += b
             h = np.maximum(z, _ZERO)
             if cache:
                 pre.append(z)
                 post.append(h)
-        w, b = self._head
-        z = product(h, w)
-        z += b
-        h = np.tanh(z) if self._tanh else z
+        z = product(h, weights[-1])
+        z += biases[-1]
+        h = np.tanh(z) if self.out_activation == "tanh" else z
         if cache:
             pre.append(z)
             post.append(h)
@@ -172,7 +167,7 @@ class MlpNet:
             raise ValueError("backward needs the cache from a forward call")
         pre, post = cache["pre"], cache["post"]
         grad = np.asarray(dout, dtype=float)
-        if self._tanh:
+        if self.out_activation == "tanh":
             # the cached output is tanh(z)
             grad = grad * (_ONE - post[-1] ** 2)
         if dpre is not None:
