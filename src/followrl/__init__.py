@@ -3,7 +3,7 @@
 from .config import (DdpgConfig, IdmParams, OuParams, PowertrainParams,
                      RewardConfig, SimConfig, load_config)
 from .simcore import FollowEnv, gen_leader_profile, normalize_state, ou_path
-from .reward import RewardBreakdown, reward_gap, reward_jerk, reward_safe, reward_total
+from .reward import RewardBreakdown, reward_total
 from .nets import AdamState, MlpNet, opt_step, soft_update
 from .ddpg import (DdpgAgent, ReplayBuffer, Transition, greedy_eval,
                    sample_mixed, train_fully_offpolicy, train_stage1,

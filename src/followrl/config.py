@@ -56,7 +56,7 @@ class RewardConfig:
             raise ValueError("b_comf and j_comf must be positive")
         if self.T_lim <= self.T:
             raise ValueError("T_lim must exceed T")
-        # g_min > 0 and T >= 0 keep reward_gap's g_opt positive; a_min < 0
+        # g_min > 0 and T >= 0 keep reward_total's g_opt positive; a_min < 0
         # keeps the safety term a penalty
         if not (self.g_min > 0 and self.T >= 0):
             raise ValueError("g_min must be positive and T non-negative")

@@ -92,7 +92,8 @@ def build_transitions(ep: FollowingEpisode, cfg: SimConfig, rcfg: RewardConfig):
     """
     n = len(ep.records)
     if n < 3:
-        raise ValueError("episode too short to relabel (need >= 3 rows)")
+        raise ValueError(f"episode {ep.id}: {n} rows, too short to relabel "
+                         "(need >= 3 rows)")
     dt = cfg.dt
     v = ep.records[:, 2]
     accel = (v[1:] - v[:-1]) / dt                       # a_t for t in [0, N-2]

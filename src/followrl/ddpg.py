@@ -61,7 +61,7 @@ class Batch:
 
     @classmethod
     def empty(cls, n):
-        """n rows, uninitialised until written with ``put``."""
+        """n rows, uninitialised until written."""
         return cls(np.empty((n, STATE_DIM)), np.empty(n), np.empty(n),
                    np.empty((n, STATE_DIM)), np.empty(n, dtype=bool))
 
@@ -81,13 +81,6 @@ class Batch:
     def __iter__(self):
         return map(Transition, self.states, self.actions.tolist(),
                    self.rewards.tolist(), self.next_states, self.dones.tolist())
-
-    def put(self, i, tr: Transition):
-        self.states[i] = tr.state
-        self.actions[i] = tr.action
-        self.rewards[i] = tr.reward
-        self.next_states[i] = tr.next_state
-        self.dones[i] = tr.done
 
     def take(self, idx):
         """Rows idx, an index array, copied into a new Batch."""
@@ -119,7 +112,12 @@ class ReplayBuffer:
             for new, old in zip(grown.columns, self.rows.columns):
                 new[:i] = old
             self.rows = grown
-        self.rows.put(i, tr)
+        rows = self.rows
+        rows.states[i] = tr.state
+        rows.actions[i] = tr.action
+        rows.rewards[i] = tr.reward
+        rows.next_states[i] = tr.next_state
+        rows.dones[i] = tr.done
         self.size = min(self.size + 1, self.capacity)
         self.cursor = (i + 1) % self.capacity
 

@@ -103,12 +103,11 @@ def run_scenario(agent, sc: Scenario, cfg: SimConfig = None,
     TTC."""
     cfg = dataclasses.replace(cfg or SimConfig(), max_steps=len(sc.profile) - 1)
     env = FollowEnv(cfg, rcfg)
-    obs = env.reset(sc.profile, sc.initial_gap, sc.follower_speed)
+    v, a, v_l, g = env.reset(sc.profile, sc.initial_gap, sc.follower_speed)
     rows = []
     while not env.done:
-        obs, reward, _, info = env.step(agent.act(*obs))
-        rows.append((info.t, info.v_l, info.v, info.gap, info.accel,
-                     info.jerk, reward))
+        (v, a, v_l, g), reward, _, info = env.step(agent.act(v, a, v_l, g))
+        rows.append((info.t, v_l, v, g, a, info.jerk, reward))
     t, v_l, v, gap, accel, jerk, reward = (np.array(c) for c in zip(*rows))
     # TTC from the columns once; a collision row keeps NaN
     tc = np.full(len(t), math.nan)

@@ -93,10 +93,6 @@ class MlpNet:
         return MlpNet.__new__(MlpNet)._bind(self.sizes, self.out_activation,
                                             self.flat[k])
 
-    @property
-    def n_layers(self):
-        return len(self.weights)
-
     def parameters(self):
         return self.weights + self.biases
 

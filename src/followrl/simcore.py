@@ -161,9 +161,6 @@ class VehicleState:
 class StepInfo:
     t: float
     gap: float
-    v: float
-    v_l: float
-    accel: float
     jerk: float
     collision: bool
 
@@ -174,8 +171,9 @@ class FollowEnv:
     reset and step return the state (v, a, v_l, g) as Python floats, in
     the argument order of every controller's act and of normalize_state.
     Episodes terminate on collision (gap <= 0), on gap > g_max, or after
-    max_steps; reset rejects a profile too short for a full episode and a
-    non-finite start.  It draws no random numbers: callers choose each start.
+    max_steps; reset rejects a profile too short for a full episode, a
+    non-finite or negative start and a gap <= 0.  It draws no random
+    numbers: callers choose each start.
     """
 
     def __init__(self, cfg: SimConfig = None, rcfg: RewardConfig = None):
@@ -204,6 +202,8 @@ class FollowEnv:
         for name, x in (("initial_gap", initial_gap), ("follower_speed", follower_speed)):
             if not math.isfinite(x):
                 raise ValueError(f"non-finite {name} {x}")
+        if initial_gap <= 0.0:
+            raise ValueError(f"non-positive initial_gap {initial_gap}")
         if follower_speed < 0.0:
             raise ValueError(f"negative follower_speed {follower_speed}")
         # Python floats: the same IEEE arithmetic as numpy scalars, several
@@ -251,6 +251,5 @@ class FollowEnv:
         reward = (COLLISION_REWARD if collision
                   else reward_total(v_new, vl_new, gap, jerk, self.rcfg).total)
         self.done = collision or gap > cfg.g_max or self.step_index >= cfg.max_steps
-        info = StepInfo(self.step_index * cfg.dt, gap, v_new, vl_new, a_app,
-                        jerk, collision)
+        info = StepInfo(self.step_index * cfg.dt, gap, jerk, collision)
         return (v_new, a_app, vl_new, gap), reward, self.done, info

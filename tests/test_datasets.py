@@ -181,10 +181,10 @@ def reference_rollout(controller, profile, cfg, rcfg, initial_gap,
     while not done:
         action = controller.act(env.follower.speed, env.follower.accel,
                                 env.leader.speed, env.gap)
-        _, reward, done, info = env.step(action)
+        (v, _, v_l, _), reward, done, info = env.step(action)
         if info.collision:
             break
-        records.append((info.t, info.v_l, info.v, info.gap))
+        records.append((info.t, v_l, v, info.gap))
         rewards.append(reward)
     return FollowingEpisode(episode_id, np.array(records)), rewards
 
@@ -475,3 +475,10 @@ class TestStore:
         parts = ingest(str(tmp_path / "*.csv"), CFG, RCFG)
         assert len(parts) == 3
         assert all(len(p) > 0 for p in parts)
+
+    def test_ingest_names_a_too_short_episode(self, tmp_path):
+        # a 2-row file parses, but relabeling needs 3 rows; the error once
+        # did not say which episode
+        write_rows(tmp_path / "two.csv", ["0.0,5.0,4.0,10.0", "0.1,5.0,4.1,10.0"])
+        with pytest.raises(ValueError, match="episode two: 2 rows, too short"):
+            ingest(str(tmp_path / "*.csv"), CFG, RCFG)

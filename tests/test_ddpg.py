@@ -66,10 +66,14 @@ def ring(rows, capacity):
 
 
 def batch_of(transitions):
-    """The transitions as a Batch, put in row by row."""
+    """The transitions as a Batch, written in row by row."""
     out = Batch.empty(len(transitions))
     for i, tr in enumerate(transitions):
-        out.put(i, tr)
+        out.states[i] = tr.state
+        out.actions[i] = tr.action
+        out.rewards[i] = tr.reward
+        out.next_states[i] = tr.next_state
+        out.dones[i] = tr.done
     return out
 
 

@@ -280,9 +280,9 @@ def reference_run_scenario(agent, sc, cfg, rcfg):
     while not env.done:
         action = agent.act(env.follower.speed, env.follower.accel,
                            env.leader.speed, env.gap)
-        _, reward, _, info = env.step(action)
-        tc = scalar_ttc(info.gap, info.v, info.v_l) if info.gap > 0 else None
-        rows.append((info.t, info.v_l, info.v, info.gap, info.accel,
+        (v, a, v_l, _), reward, _, info = env.step(action)
+        tc = scalar_ttc(info.gap, v, v_l) if info.gap > 0 else None
+        rows.append((info.t, v_l, v, info.gap, a,
                      info.jerk, reward, math.nan if tc is None else tc))
     cols = [np.array(c) for c in zip(*rows)]
     return RunTrace(getattr(agent, "name", type(agent).__name__), *cols,

@@ -14,9 +14,9 @@ from followrl.nets import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ADAM_FLUSH_EVERY,
 def straight_line_forward(net, x):
     """Independent re-implementation of the forward arithmetic."""
     h = np.asarray(x, dtype=float)
-    for i in range(net.n_layers):
+    for i in range(len(net.weights)):
         z = h @ net.weights[i] + net.biases[i]
-        if i < net.n_layers - 1:
+        if i < len(net.weights) - 1:
             h = np.where(z > 0, z, 0.0)
         elif net.out_activation == "tanh":
             h = np.tanh(z)
@@ -35,7 +35,7 @@ def matmul_forward(net, x):
         z = h @ w
         z += b
         pre.append(z)
-        if i < net.n_layers - 1:
+        if i < len(net.weights) - 1:
             h = np.maximum(z, 0.0)
         elif net.out_activation == "tanh":
             h = np.tanh(z)
@@ -50,9 +50,9 @@ def matmul_backward(net, cache, dout, dpre=None):
     dpre is None) with every product through np.matmul, the reference as
     matmul_forward is."""
     pre, post = cache["pre"], cache["post"]
-    last = net.n_layers - 1
+    last = len(net.weights) - 1
     grad = np.asarray(dout, dtype=float)
-    parts = [None] * net.n_layers
+    parts = [None] * len(net.weights)
     for i in range(last, -1, -1):
         if i == last:
             if net.out_activation == "tanh":
@@ -76,7 +76,7 @@ def per_layer_backprop(net, cache, dout, dpre=None, into=True):
     flat = np.empty_like(net.flat)
     dw = [flat[w].reshape(shape) for w, shape, _ in net._layout]
     db = [flat[b].reshape(1, -1) for _, _, b in net._layout]
-    last = net.n_layers - 1
+    last = len(net.weights) - 1
     pre, post = cache["pre"], cache["post"]
     grad = np.asarray(dout, dtype=float)
     for i in range(last, -1, -1):
@@ -373,7 +373,7 @@ def vector_bias_forward(net, x):
         z = net._product(h, w)
         z += b
         pre.append(z)
-        if i < net.n_layers - 1:
+        if i < len(net.weights) - 1:
             h = np.maximum(z, 0.0)
         elif net.out_activation == "tanh":
             h = np.tanh(z)
@@ -391,7 +391,7 @@ def vector_bias_backward(net, cache, dout, dpre=None):
     dw = [flat[w].reshape(shape) for w, shape, _ in net._layout]
     db = vector_biases(net, flat)
     pre, post = cache["pre"], cache["post"]
-    last = net.n_layers - 1
+    last = len(net.weights) - 1
     grad = np.asarray(dout, dtype=float)
     for i in range(last, -1, -1):
         if i == last:

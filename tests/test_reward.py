@@ -7,54 +7,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from followrl import RewardConfig, reward_gap, reward_jerk, reward_safe, reward_total
+from followrl import RewardConfig, reward_total
 
 CFG = RewardConfig()
 
 
 def test_safe_indicator_off_when_not_closing():
-    assert reward_safe(5.0, 10.0, 3.0, CFG) == 0.0
+    assert reward_total(5.0, 10.0, 3.0, 0.0, CFG).r_safe == 0.0
 
 
 def test_safe_hard_braking_value():
     # b_kin = (20-0)/5 = 4 > b_comf -> -tanh(2/9)
-    assert reward_safe(20.0, 0.0, 5.0, CFG) == pytest.approx(-math.tanh(2.0 / 9.0), abs=1e-12)
+    assert reward_total(20.0, 0.0, 5.0, 0.0, CFG).r_safe == pytest.approx(
+        -math.tanh(2.0 / 9.0), abs=1e-12)
 
 
 def test_safe_boundary_is_strict():
     # b_kin = 2 exactly: indicator is strict, so no penalty
-    assert reward_safe(20.0, 0.0, 10.0, CFG) == 0.0
+    assert reward_total(20.0, 0.0, 10.0, 0.0, CFG).r_safe == 0.0
 
 
 def test_safe_rejects_nonpositive_gap():
     with pytest.raises(ValueError):
-        reward_safe(5.0, 0.0, 0.0, CFG)
+        reward_total(5.0, 0.0, 0.0, 0.0, CFG)
 
 
 def test_gap_peak_at_optimum():
     v = 7.0
     g_opt = v * CFG.T + CFG.g_min
-    assert reward_gap(v, g_opt, CFG) == pytest.approx(1.0, abs=1e-12)
+    assert reward_total(v, v, g_opt, 0.0, CFG).r_gap == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gap_zero_at_limit():
     v = 7.0
     g_lim = v * CFG.T_lim + 2 * CFG.g_min
-    assert reward_gap(v, g_lim, CFG) == pytest.approx(0.0, abs=1e-12)
+    assert reward_total(v, v, g_lim, 0.0, CFG).r_gap == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gap_gaussian_ratio_value():
     # v=10: g_opt=17, g_var=8.5; g=8.5 -> z=-1 -> pdf(-1)/pdf(0)
     expected = norm.pdf(-1.0) / norm.pdf(0.0)
-    assert reward_gap(10.0, 8.5, CFG) == pytest.approx(expected, abs=1e-12)
+    assert reward_total(10.0, 10.0, 8.5, 0.0, CFG).r_gap == pytest.approx(expected, abs=1e-12)
 
 
 def test_gap_no_singularity_at_standstill():
-    assert reward_gap(0.0, 2.0, CFG) == pytest.approx(1.0, abs=1e-12)
+    assert reward_total(0.0, 0.0, 2.0, 0.0, CFG).r_gap == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gap_clamped_beyond_limit():
-    assert reward_gap(10.0, 1000.0, CFG) == 0.0
+    assert reward_total(10.0, 10.0, 1000.0, 0.0, CFG).r_gap == 0.0
 
 
 def test_gap_continuity_at_knots():
@@ -62,15 +63,17 @@ def test_gap_continuity_at_knots():
     for v in (0.0, 3.0, 10.0, 20.0):
         g_opt = v * CFG.T + CFG.g_min
         g_lim = v * CFG.T_lim + 2 * CFG.g_min
-        assert abs(reward_gap(v, g_opt - eps, CFG) - reward_gap(v, g_opt + eps, CFG)) < 1e-8
-        assert abs(reward_gap(v, g_lim - eps, CFG) - reward_gap(v, g_lim + eps, CFG)) < 1e-8
+        for knot in (g_opt, g_lim):
+            below = reward_total(v, v, knot - eps, 0.0, CFG).r_gap
+            above = reward_total(v, v, knot + eps, 0.0, CFG).r_gap
+            assert abs(below - above) < 1e-8
 
 
 def test_jerk_values():
-    assert reward_jerk(0.0, CFG) == 0.0
-    assert reward_jerk(CFG.j_comf, CFG) == -1.0
+    assert reward_total(10.0, 10.0, 20.0, 0.0, CFG).r_jerk == 0.0
+    assert reward_total(10.0, 10.0, 20.0, CFG.j_comf, CFG).r_jerk == -1.0
     # worst single-step swing with default action bounds and dt=0.1
-    assert reward_jerk(140.0, CFG) == pytest.approx(-4900.0)
+    assert reward_total(10.0, 10.0, 20.0, 140.0, CFG).r_jerk == pytest.approx(-4900.0)
 
 
 def test_total_optimum_is_half():
@@ -121,21 +124,23 @@ def test_breakdown_identity_random():
 def test_safe_monotone_in_b_kin():
     # for b_kin > b_comf the penalty is non-increasing: fix v_l=0, shrink g
     gaps = np.linspace(9.9, 0.1, 100)
-    vals = [reward_safe(20.0, 0.0, g, CFG) for g in gaps]
+    vals = [reward_total(20.0, 0.0, g, 0.0, CFG).r_safe for g in gaps]
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 def reference_reward_total(v, v_l, g, jerk, cfg):
-    """reward_total as it was when it called reward_safe and reward_gap and
+    """reward_total as it was when it called its per-term functions and
     then computed b_kin, g_opt and g_lim again: the bit-for-bit reference
-    for the one pass."""
+    for the one pass.  Its checks run in the old order, each raising
+    reward_total's message for its input."""
     if g <= 0:
-        raise ValueError("reward_safe requires g > 0; handle collision upstream")
+        raise ValueError(f"reward_total requires g > 0, got g={g}; "
+                         "handle collision upstream")
     b_kin = (v - v_l) / g if v > v_l else 0.0
     r_s = (-math.tanh((b_kin - cfg.b_comf) / (-cfg.a_min))
            if b_kin > cfg.b_comf else 0.0)
     if v < 0 or g < 0:
-        raise ValueError("reward_gap requires v >= 0 and g >= 0")
+        raise ValueError(f"reward_total requires v >= 0, got v={v}")
     g_opt = v * cfg.T + cfg.g_min
     g_var = 0.5 * g_opt
     g_lim = v * cfg.T_lim + 2.0 * cfg.g_min
@@ -147,7 +152,10 @@ def reference_reward_total(v, v_l, g, jerk, cfg):
         r_g = 0.0
     else:
         r_g = gauss * (1.0 - (g - g_opt) / (g_lim - g_opt))
-    r_j = reward_jerk(jerk, cfg)
+    if not math.isfinite(jerk):
+        raise ValueError(f"reward_total requires a finite jerk, got jerk={jerk}")
+    x = jerk / cfg.j_comf
+    r_j = -x * x
     total = cfg.w_safe * r_s + cfg.w_gap * r_g + cfg.w_jerk * r_j
     b_kin = (v - v_l) / g if v > v_l else 0.0
     g_opt = v * cfg.T + cfg.g_min

@@ -203,6 +203,15 @@ class TestReset:
             env.reset(**kwargs)
         assert env.done
 
+    @pytest.mark.parametrize("gap", [0.0, -5.0])
+    def test_rejects_non_positive_gap(self, gap):
+        # a start at gap <= 0 once ran: its first step was a collision,
+        # and an IDM rollout from it died inside idm_accel
+        env = FollowEnv(short_cfg())
+        with pytest.raises(ValueError, match=f"non-positive initial_gap {gap}"):
+            env.reset(make_profile(5, 200), gap, follower_speed=5.0)
+        assert env.done
+
     @pytest.mark.parametrize("where", ["profile", "follower_speed"])
     def test_rejects_negative_speed(self, where):
         # a negative start speed once made the speed floor's -v/dt the
@@ -235,8 +244,8 @@ class TestStep:
         env.reset(make_profile(20, 200), initial_gap=100.0, follower_speed=10.0)
         speeds = []
         for _ in range(15):
-            _, _, _, info = env.step(-9.0)
-            speeds.append(info.v)
+            (v, _, _, _), _, _, _ = env.step(-9.0)
+            speeds.append(v)
         assert all(v >= 0 for v in speeds)
         assert speeds[10] > 0.0
         assert speeds[11] == pytest.approx(0.0, abs=1e-12)
@@ -257,10 +266,10 @@ class TestStep:
                 env.step(bad)
         assert env.step_index == 0 and env.follower.speed == 5.0
         # finite actions outside [a_min, a_max] still clip
-        _, _, _, info = env.step(-50.0)
-        assert info.accel == env.cfg.a_min
-        _, _, _, info = env.step(50.0)
-        assert info.accel == env.cfg.a_max
+        (_, a, _, _), _, _, _ = env.step(-50.0)
+        assert a == env.cfg.a_min
+        (_, a, _, _), _, _, _ = env.step(50.0)
+        assert a == env.cfg.a_max
 
     def test_step_after_done_rejected(self):
         env = FollowEnv(short_cfg())
@@ -297,8 +306,8 @@ class TestStep:
             done = False
             k = 0
             while not done and k < len(actions):
-                _, r, done, info = env.step(actions[k])
-                rows.append((info.v, info.gap, r))
+                (v, _, _, _), r, done, info = env.step(actions[k])
+                rows.append((v, info.gap, r))
                 k += 1
             results.append(rows)
         assert results[0] == results[1]
@@ -313,8 +322,8 @@ class TestStep:
         v_trace = [env.follower.speed]
         done = False
         while not done:
-            _, _, done, info = env.step(rng.uniform(-9, 5))
-            v_trace.append(info.v)
+            (v, _, _, _), _, done, _ = env.step(rng.uniform(-9, 5))
+            v_trace.append(v)
         v = np.array(v_trace)
         integral = np.sum((v[:-1] + v[1:]) / 2.0 * cfg.dt)
         assert env.follower.position - pos0 == pytest.approx(integral, abs=1e-9)
@@ -343,9 +352,9 @@ class TestStep:
         env.reset(profile, gap, follower_speed=speed)
         done = False
         while not done:
-            _, _, done, info = env.step(
+            (v, _, _, _), _, done, info = env.step(
                 actions if rng is None else rng.uniform(-11.0, 7.0))
-            assert info.v >= 0.0 and env.follower.speed == info.v
+            assert v >= 0.0 and env.follower.speed == v
             assert info.gap == (env.leader.position - env.follower.position
                                 - cfg.vehicle_length)
             collision, escape = info.gap <= 0.0, info.gap > cfg.g_max
@@ -361,12 +370,15 @@ class TestStep:
         rng = np.random.default_rng(5)
         done = False
         while not done:
-            # step returns the physical state its StepInfo describes, and
-            # its encoding keeps the accel and gap components in [0, 1]
+            # step returns the env's physical state, whose gap its StepInfo
+            # repeats, and its encoding keeps the accel and gap components
+            # in [0, 1]
             obs = normalize_state(*state, cfg)
             assert 0.0 <= obs[1] <= 1.0 and 0.0 <= obs[3] <= 1.0
             state, _, done, info = env.step(rng.uniform(-9, 5))
-            assert state == (info.v, info.accel, info.v_l, info.gap)
+            assert state == (env.follower.speed, env.follower.accel,
+                             env.leader.speed, env.gap)
+            assert state[3] == info.gap
         obs = normalize_state(*state, cfg)
         assert 0.0 <= obs[1] <= 1.0 and 0.0 <= obs[3] <= 1.0
 
