@@ -6,6 +6,7 @@ relabeled human transitions and the live simulation buffer.  A fully
 off-policy mode (no interaction at all) demonstrates extrapolation error.
 """
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -14,8 +15,8 @@ import numpy as np
 
 from .config import LEADER_OU, DdpgConfig, OuParams, RewardConfig, SimConfig
 from .evaluate import Scenario, run_scenario
-from .nets import (AdamState, MlpNet, hard_update, member_cache, opt_step,
-                   soft_update)
+from .nets import (_ONE, _TWO, AdamState, MlpNet, _const, hard_update,
+                   member_cache, opt_step, soft_update)
 from .simcore import (STATE_DIM, FollowEnv, OuNoise, gen_leader_profile,
                       normalize_state, scale_action, unscale_action)
 
@@ -29,6 +30,8 @@ from .simcore import (STATE_DIM, FollowEnv, OuNoise, gen_leader_profile,
 ACTOR_LR = 1e-4
 ACTOR_DELAY = 5000
 PREACT_L2 = 1e-3
+# 2 * PREACT_L2, the factor of the penalty's gradient 2 * PREACT_L2 * z / n
+_PREACT_GRAD = _const(2.0 * PREACT_L2)
 
 # the four nets, each a member (stack attribute, row) of a DdpgAgent: an
 # online net and its target are one K = 2 stack
@@ -121,10 +124,15 @@ class ReplayBuffer:
         self.size = min(self.size + 1, self.capacity)
         self.cursor = (i + 1) % self.capacity
 
-    def sample(self, rng, n):
+    def draw(self, rng, n):
+        """n row indices drawn uniformly, with replacement, from the stored
+        rows: the one draw behind sample and sample_mixed."""
         if not self.size:
             raise ValueError("cannot sample from an empty buffer")
-        return self.rows.take(rng.integers(0, self.size, size=n))
+        return rng.integers(0, self.size, size=n)
+
+    def sample(self, rng, n):
+        return self.rows.take(self.draw(rng, n))
 
 
 def mix_count(r, batch_size):
@@ -134,17 +142,32 @@ def mix_count(r, batch_size):
 
 def sample_mixed(sim_buf, practical_buf, batch_size, r, rng):
     """Exactly round(r*B) transitions from the practical buffer and the
-    remainder from the simulation buffer, shuffled together."""
+    remainder from the simulation buffer, shuffled together.
+
+    The draws are the practical indices, the simulation indices and then
+    the permutation; each column is gathered from both buffers, joined and
+    permuted, with no intermediate Batch."""
     if not (0.0 <= r <= 1.0):
         raise ValueError("ratio r must lie in [0, 1]")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n_prac = mix_count(r, batch_size)
-    n_sim = batch_size - n_prac
-    parts = []
-    if n_prac:
-        parts.append(practical_buf.sample(rng, n_prac))
-    if n_sim:
-        parts.append(sim_buf.sample(rng, n_sim))
-    return Batch.concat(parts).take(rng.permutation(batch_size))
+    draws = [(buf, buf.draw(rng, n)) for buf, n in
+             ((practical_buf, n_prac), (sim_buf, batch_size - n_prac)) if n]
+    order = rng.permutation(batch_size)
+    parts = [[col.take(idx, axis=0) for col in buf.rows.columns]
+             for buf, idx in draws]
+    return Batch(*(np.concatenate(cols).take(order, axis=0)
+                   for cols in zip(*parts)))
+
+
+@functools.lru_cache(maxsize=8)
+def _batch_operands(n):
+    """train_step's operands for a batch of n rows: n as a 0-d array, and
+    the (n, 1) gradient of a batch mean, read-only."""
+    mean_grad = np.full((n, 1), 1.0 / n)
+    mean_grad.flags.writeable = False
+    return _const(n), mean_grad
 
 
 def _member(name):
@@ -160,7 +183,8 @@ class DdpgAgent:
     Each online net and its target are one K = 2 stack: ``actors`` holds
     [actor, actor_target] and ``critics`` [critic, critic_target], so
     train_step runs each pair's forwards as one.  The four nets are that
-    stack's member views."""
+    stack's member views.  train_step reads gamma, a_min and a_max as 0-d
+    arrays made from cfg and sim_cfg when the agent is made."""
 
     actor = _member("actor")
     critic = _member("critic")
@@ -193,6 +217,10 @@ class DdpgAgent:
         # Each target starts as a copy of its online net.
         self.actors = MlpNet.stack([actor, actor])
         self.critics = MlpNet.stack([critic, critic])
+        # train_step's operands from the two configs, made here once
+        c = self.sim_cfg
+        self._gamma = _const(self.cfg.gamma)
+        self._a_min, self._a_span = _const(c.a_min), _const(c.a_max - c.a_min)
         self._members = {name: getattr(self, stack).member(k)
                          for name, (stack, k) in _NETS.items()}
         self._reset_optimizers()
@@ -224,9 +252,11 @@ class DdpgAgent:
         if not batch:
             raise ValueError("train_step needs a non-empty batch")
         n = len(batch)
+        n_, mean_grad = _batch_operands(n)
         s, a, r, s2, done = batch.columns
-        a = unscale_action(a[:, None], self.sim_cfg)
-        live = 1.0 - done[:, None]
+        # unscale_action on the batch, with 0-d operands
+        a = _TWO * (a[:, None] - self._a_min) / self._a_span - _ONE
+        live = _ONE - done[:, None]
         actor, critic = self.actor, self.critic
 
         # the critic step leaves the actor as it is, so actor(s) and
@@ -243,13 +273,13 @@ class DdpgAgent:
         xc[0, :, :STATE_DIM], xc[1, :, :STATE_DIM] = s, s2
         xc[0, :, STATE_DIM:], xc[1, :, STATE_DIM:] = a, a2
         (q, q2), ccache = self.critics.forward(xc, cache=True)
-        y = r[:, None] + self.cfg.gamma * live * q2
+        y = r[:, None] + self._gamma * live * q2
         diff = q - y
         critic_loss = float((diff ** 2).sum() / n)
         if not math.isfinite(critic_loss):
             raise ValueError(f"non-finite critic loss {critic_loss}: the batch "
                              "or the nets hold a non-finite value")
-        grads = critic.backward(member_cache(ccache, 0), 2.0 * diff / n,
+        grads = critic.backward(member_cache(ccache, 0), _TWO * diff / n_,
                                 out=self.critic_opt.grads)
         opt_step(critic, grads, self.critic_opt)
 
@@ -257,12 +287,12 @@ class DdpgAgent:
         if update_actor:
             qa, qcache = critic.forward(np.concatenate((s, u), axis=1),
                                         cache=True)
-            dq = critic.input_grad(qcache, np.full((n, 1), 1.0 / n))
+            dq = critic.input_grad(qcache, mean_grad)
             da = dq[:, STATE_DIM:]
             # ascend on Q - PREACT_L2 * mean(z^2), z the head's
             # pre-activation, by descending on its negative
             acache = member_cache(acache, 0)
-            dpre = 2.0 * PREACT_L2 * acache["pre"][-1] / n
+            dpre = _PREACT_GRAD * acache["pre"][-1] / n_
             opt_step(actor, actor.backward(acache, -da, dpre,
                                            out=self.actor_opt.grads),
                      self.actor_opt)

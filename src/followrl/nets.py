@@ -7,6 +7,7 @@ architecture can be held as one stack whose forward is one matmul per
 layer over the leading member axis, bit for bit the K solo forwards.
 """
 
+import functools
 import struct
 
 import numpy as np
@@ -398,8 +399,15 @@ def soft_update(target: MlpNet, source: MlpNet, tau):
     if not (0.0 <= tau <= 1.0):
         raise ValueError("tau must lie in [0, 1]")
     _check_same_arch(target, source)
-    target.flat *= 1.0 - tau
+    keep, tau = _polyak_operands(tau)
+    target.flat *= keep
     target.flat += tau * source.flat
+
+
+@functools.lru_cache(maxsize=8)
+def _polyak_operands(tau):
+    """soft_update's operands 1 - tau and tau, made once per tau."""
+    return _const(1.0 - tau), _const(tau)
 
 
 def _check_same_arch(a: MlpNet, b: MlpNet):

@@ -19,7 +19,7 @@ from followrl.control import (collect_reverse_data, read_reverse_csv,
                               train_control_net, write_reverse_csv)
 from followrl.ddpg import (PREACT_L2, STATE_DIM, Batch, mix_count,
                            train_fully_offpolicy, train_stage1, train_stage2)
-from followrl.nets import AdamState, opt_step, soft_update
+from followrl.nets import AdamState, member_cache, opt_step, soft_update
 from followrl.evaluate import compare_report, run_scenario, self_defined_profile
 from followrl.simcore import gen_leader_profile, unscale_action, write_leader_csv
 
@@ -273,13 +273,60 @@ class TestSampleMixed:
             assert_columns(batch.columns, ref)
 
     def test_empty_required_buffer_rejected(self):
-        sim = filled_buffer(10, 9)
+        full = filled_buffer(10, 9)
         empty = ReplayBuffer(10)
-        with pytest.raises(ValueError):
-            sample_mixed(sim, empty, 32, 0.5, np.random.default_rng(0))
-        # but r=0 never touches the practical buffer
-        batch = sample_mixed(sim, empty, 32, 0.0, np.random.default_rng(0))
-        assert len(batch) == 32
+        for sim, prac in ((full, empty), (empty, full)):
+            with pytest.raises(ValueError, match="cannot sample from an empty"):
+                sample_mixed(sim, prac, 32, 0.5, np.random.default_rng(0))
+        # but r=0 never touches the practical buffer, nor r=1 the other
+        assert len(sample_mixed(full, empty, 32, 0.0,
+                                np.random.default_rng(0))) == 32
+        assert len(sample_mixed(empty, full, 32, 1.0,
+                                np.random.default_rng(0))) == 32
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        sim, prac = filled_buffer(10, 9), filled_buffer(10, 10)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError,
+                           match=f"batch_size must be >= 1, got {batch_size}"):
+            sample_mixed(sim, prac, batch_size, 0.5, rng)
+        assert rng.bit_generator.state == before     # nothing was drawn
+
+    @pytest.mark.parametrize("batch_size", [1, 31, 32])
+    @pytest.mark.parametrize("r", [0.0, 1 / 32, 0.5, 0.6, 1.0])
+    def test_matches_concat_then_permute(self, mixing_buffers, r, batch_size):
+        sim, prac = mixing_buffers
+        rng, ref_rng = np.random.default_rng(27), np.random.default_rng(27)
+        for _ in range(5):
+            batch = sample_mixed(sim, prac, batch_size, r, rng)
+            assert same(batch, concat_then_permute(sim, prac, batch_size, r,
+                                                   ref_rng))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def concat_then_permute(sim_buf, practical_buf, batch_size, r, rng):
+    """sample_mixed as two ReplayBuffer.sample calls, Batch.concat and a
+    Batch.take of the permutation: the reference for its direct gather."""
+    n_prac = mix_count(r, batch_size)
+    n_sim = batch_size - n_prac
+    parts = []
+    if n_prac:
+        parts.append(practical_buf.sample(rng, n_prac))
+    if n_sim:
+        parts.append(sim_buf.sample(rng, n_sim))
+    return Batch.concat(parts).take(rng.permutation(batch_size))
+
+
+@pytest.fixture(scope="module")
+def mixing_buffers():
+    """A simulation buffer grown past its first 1,024 rows and a practical
+    buffer wrapped past its capacity."""
+    sim = buffer_of(tagged_rows(1500, 25), capacity=3000)
+    prac = buffer_of(tagged_rows(700, 26, start=10_000), capacity=500)
+    assert len(sim.rows) == 2048 and prac.cursor == 200
+    return sim, prac
 
 
 class TestSelectAction:
@@ -435,6 +482,51 @@ def reference_train_step(ref, batch, update_actor=True):
     return {"critic_loss": critic_loss, "actor_q": float(qa.sum() / n)}
 
 
+def python_float_train_step(agent, batch, update_actor=True):
+    """DdpgAgent.train_step with its operands as Python floats, np.full's
+    mean gradient and soft_update's Python-float arithmetic: the
+    bit-for-bit reference for the 0-d operands.  Runs on ``agent``."""
+    n = len(batch)
+    s, a, r, s2, done = batch.columns
+    a = unscale_action(a[:, None], agent.sim_cfg)
+    live = 1.0 - done[:, None]
+    actor, critic = agent.actor, agent.critic
+    if update_actor:
+        xs = np.empty((2, n, STATE_DIM))
+        xs[0], xs[1] = s, s2
+        (u, a2), acache = agent.actors.forward(xs, cache=True)
+    else:
+        a2 = agent.actor_target.forward(s2)
+    xc = np.empty((2, n, STATE_DIM + 1))
+    xc[0, :, :STATE_DIM], xc[1, :, :STATE_DIM] = s, s2
+    xc[0, :, STATE_DIM:], xc[1, :, STATE_DIM:] = a, a2
+    (q, q2), ccache = agent.critics.forward(xc, cache=True)
+    y = r[:, None] + agent.cfg.gamma * live * q2
+    diff = q - y
+    critic_loss = float((diff ** 2).sum() / n)
+    grads = critic.backward(member_cache(ccache, 0), 2.0 * diff / n,
+                            out=agent.critic_opt.grads)
+    opt_step(critic, grads, agent.critic_opt)
+    actor_q = None
+    if update_actor:
+        qa, qcache = critic.forward(np.concatenate((s, u), axis=1),
+                                    cache=True)
+        dq = critic.input_grad(qcache, np.full((n, 1), 1.0 / n))
+        da = dq[:, STATE_DIM:]
+        acache = member_cache(acache, 0)
+        dpre = 2.0 * PREACT_L2 * acache["pre"][-1] / n
+        opt_step(actor, actor.backward(acache, -da, dpre,
+                                       out=agent.actor_opt.grads),
+                 agent.actor_opt)
+        actor_q = float(qa.sum() / n)
+    tau = agent.cfg.tau
+    for target, source in ((agent.actor_target, actor),
+                           (agent.critic_target, critic)):
+        target.flat *= 1.0 - tau
+        target.flat += tau * source.flat
+    return {"critic_loss": critic_loss, "actor_q": actor_q}
+
+
 def reference_of(agent):
     """Solo copies of an agent's four nets with fresh optimizers at the
     agent's learning rates, for reference_train_step."""
@@ -467,6 +559,31 @@ class TestStackedUpdate:
             assert got["actor_q"] == (want["actor_q"] if update_actor else None)
             assert net_bytes(agent) == net_bytes(ref)
         assert agent.actor_opt.t == ref.actor_opt.t > 0
+
+    def test_matches_python_float_reference(self):
+        # 40 held updates, then 40 actor updates, on sampled batches with
+        # terminal rows, then one batch of a single row: nets, Adam
+        # moments and steps, loss and actor Q all bit for bit
+        agent, ref = DdpgAgent(seed=3), DdpgAgent(seed=3)
+        rng = np.random.default_rng(31)
+        buf = ReplayBuffer(500)
+        for _ in range(500):
+            buf.add(make_transition(rng, done=bool(rng.random() < 0.2)))
+        batches = [buf.sample(rng, 32) for _ in range(80)] + [buf.sample(rng, 1)]
+        assert sum(b.dones.any() for b in batches) > 40
+        for step, batch in enumerate(batches):
+            update_actor = step >= 40
+            got = agent.train_step(batch, update_actor)
+            want = python_float_train_step(ref, batch, update_actor)
+            # repr tells float from np.float64 and -0.0 from 0.0
+            assert repr(got) == repr(want)
+            assert net_bytes(agent) == net_bytes(ref)
+            for name in ("actor_opt", "critic_opt"):
+                mine, theirs = getattr(agent, name), getattr(ref, name)
+                assert mine.t == theirs.t
+                assert mine.m.tobytes() == theirs.m.tobytes()
+                assert mine.v.tobytes() == theirs.v.tobytes()
+        assert agent.actor_opt.t == 41 and agent.critic_opt.t == 81
 
     def test_other_batch_sizes_on_optimizer_buffers(self):
         # the gradients go into each AdamState's own buffer; batches of
@@ -537,8 +654,10 @@ class TestStackedUpdate:
         # the fused update: one stacked forward per online/target pair,
         # and no Q(s, actor(s)) forward while the actor is held; every
         # gradient goes into its optimizer's own buffer
+        # perfbench traces nets.soft_update by name: each update makes
+        # its two Polyak steps through it, online net into target
         calls = dict.fromkeys(want, 0)
-        forwards, outs = [], []
+        forwards, outs, polyak = [], [], []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -547,6 +666,8 @@ class TestStackedUpdate:
                     forwards.append((args[0], np.shape(args[1])))
                 if name == "backward":
                     outs.append(kwargs.get("out"))
+                if name == "soft_update":
+                    polyak.append(args)
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -563,6 +684,9 @@ class TestStackedUpdate:
         assert calls == {name: 3 * count for name, count in want.items()}
         grads = [agent.critic_opt.grads] + [agent.actor_opt.grads] * update_actor
         assert [id(out) for out in outs] == [id(g) for g in grads] * 3
+        tau = agent.cfg.tau
+        assert polyak == [(agent.actor_target, agent.actor, tau),
+                          (agent.critic_target, agent.critic, tau)] * 3
         if not update_actor:
             # actor_target(s') alone, then the critics stack
             assert forwards == [(agent.actor_target, (n, STATE_DIM)),

@@ -1,8 +1,8 @@
 """Source hygiene: no followrl module imports a name it never uses, every
 module-level function and class and every method is named by the program
 or the acceptance tests, every config field is read by the code it
-configures, no module names np.dot, and nets' 0-d operands cannot be
-changed in place."""
+configures, no module names np.dot, and the 0-d operands of nets and
+ddpg cannot be changed in place."""
 
 import ast
 from collections import Counter
@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from followrl import nets
+from followrl import ddpg, nets
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "followrl"
@@ -157,19 +157,47 @@ def test_no_numpy_dot(path):
     assert numpy_dot_uses(path.read_text()) == []
 
 
-def test_nets_operands_read_only_0d():
+def arrays_of(namespace):
+    return {name: value for name, value in vars(namespace).items()
+            if isinstance(value, np.ndarray)}
+
+
+def assert_read_only_0d(operands):
     # numpy takes a 0-d array operand as it is, where a Python float is
     # converted on every call.  One shared by every call must not be
     # writeable, so that a stray out= raises instead of changing it
-    operands = {name: value for name, value in vars(nets).items()
-                if isinstance(value, np.ndarray)}
-    assert {"_ZERO", "_ONE", "_TWO", "_B1", "_B2", "_1_B1", "_1_B2",
-            "_EPS"} <= operands.keys()
     for name, a in operands.items():
         assert a.shape == () and a.dtype == np.float64, name
         assert not a.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
             np.add(a, a, out=a)
+
+
+def test_nets_operands_read_only_0d():
+    operands = arrays_of(nets)
+    assert {"_ZERO", "_ONE", "_TWO", "_B1", "_B2", "_1_B1", "_1_B2",
+            "_EPS"} <= operands.keys()
+    keep, tau = nets._polyak_operands(0.005)
+    assert (keep, tau) == (1.0 - 0.005, 0.005)
+    assert nets._polyak_operands(0.005)[0] is keep      # made once
+    assert_read_only_0d({**operands, "1 - tau": keep, "tau": tau})
+
+
+def test_ddpg_operands_read_only_0d():
+    # the module's, the agent's (from its two configs) and those made
+    # per batch size; the batch-mean gradient is (n, 1) and read-only too
+    agent = ddpg.DdpgAgent(seed=0)
+    module, own = arrays_of(ddpg), arrays_of(agent)
+    assert "_PREACT_GRAD" in module
+    assert own.keys() == {"_gamma", "_a_min", "_a_span"}
+    sim = agent.sim_cfg
+    assert (own["_gamma"], own["_a_min"], own["_a_span"]) == (
+        agent.cfg.gamma, sim.a_min, sim.a_max - sim.a_min)
+    n, mean_grad = ddpg._batch_operands(7)
+    assert n == 7 and ddpg._batch_operands(7)[1] is mean_grad
+    assert_read_only_0d({**module, **own, "n": n})
+    assert mean_grad.shape == (7, 1) and mean_grad.dtype == np.float64
+    assert (mean_grad == 1.0 / 7).all() and not mean_grad.flags.writeable
 
 
 @pytest.mark.parametrize("lr", [3e-4, 0.1])
