@@ -152,11 +152,12 @@ def sample_mixed(sim_buf, practical_buf, batch_size, r, rng):
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n_prac = mix_count(r, batch_size)
-    draws = [(buf, buf.draw(rng, n)) for buf, n in
-             ((practical_buf, n_prac), (sim_buf, batch_size - n_prac)) if n]
+    parts = []
+    for buf, n in ((practical_buf, n_prac), (sim_buf, batch_size - n_prac)):
+        if n:
+            idx = buf.draw(rng, n)
+            parts.append([col.take(idx, axis=0) for col in buf.rows.columns])
     order = rng.permutation(batch_size)
-    parts = [[col.take(idx, axis=0) for col in buf.rows.columns]
-             for buf, idx in draws]
     return Batch(*(np.concatenate(cols).take(order, axis=0)
                    for cols in zip(*parts)))
 
