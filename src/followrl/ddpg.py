@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import LEADER_OU, DdpgConfig, OuParams, RewardConfig, SimConfig
 from .evaluate import Scenario, run_scenario
-from .nets import (_ONE, _TWO, AdamState, MlpNet, _const, hard_update,
+from .nets import (ONE, TWO, AdamState, MlpNet, const, hard_update,
                    member_cache, opt_step, soft_update)
 from .simcore import (STATE_DIM, FollowEnv, OuNoise, gen_leader_profile,
                       normalize_state, scale_action, unscale_action)
@@ -31,7 +31,7 @@ ACTOR_LR = 1e-4
 ACTOR_DELAY = 5000
 PREACT_L2 = 1e-3
 # 2 * PREACT_L2, the factor of the penalty's gradient 2 * PREACT_L2 * z / n
-_PREACT_GRAD = _const(2.0 * PREACT_L2)
+_PREACT_GRAD = const(2.0 * PREACT_L2)
 
 # the four nets, each a member (stack attribute, row) of a DdpgAgent: an
 # online net and its target are one K = 2 stack
@@ -163,12 +163,13 @@ def sample_mixed(sim_buf, practical_buf, batch_size, r, rng):
 
 
 @functools.lru_cache(maxsize=8)
-def _batch_operands(n):
-    """train_step's operands for a batch of n rows: n as a 0-d array, and
-    the (n, 1) gradient of a batch mean, read-only."""
+def _step_operands(n, gamma):
+    """train_step's operands for a batch of n rows and discount gamma: n
+    and gamma as 0-d arrays, and the (n, 1) gradient of a batch mean,
+    read-only."""
     mean_grad = np.full((n, 1), 1.0 / n)
     mean_grad.flags.writeable = False
-    return _const(n), mean_grad
+    return const(n), const(gamma), mean_grad
 
 
 def _member(name):
@@ -184,8 +185,7 @@ class DdpgAgent:
     Each online net and its target are one K = 2 stack: ``actors`` holds
     [actor, actor_target] and ``critics`` [critic, critic_target], so
     train_step runs each pair's forwards as one.  The four nets are that
-    stack's member views.  train_step reads gamma, a_min and a_max as 0-d
-    arrays made from cfg and sim_cfg when the agent is made."""
+    stack's member views."""
 
     actor = _member("actor")
     critic = _member("critic")
@@ -218,10 +218,6 @@ class DdpgAgent:
         # Each target starts as a copy of its online net.
         self.actors = MlpNet.stack([actor, actor])
         self.critics = MlpNet.stack([critic, critic])
-        # train_step's operands from the two configs, made here once
-        c = self.sim_cfg
-        self._gamma = _const(self.cfg.gamma)
-        self._a_min, self._a_span = _const(c.a_min), _const(c.a_max - c.a_min)
         self._members = {name: getattr(self, stack).member(k)
                          for name, (stack, k) in _NETS.items()}
         self._reset_optimizers()
@@ -253,11 +249,10 @@ class DdpgAgent:
         if not batch:
             raise ValueError("train_step needs a non-empty batch")
         n = len(batch)
-        n_, mean_grad = _batch_operands(n)
+        n_, gamma, mean_grad = _step_operands(n, self.cfg.gamma)
         s, a, r, s2, done = batch.columns
-        # unscale_action on the batch, with 0-d operands
-        a = _TWO * (a[:, None] - self._a_min) / self._a_span - _ONE
-        live = _ONE - done[:, None]
+        a = unscale_action(a[:, None], self.sim_cfg)
+        live = ONE - done[:, None]
         actor, critic = self.actor, self.critic
 
         # the critic step leaves the actor as it is, so actor(s) and
@@ -274,13 +269,13 @@ class DdpgAgent:
         xc[0, :, :STATE_DIM], xc[1, :, :STATE_DIM] = s, s2
         xc[0, :, STATE_DIM:], xc[1, :, STATE_DIM:] = a, a2
         (q, q2), ccache = self.critics.forward(xc, cache=True)
-        y = r[:, None] + self._gamma * live * q2
+        y = r[:, None] + gamma * live * q2
         diff = q - y
         critic_loss = float((diff ** 2).sum() / n)
         if not math.isfinite(critic_loss):
             raise ValueError(f"non-finite critic loss {critic_loss}: the batch "
                              "or the nets hold a non-finite value")
-        grads = critic.backward(member_cache(ccache, 0), _TWO * diff / n_,
+        grads = critic.backward(member_cache(ccache, 0), TWO * diff / n_,
                                 out=self.critic_opt.grads)
         opt_step(critic, grads, self.critic_opt)
 

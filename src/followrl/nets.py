@@ -17,7 +17,7 @@ _ACT_CODES = {"linear": 0, "tanh": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
 
-def _const(value):
+def const(value):
     """A read-only 0-d float64 array.  numpy takes a 0-d array operand as it
     is, where a Python float is converted to one on every call; read-only,
     so a stray ``out=`` raises instead of changing it."""
@@ -28,7 +28,7 @@ def _const(value):
 
 # the ReLU's and its mask's zero, the tanh derivative's and fit_mse's one,
 # and fit_mse's two
-_ZERO, _ONE, _TWO = _const(0.0), _const(1.0), _const(2.0)
+ZERO, ONE, TWO = const(0.0), const(1.0), const(2.0)
 
 
 class MlpNet:
@@ -122,7 +122,7 @@ class MlpNet:
         for w, b in zip(weights[:-1], biases[:-1]):
             z = product(h, w)
             z += b
-            h = np.maximum(z, _ZERO)
+            h = np.maximum(z, ZERO)
             if cache:
                 pre.append(z)
                 post.append(h)
@@ -166,7 +166,7 @@ class MlpNet:
         grad = np.asarray(dout, dtype=float)
         if self.out_activation == "tanh":
             # the cached output is tanh(z)
-            grad = grad * (_ONE - post[-1] ** 2)
+            grad = grad * (ONE - post[-1] ** 2)
         if dpre is not None:
             grad = grad + dpre
         product, weights_t = self._product, self._weights_t
@@ -175,13 +175,13 @@ class MlpNet:
         if dw is None:
             for i in range(len(weights_t) - 1, 0, -1):
                 grad = product(grad, weights_t[i])
-                grad *= pre[i - 1] > _ZERO
+                grad *= pre[i - 1] > ZERO
             return product(grad, weights_t[0])
         for i in range(len(weights_t) - 1, 0, -1):
             product(post[i].T, grad, dw[i])
             np.add.reduce(grad, 0, None, db[i], keepdims=True)
             grad = product(grad, weights_t[i])
-            grad *= pre[i - 1] > _ZERO
+            grad *= pre[i - 1] > ZERO
         product(post[0].T, grad, dw[0])
         np.add.reduce(grad, 0, None, db[0], keepdims=True)
         return None
@@ -270,8 +270,8 @@ def _n_parameters(sizes):
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # opt_step's operands, each as a 0-d array
-_B1, _B2, _EPS = _const(ADAM_BETA1), _const(ADAM_BETA2), _const(ADAM_EPS)
-_1_B1, _1_B2 = _const(1.0 - ADAM_BETA1), _const(1.0 - ADAM_BETA2)
+_B1, _B2, _EPS = const(ADAM_BETA1), const(ADAM_BETA2), const(ADAM_EPS)
+_1_B1, _1_B2 = const(1.0 - ADAM_BETA1), const(1.0 - ADAM_BETA2)
 # every ADAM_FLUSH_EVERY steps opt_step sets first moments of magnitude
 # below ADAM_TINY_M to zero
 ADAM_FLUSH_EVERY, ADAM_TINY_M = 1000, 1e-200
@@ -297,7 +297,7 @@ class AdamState:
     @lr.setter
     def lr(self, value):
         # opt_step's operand, kept as a 0-d array with the setting
-        self._lr = _const(value)
+        self._lr = const(value)
 
 
 def opt_step(net: MlpNet, grads, state: AdamState):
@@ -374,16 +374,16 @@ def fit_mse(sizes, x, y, lo, hi, epochs, seed):
     rng = np.random.default_rng(shuffle_seed)
     # the loop's operands as 0-d arrays: lo, hi - lo, (hi - lo)/2, and the
     # row count of a full minibatch and of the last, short one
-    lo_, span, half_span = _const(lo), _const(hi - lo), _const((hi - lo) / 2.0)
-    counts = {m: _const(m) for m in (FIT_BATCH, n % FIT_BATCH)}
+    lo_, span, half_span = const(lo), const(hi - lo), const((hi - lo) / 2.0)
+    counts = {m: const(m) for m in (FIT_BATCH, n % FIT_BATCH)}
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, FIT_BATCH):
             idx = order[start:start + FIT_BATCH]
             u, cache = net.forward(x.take(idx, axis=0), cache=True)
-            diff = lo_ + (u + _ONE) / _TWO * span - y.take(idx, axis=0)
+            diff = lo_ + (u + ONE) / TWO * span - y.take(idx, axis=0)
             # d(mse)/du = 2*diff/m * d(pred)/du, d(pred)/du = (hi - lo)/2
-            grads = net.backward(cache, _TWO * diff * half_span / counts[len(idx)],
+            grads = net.backward(cache, TWO * diff * half_span / counts[len(idx)],
                                  out=opt.grads)
             opt_step(net, grads, opt)
     return net
@@ -407,7 +407,7 @@ def soft_update(target: MlpNet, source: MlpNet, tau):
 @functools.lru_cache(maxsize=8)
 def _polyak_operands(tau):
     """soft_update's operands 1 - tau and tau, made once per tau."""
-    return _const(1.0 - tau), _const(tau)
+    return const(1.0 - tau), const(tau)
 
 
 def _check_same_arch(a: MlpNet, b: MlpNet):

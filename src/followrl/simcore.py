@@ -6,12 +6,14 @@ returns the physical state (v, a, v_l, g); normalize_state is the
 """
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import LEADER_OU, OuParams, RewardConfig, SimConfig
+from .nets import ONE, TWO, const
 from .reward import reward_total
 
 # Reward assigned on the collision step; the safety term saturates at -1
@@ -51,8 +53,17 @@ def scale_action(u, cfg: SimConfig):
 
 
 def unscale_action(a, cfg: SimConfig):
-    """Inverse of scale_action: an acceleration in m/s^2 to [-1, 1]."""
-    return 2.0 * (a - cfg.a_min) / (cfg.a_max - cfg.a_min) - 1.0
+    """Inverse of scale_action: an acceleration in m/s^2 to [-1, 1].  Its
+    operands are 0-d arrays, so a batch of actions pays no conversion."""
+    a_min, span = _unscale_operands(cfg.a_min, cfg.a_max)
+    return TWO * (a - a_min) / span - ONE
+
+
+@functools.lru_cache(maxsize=8)
+def _unscale_operands(a_min, a_max):
+    """unscale_action's operands a_min and a_max - a_min, made once per
+    action range."""
+    return const(a_min), const(a_max - a_min)
 
 
 def ou_path(params: OuParams, n_steps, dt, seed=None):

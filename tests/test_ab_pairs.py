@@ -67,3 +67,11 @@ def test_parse_run_reads_result_and_digest():
     result, digest = ab_pairs.parse_run(stdout)
     assert result["correct"] is True and digest == "1bc268b1"
     assert result["metrics"]["norm_wall_s"]["value"] == 0.9
+
+
+def test_digest_error_names_a_pair_that_differs():
+    same = {"parent": {"digest": "1bc2"}, "change": {"digest": "1bc2"}}
+    assert ab_pairs.digest_error(same) is None
+    differs = {"parent": {"digest": "1bc2"}, "change": {"digest": "9f00"}}
+    assert ab_pairs.digest_error(differs) == (
+        "digests differ: parent 1bc2, change 9f00")

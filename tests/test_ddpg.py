@@ -488,7 +488,8 @@ def python_float_train_step(agent, batch, update_actor=True):
     bit-for-bit reference for the 0-d operands.  Runs on ``agent``."""
     n = len(batch)
     s, a, r, s2, done = batch.columns
-    a = unscale_action(a[:, None], agent.sim_cfg)
+    c = agent.sim_cfg
+    a = 2.0 * (a[:, None] - c.a_min) / (c.a_max - c.a_min) - 1.0
     live = 1.0 - done[:, None]
     actor, critic = agent.actor, agent.critic
     if update_actor:
@@ -584,6 +585,26 @@ class TestStackedUpdate:
                 assert mine.m.tobytes() == theirs.m.tobytes()
                 assert mine.v.tobytes() == theirs.v.tobytes()
         assert agent.actor_opt.t == 41 and agent.critic_opt.t == 81
+
+    def test_config_edits_reach_every_step(self):
+        # gamma and the action range are read when train_step runs: an
+        # agent whose configs are edited after it is made trains as one
+        # made with the edited configs and given the same nets
+        edited = DdpgAgent(DdpgConfig(), SimConfig(), seed=4)
+        edited.cfg.gamma, edited.sim_cfg.a_min = 0.5, -6.0
+        made = DdpgAgent(DdpgConfig(gamma=0.5), SimConfig(a_min=-6.0), seed=4)
+        for name in NETS:
+            setattr(made, name, getattr(edited, name))
+        rng = np.random.default_rng(8)
+        for update_actor in (False, True):
+            batch = batch_of([make_transition(rng, done=bool(rng.random() < 0.2))
+                              for _ in range(32)])
+            assert (edited.train_step(batch, update_actor)
+                    == made.train_step(batch, update_actor))
+            assert net_bytes(edited) == net_bytes(made)
+        unedited = DdpgAgent(seed=4)
+        unedited.train_step(batch)
+        assert net_bytes(unedited) != net_bytes(edited)
 
     def test_other_batch_sizes_on_optimizer_buffers(self):
         # the gradients go into each AdamState's own buffer; batches of

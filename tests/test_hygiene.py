@@ -1,8 +1,8 @@
 """Source hygiene: no followrl module imports a name it never uses, every
 module-level function and class and every method is named by the program
 or the acceptance tests, every config field is read by the code it
-configures, no module names np.dot, and the 0-d operands of nets and
-ddpg cannot be changed in place."""
+configures, no module names np.dot, and the 0-d operands of nets, simcore
+and ddpg cannot be changed in place."""
 
 import ast
 from collections import Counter
@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from followrl import ddpg, nets
+from followrl import ddpg, nets, simcore
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "followrl"
@@ -175,7 +175,7 @@ def assert_read_only_0d(operands):
 
 def test_nets_operands_read_only_0d():
     operands = arrays_of(nets)
-    assert {"_ZERO", "_ONE", "_TWO", "_B1", "_B2", "_1_B1", "_1_B2",
+    assert {"ZERO", "ONE", "TWO", "_B1", "_B2", "_1_B1", "_1_B2",
             "_EPS"} <= operands.keys()
     keep, tau = nets._polyak_operands(0.005)
     assert (keep, tau) == (1.0 - 0.005, 0.005)
@@ -183,19 +183,25 @@ def test_nets_operands_read_only_0d():
     assert_read_only_0d({**operands, "1 - tau": keep, "tau": tau})
 
 
+def test_unscale_operands_read_only_0d():
+    a_min, span = simcore._unscale_operands(-5.0, 3.0)
+    assert (a_min, span) == (-5.0, 8.0)
+    assert simcore._unscale_operands(-5.0, 3.0)[0] is a_min   # made once
+    assert_read_only_0d({"a_min": a_min, "a_max - a_min": span})
+
+
 def test_ddpg_operands_read_only_0d():
-    # the module's, the agent's (from its two configs) and those made
-    # per batch size; the batch-mean gradient is (n, 1) and read-only too
+    # the module's and those made per batch size and gamma; the
+    # batch-mean gradient is (n, 1) and read-only too.  The agent keeps no
+    # operand of its own: train_step builds them from cfg when it runs
     agent = ddpg.DdpgAgent(seed=0)
-    module, own = arrays_of(ddpg), arrays_of(agent)
+    assert arrays_of(agent) == {}
+    module = arrays_of(ddpg)
     assert "_PREACT_GRAD" in module
-    assert own.keys() == {"_gamma", "_a_min", "_a_span"}
-    sim = agent.sim_cfg
-    assert (own["_gamma"], own["_a_min"], own["_a_span"]) == (
-        agent.cfg.gamma, sim.a_min, sim.a_max - sim.a_min)
-    n, mean_grad = ddpg._batch_operands(7)
-    assert n == 7 and ddpg._batch_operands(7)[1] is mean_grad
-    assert_read_only_0d({**module, **own, "n": n})
+    n, gamma, mean_grad = ddpg._step_operands(7, 0.99)
+    assert (n, gamma) == (7, 0.99)
+    assert ddpg._step_operands(7, 0.99)[2] is mean_grad
+    assert_read_only_0d({**module, "n": n, "gamma": gamma})
     assert mean_grad.shape == (7, 1) and mean_grad.dtype == np.float64
     assert (mean_grad == 1.0 / 7).all() and not mean_grad.flags.writeable
 

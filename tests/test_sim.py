@@ -12,7 +12,7 @@ from followrl.config import LEADER_OU
 from followrl.control import REVERSE_HEADER, read_reverse_csv
 from followrl.datasets import HEADER, parse_trajectory_csv
 from followrl.ddpg import _episode_scenario
-from followrl.simcore import LEADER_HEADER, read_csv, write_csv
+from followrl.simcore import LEADER_HEADER, read_csv, unscale_action, write_csv
 
 CFG = SimConfig()
 
@@ -51,6 +51,18 @@ class TestNormalize:
     def test_gap_clamped(self):
         obs = normalize_state(0, 0, 0, 250, CFG)
         assert obs[3] == 1.0
+
+
+@pytest.mark.parametrize("a_min, a_max", [(-9.0, 5.0), (-3.5, 2.25)])
+def test_unscale_action_is_the_python_float_formula(a_min, a_max):
+    # unscale_action's 0-d operands give the bits of the Python-float
+    # formula, on a batch column and on one action, and follow the range
+    cfg = SimConfig(a_min=a_min, a_max=a_max)
+    acts = np.random.default_rng(0).uniform(a_min, a_max, (64, 1))
+    want = 2.0 * (acts - a_min) / (a_max - a_min) - 1.0
+    assert unscale_action(acts, cfg).tobytes() == want.tobytes()
+    assert unscale_action(0.0, cfg) == 2.0 * (0.0 - a_min) / (a_max - a_min) - 1.0
+    assert unscale_action(a_min, cfg) == -1.0 and unscale_action(a_max, cfg) == 1.0
 
 
 class TestOuPath:

@@ -14,8 +14,9 @@ neither side, and its median is better than the parent's by more than the
 parent's interquartile range.  Each metric's better direction is read
 from this checkout's BENCHMARK.json.
 
-Exits 1 when a run fails or reports ``"correct": false``.  Uses the
-standard library only.
+Exits 1 when a run fails, reports ``"correct": false``, or prints a
+round digest other than its pair partner's: the two trees must compute the
+same bits.  Uses the standard library only.
 """
 
 import argparse
@@ -67,6 +68,14 @@ def parse_run(stdout):
     return result, digest
 
 
+def digest_error(pair):
+    """Why a pair's two runs disagree on the round digest, or None."""
+    parent, change = pair["parent"]["digest"], pair["change"]["digest"]
+    if parent != change:
+        return f"digests differ: parent {parent}, change {change}"
+    return None
+
+
 def run_perfbench(tree, args):
     """One untraced perfbench run in ``tree``: (result, digest, error)."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -93,8 +102,10 @@ def archive(ref, dest):
                             text=True).stdout.strip()
     tar = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
                          check=True, capture_output=True).stdout
+    # extraction filters exist from Python 3.12 and in late 3.10/3.11 patches
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(tar)) as fh:
-        fh.extractall(dest, filter="data")
+        fh.extractall(dest, **safe)
     return commit
 
 
@@ -156,6 +167,10 @@ def main(argv=None):
                 if error:
                     failed = True
                     print(f"pair {i} {side}: FAILED {error}", file=sys.stderr)
+            if not failed and (error := digest_error(pair)):
+                failed = True
+                pair["error"] = error
+                print(f"pair {i}: FAILED {error}", file=sys.stderr)
             runs.append(pair)
             print(f"pair {i} ({pair['first']} first) " + "  ".join(
                 f"{name} {pair['parent']['metrics'].get(name, float('nan')):.4f}"
