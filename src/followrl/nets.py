@@ -27,7 +27,8 @@ def const(value):
 
 
 # the ReLU's and its mask's zero, the tanh derivative's and fit_mse's one,
-# and fit_mse's two
+# and fit_mse's two; unscale_action and DdpgAgent.train_step use one and
+# two as well
 ZERO, ONE, TWO = const(0.0), const(1.0), const(2.0)
 
 
