@@ -7,7 +7,7 @@ import numpy as np
 
 from .config import IdmParams, SimConfig
 from .nets import MlpNet, fit_mse
-from .simcore import STATE_DIM, normalize_state, scale_action
+from .simcore import STATE_DIM, VEHICLE_LENGTH, normalize_state, scale_action
 
 
 def idm_accel(v, v_l, g, p: IdmParams = None, a_min=SimConfig.a_min,
@@ -94,7 +94,7 @@ def idm_replay_rmse(grid, ep, cfg: SimConfig):
     n = len(rec) - 1
     if n < 1:
         raise ValueError(f"episode {ep.id}: a replay needs at least 2 rows")
-    dt, L = cfg.dt, cfg.vehicle_length
+    dt, L = cfg.dt, VEHICLE_LENGTH
     v_l = rec[:, 1]
     K = len(grid)
     ids = np.arange(K)

@@ -1,6 +1,5 @@
 """Command-line entry points for the car-following lab.
 
-    followrl gen-leader --seed 42 --duration-s 140 --out leader.csv
     followrl reward-probe --v 20 --vl 0 --g 5 --jerk 0
     followrl make-synthetic --episodes 25 --seed 7 --out data/
     followrl ingest --in 'data/*.csv' --out store.npz
@@ -20,17 +19,10 @@ import sys
 
 import numpy as np
 
-from . import baselines, control, datasets, ddpg, evaluate, simcore
+from . import baselines, control, datasets, ddpg, evaluate
 from .config import load_config
 from .nets import MlpNet
 from .reward import reward_total
-
-
-def cmd_gen_leader(args, cfg):
-    profile = simcore.gen_leader_profile(args.seed, args.duration_s, cfg["sim"],
-                                         cfg["leader_ou"])
-    simcore.write_leader_csv(args.out, profile, cfg["sim"].dt)
-    print(f"wrote {len(profile)} samples to {args.out}")
 
 
 def cmd_reward_probe(args, cfg):
@@ -174,32 +166,27 @@ def cmd_report(args, cfg):
                 print("  " + line.rstrip())
 
 
-# the path flags each control subcommand cannot run without
-CONTROL_PATHS = {"collect": ("out",), "train": ("data", "out"), "probe": ("net",)}
+def cmd_control_collect(args, cfg):
+    samples = control.collect_reverse_data(cfg["powertrain"], args.duration_s,
+                                           args.seed)
+    control.write_reverse_csv(args.out, samples)
+    print(f"collected {len(samples)} samples -> {args.out}")
 
 
-def cmd_control(args, cfg):
-    missing = [f"--{flag}" for flag in CONTROL_PATHS[args.control_cmd]
-               if getattr(args, flag) is None]
-    if missing:
-        sys.exit(f"control {args.control_cmd} needs {' and '.join(missing)}")
-    model = cfg["powertrain"]
-    if args.control_cmd == "collect":
-        samples = control.collect_reverse_data(model, args.duration_s, args.seed)
-        control.write_reverse_csv(args.out, samples)
-        print(f"collected {len(samples)} samples -> {args.out}")
-    elif args.control_cmd == "train":
-        samples = control.read_reverse_csv(args.data)
-        cn = control.train_control_net(samples, seed=args.seed)
-        cn.net.save(args.out)
-        np.savez(args.out + ".norm.npz", mean=cn.mean, std=cn.std)
-        print(f"control net trained on {len(samples)} samples -> {args.out}")
-    elif args.control_cmd == "probe":
-        net = MlpNet.load(args.net)
-        norm = np.load(args.net + ".norm.npz")
-        cn = control.ControlNet(net, norm["mean"], norm["std"])
-        throttle, brake = control.accel_to_pedals(cn, args.v, args.a)
-        print(f"v={args.v} a_cmd={args.a} -> throttle={throttle:.3f} brake={brake:.3f}")
+def cmd_control_train(args, cfg):
+    samples = control.read_reverse_csv(args.data)
+    cn = control.train_control_net(samples, seed=args.seed)
+    cn.net.save(args.out)
+    np.savez(args.out + ".norm.npz", mean=cn.mean, std=cn.std)
+    print(f"control net trained on {len(samples)} samples -> {args.out}")
+
+
+def cmd_control_probe(args, cfg):
+    net = MlpNet.load(args.net)
+    norm = np.load(args.net + ".norm.npz")
+    cn = control.ControlNet(net, norm["mean"], norm["std"])
+    throttle, brake = control.accel_to_pedals(cn, args.v, args.a)
+    print(f"v={args.v} a_cmd={args.a} -> throttle={throttle:.3f} brake={brake:.3f}")
 
 
 def build_parser():
@@ -207,16 +194,11 @@ def build_parser():
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add(name, fn, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
+    def add(name, fn, parent=sub, **kwargs):
+        sp = parent.add_parser(name, **kwargs)
         sp.set_defaults(fn=fn)
         sp.add_argument("--config", help="key=value config file")
         return sp
-
-    sp = add("gen-leader", cmd_gen_leader, help="generate an OU leader profile CSV")
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--duration-s", type=float, required=True)
-    sp.add_argument("--out", required=True)
 
     sp = add("reward-probe", cmd_reward_probe, help="print a reward breakdown")
     sp.add_argument("--v", type=float, required=True)
@@ -262,15 +244,22 @@ def build_parser():
     sp = add("report", cmd_report, help="print TTC summaries from an eval dir")
     sp.add_argument("--in", dest="indir", required=True)
 
-    sp = add("control", cmd_control, help="reverse-data control pipeline")
-    sp.add_argument("control_cmd", choices=["collect", "train", "probe"])
+    ctl = sub.add_parser("control", help="reverse-data control pipeline") \
+        .add_subparsers(dest="control_cmd", required=True)
+    sp = add("collect", cmd_control_collect, ctl, help="record reverse data")
     sp.add_argument("--duration-s", type=float, default=600.0)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--data", help="reverse-data CSV for training")
-    sp.add_argument("--net", help="trained control net for probe")
+    sp.add_argument("--out", required=True, help="reverse-data CSV")
+
+    sp = add("train", cmd_control_train, ctl, help="fit the pedal net")
+    sp.add_argument("--data", required=True, help="reverse-data CSV")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--out", required=True, help="pedal net file")
+
+    sp = add("probe", cmd_control_probe, ctl, help="print one pedal command")
+    sp.add_argument("--net", required=True, help="trained pedal net")
     sp.add_argument("--v", type=float, default=0.0)
     sp.add_argument("--a", type=float, default=0.0)
-    sp.add_argument("--out", help="output file")
     return p
 
 

@@ -21,7 +21,6 @@ class SimConfig:
     init_gap_low: float = 0.0       # m
     init_gap_high: float = 100.0    # m
     max_steps: int = 1000
-    vehicle_length: float = 4.5     # m, collision bookkeeping only
 
     def __post_init__(self):
         if not self.dt > 0:

@@ -12,6 +12,7 @@ simcore's numeric codec.  The pipeline samples, commands and tracks pedals
 at a fixed PEDAL_DT step, independent of the simulator's SimConfig.dt.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +124,11 @@ def train_control_net(samples, epochs=40, seed=0):
 
 def accel_to_pedals(cn: ControlNet, v, a_cmd):
     """Pedal command realizing a_cmd at speed v: feeds the one-step-ahead
-    speed target (v + a_cmd*PEDAL_DT, v, a_cmd) through the inverse net."""
+    speed target (v + a_cmd*PEDAL_DT, v, a_cmd) through the inverse net.
+    A speed the plant cannot reach or a non-finite command raises."""
+    if not (0.0 <= v < math.inf and math.isfinite(a_cmd)):
+        raise ValueError(f"need a finite speed >= 0 and a finite command, "
+                         f"got v={v}, a_cmd={a_cmd}")
     throttle, brake = cn.predict(np.array([[max(0.0, v + a_cmd * PEDAL_DT), v,
                                             a_cmd]]))[0]
     return float(throttle), float(brake)

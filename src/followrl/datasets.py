@@ -13,6 +13,7 @@ across recordings.
 import glob
 import json
 import os
+import zipfile
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -201,7 +202,8 @@ def save_transition_store(path, ds: RelabeledDataset):
 
 
 def load_transition_store(path):
-    """Read a store written by save_transition_store.  A missing member,
+    """Read a store written by save_transition_store.  A file that is not
+    a readable .npz (a truncated store, a CSV), a missing member,
     columns of unequal length, states not shaped (n, 4), dones not bool or
     another column not float64, a non-finite value, or a manifest that is
     missing, unreadable, lacks a key or counts other than the store's rows
@@ -209,13 +211,22 @@ def load_transition_store(path):
     path = os.fspath(path)
     if not os.path.exists(path) and os.path.exists(path + ".npz"):
         path = path + ".npz"
+    if os.path.isfile(path) and not zipfile.is_zipfile(path):
+        # numpy would read it as .npy or pickled data, and name no file
+        raise ValueError(f"{path}: not a readable .npz transition store "
+                         "(not a zip archive)")
     names = [f.name for f in fields(Batch)]
-    # read each member once: data[key] decompresses the whole member anew
-    with np.load(path) as data:
-        missing = [k for k in names if k not in data.files]
-        if missing:
-            raise ValueError(f"{path}: missing member(s) {', '.join(missing)}")
-        batch = Batch(*(data[k] for k in names))
+    try:
+        # read each member once: data[key] decompresses the whole member anew
+        with np.load(path) as data:
+            cols = {k: data[k] for k in names if k in data.files}
+    except (ValueError, zipfile.BadZipFile) as err:
+        raise ValueError(f"{path}: not a readable .npz transition store "
+                         f"({type(err).__name__}: {err})") from None
+    missing = [k for k in names if k not in cols]
+    if missing:
+        raise ValueError(f"{path}: missing member(s) {', '.join(missing)}")
+    batch = Batch(*(cols[k] for k in names))
     shapes = [col.shape for col in batch.columns]
     n = batch.actions.size
     if shapes != [(n, STATE_DIM), (n,), (n,), (n, STATE_DIM), (n,)]:

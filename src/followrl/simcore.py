@@ -23,6 +23,9 @@ COLLISION_REWARD = -1.0
 # the width of normalize_state's (v, a, v_l, g) vector
 STATE_DIM = 4
 
+# m, both vehicles; it cancels out of every gap, (g0 + L) - x_f - L
+VEHICLE_LENGTH = 4.5
+
 
 def normalize_state(v, a, v_l, g, cfg: SimConfig):
     """Map raw (v, accel, leader v, gap) to the dimensionless 4-vector
@@ -153,14 +156,6 @@ def read_csv(path, header):
     return np.array(rows, dtype=float).reshape(-1, len(header))
 
 
-LEADER_HEADER = ["t_s", "v_mps"]
-
-
-def write_leader_csv(path, profile, dt):
-    write_csv(path, LEADER_HEADER,
-              np.column_stack((np.arange(len(profile)) * dt, profile)))
-
-
 @dataclass
 class VehicleState:
     position: float = 0.0   # m, front-bumper reference
@@ -224,13 +219,13 @@ class FollowEnv:
         self.step_index = 0
         self.done = False
         self.follower = VehicleState(0.0, float(follower_speed), 0.0)
-        self.leader = VehicleState(float(initial_gap) + cfg.vehicle_length,
+        self.leader = VehicleState(float(initial_gap) + VEHICLE_LENGTH,
                                    self.profile[0], 0.0)
         return self.follower.speed, 0.0, self.leader.speed, self.gap
 
     @property
     def gap(self):
-        return self.leader.position - self.follower.position - self.cfg.vehicle_length
+        return self.leader.position - self.follower.position - VEHICLE_LENGTH
 
     def step(self, action):
         if self.done:

@@ -2,6 +2,7 @@
 numbers; no benchmark runs here."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,21 @@ def test_digest_error_names_a_pair_that_differs():
     differs = {"parent": {"digest": "1bc2"}, "change": {"digest": "9f00"}}
     assert ab_pairs.digest_error(differs) == (
         "digests differ: parent 1bc2, change 9f00")
+
+
+def test_untracked_file_makes_the_checkout_dirty(tmp_path, monkeypatch):
+    # the change side runs the whole checkout, so a module not yet added
+    # to git is benchmarked; it was once recorded as change_dirty false
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    (tmp_path / "kept.py").write_text("x = 1\n")
+    git("add", "kept.py")
+    git("commit", "-q", "-m", "one file")
+    monkeypatch.setattr(ab_pairs, "ROOT", tmp_path)
+    head, dirty = ab_pairs.checkout_state()
+    assert len(head) == 40 and not dirty
+    (tmp_path / "new_module.py").write_text("y = 2\n")
+    assert ab_pairs.checkout_state() == (head, True)

@@ -17,7 +17,7 @@ from followrl.config import IdmParams, RewardConfig, SimConfig
 from followrl.datasets import (FollowingEpisode, make_synthetic,
                                relabel_episodes)
 from followrl.evaluate import run_scenario, scenario_from_episode
-from followrl.simcore import FollowEnv, normalize_state
+from followrl.simcore import VEHICLE_LENGTH, FollowEnv, normalize_state
 
 
 class TestIdmAccel:
@@ -256,7 +256,7 @@ class TestLockstepReplay:
         ep = make_synthetic(1, 0, cfg, rcfg, duration=30.0)[0]
         moved = FollowingEpisode("moved-start", ep.records.copy())
         moved.records[0, 3] = 3.7
-        L = cfg.vehicle_length
+        L = VEHICLE_LENGTH
         assert (3.7 + L) - L != 3.7
         grid = [replace(IdmParams(), T=T, g_min=g_min, a=a)
                 for T in T_GRID for g_min in G_MIN_GRID for a in A_GRID]

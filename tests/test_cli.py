@@ -17,33 +17,10 @@ from followrl.config import (IdmParams, PowertrainParams, RewardConfig,
                              SimConfig, load_config)
 from followrl.datasets import (ingest, load_transition_store, make_synthetic,
                                write_trajectory_csv)
-from followrl.simcore import LEADER_HEADER, read_csv
 
 
 def run(*argv):
     main(list(argv))
-
-
-class TestGenLeader:
-    def test_writes_profile(self, tmp_path, capsys):
-        out = tmp_path / "leader.csv"
-        run("gen-leader", "--seed", "42", "--duration-s", "30", "--out", str(out))
-        profile = read_csv(out, LEADER_HEADER)[:, 1]
-        assert len(profile) == 300
-        assert np.all(profile >= 0.0) and np.all(profile <= 20.0)
-        assert "300 samples" in capsys.readouterr().out
-
-    def test_deterministic(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run("gen-leader", "--seed", "7", "--duration-s", "20", "--out", str(a))
-        run("gen-leader", "--seed", "7", "--duration-s", "20", "--out", str(b))
-        assert filecmp.cmp(a, b, shallow=False)
-
-    def test_seed_matters(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run("gen-leader", "--seed", "1", "--duration-s", "20", "--out", str(a))
-        run("gen-leader", "--seed", "2", "--duration-s", "20", "--out", str(b))
-        assert not filecmp.cmp(a, b, shallow=False)
 
 
 class TestRewardProbe:
@@ -89,6 +66,15 @@ class TestPipeline:
                 path.read_bytes()
         default = make_synthetic(2, 3, sim, RewardConfig())
         assert not np.array_equal(default[0].records, want[0].records)
+
+    def test_gen_leader_removed(self, capsys):
+        # its leader CSV duplicated the v_leader column of every trajectory
+        # and trace file, and no command read it
+        with pytest.raises(SystemExit) as exit_:
+            run("gen-leader", "--seed", "42", "--duration-s", "30", "--out",
+                "leader.csv")
+        assert exit_.value.code == 2
+        assert "invalid choice: 'gen-leader'" in capsys.readouterr().err
 
     def test_idm_time_gap_flag_removed(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
@@ -238,14 +224,29 @@ class TestBadCounts:
 
 class TestControlCli:
     @pytest.mark.parametrize("argv, flag", [
-        (["collect"], "--out"), (["train", "--out", "n.bin"], "--data"),
+        (["collect", "--duration-s", "1"], "--out"),
+        (["train", "--out", "n.bin"], "--data"),
         (["train", "--data", "rev.csv"], "--out"), (["probe"], "--net")],
         ids=["collect", "train-data", "train-out", "probe"])
-    def test_missing_path_flag_named(self, tmp_path, monkeypatch, argv, flag):
+    def test_missing_path_flag_named(self, tmp_path, monkeypatch, capsys,
+                                     argv, flag):
         # each once died with a bare TypeError on a None path
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit, match=f"control {argv[0]} needs {flag}"):
-            run("control", *argv, "--duration-s", "1")
+        with pytest.raises(SystemExit) as exit_:
+            run("control", *argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: followrl control {argv[0]} ")
+        assert f"the following arguments are required: {flag}" in err
+
+    def test_flag_of_another_subcommand_rejected(self, capsys):
+        # every control flag was once accepted by every subcommand, so
+        # probe took --duration-s and ignored it
+        with pytest.raises(SystemExit) as exit_:
+            run("control", "probe", "--duration-s", "1", "--net", "X")
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --duration-s 1" in \
+            capsys.readouterr().err
 
     def test_collect_train_probe(self, tmp_path, capsys):
         data = tmp_path / "rev.csv"
@@ -311,6 +312,15 @@ class TestConfigFile:
         cfg.write_text("[ddpg]\nstage2_explore = yes\n")
         with pytest.raises(ValueError, match=r"unknown key 'stage2_explore' "
                            r"in section \[ddpg\]"):
+            load_config(str(cfg))
+
+    def test_vehicle_length_rejected(self, tmp_path):
+        # it cancels out of every gap, so a length other than 4.5 m once
+        # loaded and changed no result; it is simcore.VEHICLE_LENGTH now
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("[sim]\nvehicle_length = 5\n")
+        with pytest.raises(ValueError, match=r"unknown key 'vehicle_length' "
+                           r"in section \[sim\]"):
             load_config(str(cfg))
 
     def test_leader_ou_x0_rejected(self, tmp_path):
@@ -418,18 +428,19 @@ class TestConfigFile:
 # relative to the run directory, then its bytes, or for an .npz (whose zip
 # members carry timestamps) each array's name, dtype, shape and bytes.  The
 # hash was re-taken when long.csv, the nets' .manifest.json files and the
-# stage2_explore config field went, after checking that every other file
-# stayed byte-identical.  As with the hashes in test_ddpg.py, record any move
+# stage2_explore config field went, and when leader.csv and the config.json
+# key sim.vehicle_length went, after checking that every other file stayed
+# byte-identical.  As with the hashes in test_ddpg.py, record any move
 # with a numpy or BLAS upgrade in CHANGES.md.
 GOLDEN_CLI_SHA256 = \
-    "f9462bfc90c0d2ee2ba49c0471a860b88c4fc289b51bdd9fe5ee76e96b8cf5b5"
+    "d36f6d4ae2d9d7c21062061f7b4951913371735f95a10201cf088d4851c0d87c"
 
 
 # the relative path of every file the pipeline writes
 GOLDEN_CLI_FILES = [
     "control.bin", "control.bin.norm.npz", "data/synthetic-000.csv",
     "data/synthetic-001.csv", "data/synthetic-002.csv",
-    "data/synthetic-003.csv", "leader.csv", "report/builtin-s53/trace_bc.csv",
+    "data/synthetic-003.csv", "report/builtin-s53/trace_bc.csv",
     "report/builtin-s53/trace_idm.csv", "report/builtin-s53/trace_ts.csv",
     "report/builtin-s53/ttc_summary.csv",
     "report/replay-synthetic-000/trace_bc.csv",
@@ -483,7 +494,6 @@ def test_golden_cli_pipeline(tmp_path, monkeypatch, capsys):
             f"eval --agents {agents} --scenario builtin:s53 --out report",
             f"eval --agents {agents} --scenario replay:data/synthetic-000.csv "
             "--out report",
-            "gen-leader --seed 42 --duration-s 30 --out leader.csv",
             "control collect --duration-s 120 --out reverse.csv",
             "control train --data reverse.csv --out control.bin"):
         run(*argv.split())

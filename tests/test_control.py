@@ -1,6 +1,8 @@
 """Surrogate powertrain, reverse-data pipeline and inverse control net
 tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from followrl.control import (ControlNet, accel_to_pedals,
                               collect_reverse_data, powertrain_step,
                               read_reverse_csv, track_accel_commands,
                               train_control_net, write_reverse_csv)
+from followrl.nets import MlpNet
 
 
 class TestPowertrain:
@@ -163,6 +166,18 @@ class TestControlNet:
         _, cn = trained_net
         th, br = accel_to_pedals(cn, 0.0, 0.0)
         assert abs(th) < 0.1 and abs(br) < 0.1
+
+    @pytest.mark.parametrize("v, a_cmd, fault", [
+        (-5.0, 1.0, "v=-5.0, a_cmd=1.0"), (math.inf, 1.0, "v=inf, a_cmd=1.0"),
+        (10.0, math.nan, "v=10.0, a_cmd=nan")],
+        ids=["negative-speed", "infinite-speed", "nan-command"])
+    def test_pedals_reject_unreachable_input(self, v, a_cmd, fault):
+        # a negative speed once returned pedals, (0.588, 0.376) on this
+        # untrained net, and a nan command or an infinite speed (nan, nan)
+        cn = ControlNet(MlpNet([3, 16, 16, 2], "tanh", seed=0), np.zeros(3),
+                        np.ones(3))
+        with pytest.raises(ValueError, match=fault):
+            accel_to_pedals(cn, v, a_cmd)
 
     def test_closed_loop_tracking(self, trained_net):
         # +-2 m/s^2 square wave from 10 m/s keeps the plant in its

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -458,6 +459,29 @@ class TestStore:
         with pytest.raises(ValueError,
                            match="store.manifest.json: missing manifest"):
             load_transition_store(path)
+
+    @pytest.mark.parametrize("defect", ["truncated", "csv", "bad-crc"])
+    def test_unreadable_file_named(self, tmp_path, defect):
+        # a store cut in half once raised zipfile.BadZipFile, and a CSV
+        # numpy's advice to load it with allow_pickle, neither naming it
+        path = tmp_path / "store.npz"
+        save_transition_store(path, relabel_episodes(
+            make_synthetic(1, 5, CFG, RCFG, duration=5.0), CFG, RCFG))
+        raw = path.read_bytes()
+        if defect == "truncated":
+            path.write_bytes(raw[:len(raw) // 2])
+        elif defect == "csv":
+            path = tmp_path / "data.csv"
+            write_rows(path, ["0.0,5.0,4.0,10.0", "0.1,5.0,4.1,10.0"])
+        else:
+            # one byte of the first member's array data flipped
+            at = raw.index(b"\x93NUMPY") + 200
+            path.write_bytes(raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1:])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: not a readable .npz transition store (")):
+            load_transition_store(path)
+        with pytest.raises(FileNotFoundError):
+            load_transition_store(tmp_path / "missing.npz")
 
     def test_save_rejects_non_finite(self, tmp_path):
         ds = relabel_episodes(make_synthetic(1, 5, CFG, RCFG, duration=5.0),

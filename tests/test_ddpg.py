@@ -21,7 +21,7 @@ from followrl.ddpg import (PREACT_L2, STATE_DIM, Batch, mix_count,
                            train_fully_offpolicy, train_stage1, train_stage2)
 from followrl.nets import AdamState, member_cache, opt_step, soft_update
 from followrl.evaluate import compare_report, run_scenario, self_defined_profile
-from followrl.simcore import gen_leader_profile, unscale_action, write_leader_csv
+from followrl.simcore import unscale_action
 
 
 def make_transition(rng, done=False, reward=None):
@@ -944,14 +944,14 @@ def test_golden_data_path(tmp_path):
 
 
 # sha256 of the file formats, taken before recorded data became arrays: the
-# leader CSV of a 30 s profile, the reverse-data CSV of 120 s of pedal
-# driving, the control net trained for five epochs on that CSV re-read, the
-# IDM report files on the built-in scenario, and an IDM calibration over a
-# small grid.  Re-taken when the report dropped long.csv, with the other
-# report files unchanged.  As above, record any move with a numpy or BLAS
+# reverse-data CSV of 120 s of pedal driving, the control net trained for
+# five epochs on that CSV re-read, the IDM report files on the built-in
+# scenario, and an IDM calibration over a small grid.  Re-taken when the
+# report dropped long.csv, with the other report files unchanged, and when
+# the leader CSV went, with the other files unchanged.  As above, record any move with a numpy or BLAS
 # upgrade in CHANGES.md.
 GOLDEN_FORMATS_SHA256 = \
-    "82d1fa4a30251bc8835ab54104f1392ca8faeba591701a765e49a1f63ca93d2b"
+    "0505a07dedccd692eecc2c1b8263717499181c28602419b109b18d2ec563973d"
 
 
 def test_golden_file_formats(tmp_path):
@@ -962,9 +962,6 @@ def test_golden_file_formats(tmp_path):
         h.update(path.name.encode())
         h.update(path.read_bytes())
 
-    write_leader_csv(tmp_path / "leader.csv",
-                     gen_leader_profile(42, 30.0, sim), sim.dt)
-    add_file(tmp_path / "leader.csv")
     model = PowertrainParams()
     write_reverse_csv(tmp_path / "reverse.csv",
                       collect_reverse_data(model, 120.0, seed=0))

@@ -1,17 +1,21 @@
 """Source hygiene: no followrl module imports a name it never uses, every
 module-level function and class and every method is named by the program
 or the acceptance tests, every config field is read by the code it
-configures, no module names np.dot, and the 0-d operands of nets, simcore
-and ddpg cannot be changed in place."""
+configures, every command-line option is read by its command, no module
+names np.dot, and the 0-d operands of nets, simcore and ddpg cannot be
+changed in place."""
 
+import argparse
 import ast
+import inspect
+import textwrap
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from followrl import ddpg, nets, simcore
+from followrl import cli, ddpg, nets, simcore
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "followrl"
@@ -133,6 +137,58 @@ def test_every_config_field_read():
     assert unread_fields((SRC / "config.py").read_text(),
                          [p.read_text() for p in MODULES
                           if p.name != "config.py"]) == []
+
+
+def leaf_parsers(parser):
+    """Each subparser under parser, at any depth, that has none of its own,
+    or parser itself when it has none."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield parser
+    for action in subs:
+        for sp in action.choices.values():
+            yield from leaf_parsers(sp)
+
+
+def unread_options(parser):
+    """(prog, option) of each option of each leaf subparser, --config
+    aside, that the leaf's handler (its fn default) never reads as
+    args.<dest>."""
+    out = []
+    for sp in leaf_parsers(parser):
+        source = textwrap.dedent(inspect.getsource(sp.get_default("fn")))
+        read = {n.attr for n in ast.walk(ast.parse(source))
+                if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and n.value.id == "args"}
+        out += [(sp.prog, (a.option_strings or [a.dest])[0])
+                for a in sp._actions if a.dest not in read | {"help", "config"}]
+    return out
+
+
+def toy_handler(args, cfg):
+    return args.used
+
+
+def test_checker_finds_an_unread_option():
+    p = argparse.ArgumentParser(prog="toy")
+    sub = p.add_subparsers()
+    sp = sub.add_parser("run")
+    sp.set_defaults(fn=toy_handler)
+    for flag in ("--config", "--used", "--unread"):
+        sp.add_argument(flag)
+    leaf = sub.add_parser("group").add_subparsers().add_parser("leaf")
+    leaf.set_defaults(fn=toy_handler)
+    leaf.add_argument("--used")
+    assert unread_options(p) == [("toy run", "--unread")]
+
+
+def test_every_cli_option_read():
+    # an option its command ignores changes no result, and accepting it
+    # silently hides the mistake (control probe once took --duration-s)
+    parser = cli.build_parser()
+    assert len(list(leaf_parsers(parser))) == 10
+    assert unread_options(parser) == []
 
 
 def numpy_dot_uses(source):

@@ -12,7 +12,7 @@ from followrl.config import LEADER_OU
 from followrl.control import REVERSE_HEADER, read_reverse_csv
 from followrl.datasets import HEADER, parse_trajectory_csv
 from followrl.ddpg import _episode_scenario
-from followrl.simcore import LEADER_HEADER, read_csv, unscale_action, write_csv
+from followrl.simcore import VEHICLE_LENGTH, unscale_action, write_csv
 
 CFG = SimConfig()
 
@@ -368,7 +368,7 @@ class TestStep:
                 actions if rng is None else rng.uniform(-11.0, 7.0))
             assert v >= 0.0 and env.follower.speed == v
             assert info.gap == (env.leader.position - env.follower.position
-                                - cfg.vehicle_length)
+                                - VEHICLE_LENGTH)
             collision, escape = info.gap <= 0.0, info.gap > cfg.g_max
             assert info.collision == collision
             assert done == (collision or escape
@@ -403,8 +403,6 @@ CSV_READERS = {
     "reverse": (read_reverse_csv, REVERSE_HEADER,
                 ["0.1,0.0,1.0,0.25,0.0", "0.2,0.1,1.0,0.25,0.0",
                  "0.1,0.2,-1.0,0.0,0.5"]),
-    "leader": (lambda path: read_csv(path, LEADER_HEADER), LEADER_HEADER,
-               ["0.0,0.0", "0.1,0.5", "0.2,1.0"]),
 }
 # (line broken, fields -> broken fields); line 1 is the header
 CSV_BREAKS = {

@@ -110,12 +110,12 @@ def archive(ref, dest):
 
 
 def checkout_state():
-    """This checkout's HEAD commit, and whether its tree differs from it."""
+    """This checkout's HEAD commit, and whether its tree differs from it.
+    An untracked file counts: the change side runs the whole checkout."""
     def git(*args):
         return subprocess.run(["git", *args], cwd=ROOT, check=True,
                               capture_output=True, text=True).stdout.strip()
-    return git("rev-parse", "HEAD"), bool(git("status", "--porcelain",
-                                              "--untracked-files=no"))
+    return git("rev-parse", "HEAD"), bool(git("status", "--porcelain"))
 
 
 def end_to_end_metrics():
