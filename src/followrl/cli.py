@@ -5,7 +5,7 @@
     followrl ingest --in 'data/*.csv' --out store.npz
     followrl train --mode pure --budget 100000 --seed 0 --out runs/pure0
     followrl train --mode two-stage --ratio 0.6 --dataset store.npz \\
-        --from runs/pure0 --out runs/ts06
+        --from runs/pure0 --budget 50000 --out runs/ts06
     followrl eval --agents idm,ddpg:runs/ts06 --scenario builtin:s53 --out report/
     followrl report --in report/
 """
@@ -16,8 +16,6 @@ import dataclasses
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import baselines, control, datasets, ddpg, evaluate
 from .config import load_config
@@ -67,11 +65,27 @@ def _write_history(path, history):
             w.writerow([h.episode, h.steps, repr(float(h.mean_reward)), h.collisions])
 
 
+def _check_flags(args, what, needed, flags):
+    """Exit naming what and the flag unless exactly the needed flags are given."""
+    for option, dest in flags.items():
+        if (getattr(args, dest) is None) == (option in needed):
+            sys.exit(f"{what} {'needs' if option in needed else 'does not take'}"
+                     f" {option}")
+
+
+# the flags each train --mode reads and needs; --seed and --out serve all
+TRAIN_MODES = {"pure": {"--budget"},
+               "two-stage": {"--dataset", "--from", "--ratio", "--budget"},
+               "off-policy": {"--dataset", "--budget"}, "bc": {"--dataset", "--epochs"}}
+TRAIN_FLAGS = {"--dataset": "dataset", "--from": "resume_from",
+               "--ratio": "ratio", "--budget": "budget", "--epochs": "epochs"}
+SUITE_FLAGS = {"--n-scenarios": "n_scenarios", "--seed": "seed"}
+
+
 def cmd_train(args, cfg):
+    _check_flags(args, f"train --mode {args.mode}", TRAIN_MODES[args.mode], TRAIN_FLAGS)
+    ds = None if args.dataset is None else datasets.load_transition_store(args.dataset)
     if args.mode == "bc":
-        if not args.dataset:
-            sys.exit("--dataset is required for BC")
-        ds = datasets.load_transition_store(args.dataset)
         policy = baselines.bc_train(ds, epochs=args.epochs, seed=args.seed,
                                     sim_cfg=cfg["sim"])
         # --out appears only with its first file, so a rejected run leaves
@@ -83,18 +97,13 @@ def cmd_train(args, cfg):
     else:
         agent = ddpg.DdpgAgent(cfg["ddpg"], cfg["sim"], seed=args.seed)
         kw = dict(seed=args.seed, rcfg=cfg["reward"], leader_ou=cfg["leader_ou"])
+        buf = None if ds is None else ds.to_buffer()
         if args.mode == "pure":
             history = ddpg.train_stage1(agent, args.budget, **kw)
         elif args.mode == "two-stage":
-            if not (args.dataset and args.resume_from):
-                sys.exit("two-stage needs --dataset and --from")
             agent.load(args.resume_from)
-            buf = datasets.load_transition_store(args.dataset).to_buffer()
             history = ddpg.train_stage2(agent, buf, args.ratio, args.budget, **kw)
-        elif args.mode == "off-policy":
-            if not args.dataset:
-                sys.exit("--dataset is required for off-policy")
-            buf = datasets.load_transition_store(args.dataset).to_buffer()
+        else:
             history = ddpg.train_fully_offpolicy(agent, buf, args.budget, **kw)
         agent.save(args.out)
         _write_history(os.path.join(args.out, "rewards.csv"), history)
@@ -131,19 +140,22 @@ def _load_agents(spec, sim_cfg, dcfg, idm_params):
 
 def cmd_eval(args, cfg):
     sim_cfg = cfg["sim"]
-    agents = _load_agents(args.agents, sim_cfg, cfg["ddpg"], cfg["idm"])
     kind, _, arg = args.scenario.partition(":")
-    if args.scenario == "builtin:s53":
-        scenarios = [evaluate.self_defined_profile(sim_cfg.dt)]
-    elif kind == "replay" and arg:
-        ep = datasets.parse_trajectory_csv(arg, sim_cfg.dt)
-        scenarios = [evaluate.scenario_from_episode(ep)]
-    elif args.scenario == "suite:synthetic":
-        scenarios = evaluate.synthetic_suite(args.n_scenarios, args.seed,
-                                             sim_cfg, cfg["leader_ou"])
-    else:
+    if not (args.scenario in ("builtin:s53", "suite:synthetic")
+            or kind == "replay" and arg):
         sys.exit(f"unknown scenario {args.scenario!r} "
                  "(builtin:s53 | replay:FILE | suite:synthetic)")
+    _check_flags(args, f"eval --scenario {args.scenario}",
+                 SUITE_FLAGS if kind == "suite" else (), SUITE_FLAGS)
+    agents = _load_agents(args.agents, sim_cfg, cfg["ddpg"], cfg["idm"])
+    if kind == "suite":
+        scenarios = evaluate.synthetic_suite(args.n_scenarios, args.seed,
+                                             sim_cfg, cfg["leader_ou"])
+    elif kind == "replay":
+        ep = datasets.parse_trajectory_csv(arg, sim_cfg.dt)
+        scenarios = [evaluate.scenario_from_episode(ep)]
+    else:
+        scenarios = [evaluate.self_defined_profile(sim_cfg.dt)]
     os.makedirs(args.out, exist_ok=True)
     for sc in scenarios:
         traces = {name: evaluate.run_scenario(agent, sc, sim_cfg, cfg["reward"])
@@ -176,15 +188,12 @@ def cmd_control_collect(args, cfg):
 def cmd_control_train(args, cfg):
     samples = control.read_reverse_csv(args.data)
     cn = control.train_control_net(samples, seed=args.seed)
-    cn.net.save(args.out)
-    np.savez(args.out + ".norm.npz", mean=cn.mean, std=cn.std)
+    control.save_control_net(cn, args.out)
     print(f"control net trained on {len(samples)} samples -> {args.out}")
 
 
 def cmd_control_probe(args, cfg):
-    net = MlpNet.load(args.net)
-    norm = np.load(args.net + ".norm.npz")
-    cn = control.ControlNet(net, norm["mean"], norm["std"])
+    cn = control.load_control_net(args.net)
     throttle, brake = control.accel_to_pedals(cn, args.v, args.a)
     print(f"v={args.v} a_cmd={args.a} -> throttle={throttle:.3f} brake={brake:.3f}")
 
@@ -221,15 +230,13 @@ def build_parser():
     sp.add_argument("--dataset", required=True)
 
     sp = add("train", cmd_train, help="train an agent")
-    sp.add_argument("--mode", choices=["pure", "two-stage", "off-policy", "bc"],
-                    required=True)
-    sp.add_argument("--ratio", type=float, default=0.6)
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--mode", choices=list(TRAIN_MODES), required=True)
+    sp.add_argument("--ratio", type=float, help="batch share of the dataset")
+    sp.add_argument("--budget", type=int, help="environment or update steps")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--dataset", default=None, help="transition store (.npz)")
-    sp.add_argument("--from", dest="resume_from", default=None,
-                    help="stage-1 parameter directory for two-stage")
-    sp.add_argument("--epochs", type=int, default=20, help="BC epochs")
+    sp.add_argument("--dataset", help="transition store (.npz)")
+    sp.add_argument("--from", dest="resume_from", help="stage-1 parameter directory")
+    sp.add_argument("--epochs", type=int, help="BC epochs")
     sp.add_argument("--out", required=True)
 
     sp = add("eval", cmd_eval, help="run agents through scenarios")
@@ -237,8 +244,8 @@ def build_parser():
                     help="comma list: idm | ddpg:DIR | bc:FILE")
     sp.add_argument("--scenario", required=True,
                     help="builtin:s53 | replay:FILE | suite:synthetic")
-    sp.add_argument("--n-scenarios", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--n-scenarios", type=int, help="suite:synthetic only")
+    sp.add_argument("--seed", type=int, help="suite:synthetic only")
     sp.add_argument("--out", required=True)
 
     sp = add("report", cmd_report, help="print TTC summaries from an eval dir")

@@ -93,8 +93,6 @@ class DdpgConfig:
     tau: float = 0.005
     noise: OuParams = field(default_factory=OuParams)
     hidden: tuple = (32, 32)
-    stage1_budget: int = 100_000
-    stage2_budget: int = 50_000
 
     def __post_init__(self):
         if not (0 <= self.gamma <= 1):
@@ -109,8 +107,6 @@ class DdpgConfig:
             raise ValueError("batch_size must lie in [1, buffer_size]")
         if any(width < 1 for width in self.hidden):
             raise ValueError("hidden layer sizes must be >= 1")
-        if min(self.stage1_budget, self.stage2_budget) < 0:
-            raise ValueError("stage1_budget and stage2_budget must be >= 0")
 
 
 @dataclass

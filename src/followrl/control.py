@@ -13,6 +13,7 @@ at a fixed PEDAL_DT step, independent of the simulator's SimConfig.dt.
 """
 
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,8 @@ from .nets import MlpNet, fit_mse
 from .simcore import read_csv, write_csv
 
 REVERSE_HEADER = ["v_next_mps", "v_mps", "a_mps2", "throttle", "brake"]
+# save_control_net writes a net's input mean and std to its path + this
+NORM_SUFFIX = ".norm.npz"
 
 PEDAL_DT = 0.1              # s, one reverse-data sample or pedal command
 DWELL_RANGE = (0.5, 3.0)    # s, how long collection holds each pedal setting
@@ -119,6 +122,39 @@ def train_control_net(samples, epochs=40, seed=0):
     std = x.std(axis=0)
     std[std < 1e-9] = 1.0
     net = fit_mse([3, 16, 16, 2], (x - mean) / std, y, 0.0, 1.0, epochs, seed)
+    return ControlNet(net, mean, std)
+
+
+def save_control_net(cn: ControlNet, path):
+    """The net at path, its input mean and std at path + NORM_SUFFIX."""
+    cn.net.save(path)
+    np.savez(path + NORM_SUFFIX, mean=cn.mean, std=cn.std)
+
+
+def load_control_net(path):
+    """What save_control_net wrote at path.  A norm file that is not a
+    readable npz, lacks mean or std, or holds anything but a finite (3,)
+    mean and std with std > 0 raises ValueError naming the file: a zero or
+    NaN std once made every pedal NaN, and train_control_net never writes
+    a std below 1e-9."""
+    net = MlpNet.load(path)
+    norm_path = path + NORM_SUFFIX
+    try:
+        with open(norm_path, "rb") as fh:
+            norm = np.load(fh)
+            mean, std = (np.asarray(norm[key], dtype=float)
+                         for key in ("mean", "std"))
+    except (EOFError, IndexError, KeyError, ValueError,
+            zipfile.BadZipFile) as exc:
+        raise ValueError(f"{norm_path}: not a norm file with a mean and a "
+                         f"std ({exc})") from None
+    if mean.shape != (3,) or std.shape != (3,):
+        raise ValueError(f"{norm_path}: mean and std must be shaped (3,), "
+                         f"got {mean.shape} and {std.shape}")
+    if not np.isfinite([mean, std]).all():
+        raise ValueError(f"{norm_path}: mean and std must be finite")
+    if not (std > 0).all():
+        raise ValueError(f"{norm_path}: std must be positive, got {std}")
     return ControlNet(net, mean, std)
 
 

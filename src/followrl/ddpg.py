@@ -402,7 +402,7 @@ def _train_online(agent, budget, rng, rcfg, leader_ou, sample_fn, progress,
     return history
 
 
-def train_stage1(agent: DdpgAgent, budget=None, seed=0, rcfg=None,
+def train_stage1(agent: DdpgAgent, budget, seed=0, rcfg=None,
                  leader_ou: OuParams = LEADER_OU, progress=None):
     """Pure-simulator DDPG: fresh OU leader and random initial gap each
     episode, one update per step once the buffer holds a full batch.  The
@@ -411,7 +411,6 @@ def train_stage1(agent: DdpgAgent, budget=None, seed=0, rcfg=None,
     Returns the per-episode reward history.
     """
     cfg = agent.cfg
-    budget = cfg.stage1_budget if budget is None else budget
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     return _train_online(
         agent, budget, rng, rcfg, leader_ou,
@@ -420,7 +419,7 @@ def train_stage1(agent: DdpgAgent, budget=None, seed=0, rcfg=None,
 
 
 def train_stage2(agent: DdpgAgent, practical_buf: ReplayBuffer, ratio,
-                 budget=None, seed=0, rcfg=None, leader_ou: OuParams = LEADER_OU,
+                 budget, seed=0, rcfg=None, leader_ou: OuParams = LEADER_OU,
                  progress=None):
     """Resume training with mixed batches: round(r*B) practical transitions
     per batch, the rest fresh simulator experience.  r = 1.0 reproduces the
@@ -431,7 +430,6 @@ def train_stage2(agent: DdpgAgent, practical_buf: ReplayBuffer, ratio,
     if len(practical_buf) == 0 and ratio > 0:
         raise ValueError("practical buffer is empty")
     cfg = agent.cfg
-    budget = cfg.stage2_budget if budget is None else budget
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     return _train_online(
         agent, budget, rng, rcfg, leader_ou,
@@ -441,7 +439,7 @@ def train_stage2(agent: DdpgAgent, practical_buf: ReplayBuffer, ratio,
 
 
 def train_fully_offpolicy(agent: DdpgAgent, practical_buf: ReplayBuffer,
-                          budget=None, seed=0, rcfg=None,
+                          budget, seed=0, rcfg=None,
                           leader_ou: OuParams = LEADER_OU):
     """Gradient steps exclusively on the practical buffer, never touching
     the simulator for data; a greedy episode every OFFPOLICY_EVAL_EVERY
@@ -449,7 +447,6 @@ def train_fully_offpolicy(agent: DdpgAgent, practical_buf: ReplayBuffer,
     if len(practical_buf) == 0:
         raise ValueError("practical buffer is empty")
     cfg = agent.cfg
-    budget = cfg.stage1_budget if budget is None else budget
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))

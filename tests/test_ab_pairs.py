@@ -94,3 +94,39 @@ def test_untracked_file_makes_the_checkout_dirty(tmp_path, monkeypatch):
     assert len(head) == 40 and not dirty
     (tmp_path / "new_module.py").write_text("y = 2\n")
     assert ab_pairs.checkout_state() == (head, True)
+
+
+@pytest.mark.parametrize("better, parent, change, bound, worse, within", [
+    ("lower", [2.0, 2.0, 2.0], [2.5, 2.5, 2.5], 0.25, 0.25, True),
+    ("lower", [2.0, 2.0, 2.0], [2.5, 2.5, 2.5], 0.2, 0.25, False),
+    ("lower", [2.0, 2.0, 2.0], [1.5, 1.5, 1.5], 0.1, -0.25, True),
+    ("higher", [4.0, 4.0, 4.0], [3.0, 3.0, 3.0], 0.2, 0.25, False),
+    ("higher", [4.0, 4.0, 4.0], [3.5, 3.5, 3.5], 0.2, 0.125, True),
+    ("lower", [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.1, 0.0, True),
+    ("lower", [0.0, 0.0, 0.0], [0.5, 0.5, 0.5], 0.1, float("inf"), False)])
+def test_median_worse_against_the_bound(better, parent, change, bound, worse,
+                                        within):
+    s = ab_pairs.summarize(parent, change, better, bound)
+    assert s["median_worse"] == worse
+    assert (s["bound"], s["within_bound"]) == (bound, within)
+
+
+def test_no_bound_gives_no_verdict():
+    s = ab_pairs.summarize(PARENT, PARENT)
+    assert (s["median_worse"], s["bound"], s["within_bound"]) == (0.0, None,
+                                                                  None)
+
+
+def test_summary_line_names_the_verdict():
+    s = ab_pairs.summarize([2.0, 2.0, 2.0], [2.5, 2.5, 2.5], "lower", 0.2)
+    assert ab_pairs.summary_line("norm_wall_s", s).endswith(
+        "median +25.0% worse, bound 20%: OUTSIDE")
+    s = ab_pairs.summarize([2.0, 2.0, 2.0], [2.1, 2.1, 2.1], "lower", 0.2)
+    assert ab_pairs.summary_line("norm_wall_s", s).endswith(
+        "median +5.0% worse, bound 20%: within")
+
+
+def test_bounds_read_from_benchmark_json():
+    metrics = ab_pairs.end_to_end_metrics()
+    assert metrics["norm_wall_s"] == ("lower", 0.2)
+    assert all(bound is not None for _, bound in metrics.values())

@@ -4,6 +4,7 @@ determinism of repeated seeded invocations."""
 import csv
 import filecmp
 import hashlib
+import io
 import os
 import re
 
@@ -21,6 +22,26 @@ from followrl.datasets import (ingest, load_transition_store, make_synthetic,
 
 def run(*argv):
     main(list(argv))
+
+
+# the flags each train --mode reads and needs, and a value for each; no
+# run below gets past the flag check, so the paths need not exist
+TRAIN_MODES = {"pure": {"--budget"},
+               "two-stage": {"--dataset", "--from", "--ratio", "--budget"},
+               "off-policy": {"--dataset", "--budget"},
+               "bc": {"--dataset", "--epochs"}}
+TRAIN_VALUES = {"--dataset": "store.npz", "--from": "runs/pure",
+                "--ratio": "0.5", "--budget": "10", "--epochs": "2"}
+
+
+def npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def train_argv(flags):
+    return [x for flag in sorted(flags) for x in (flag, TRAIN_VALUES[flag])]
 
 
 class TestRewardProbe:
@@ -150,6 +171,32 @@ class TestTrainEval:
                 "--out", str(out))
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode, flag", [
+        (mode, flag) for mode, flags in TRAIN_MODES.items()
+        for flag in TRAIN_VALUES if flag not in flags])
+    def test_flag_of_another_mode_rejected(self, tmp_path, mode, flag):
+        # every mode once took every flag, so --mode pure trained with
+        # --ratio 0.3 --epochs 5 and ignored both
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit, match=f"^train --mode {mode} does not "
+                           f"take {flag}$"):
+            run("train", "--mode", mode, *train_argv(TRAIN_MODES[mode]),
+                flag, TRAIN_VALUES[flag], "--out", str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, flag", [
+        (mode, flag) for mode, flags in TRAIN_MODES.items()
+        for flag in sorted(flags)])
+    def test_missing_flag_of_its_mode_rejected(self, tmp_path, mode, flag):
+        # a missing --budget once fell back to [ddpg] stage1_budget, and a
+        # missing --ratio or --epochs to a parser default
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit, match=f"^train --mode {mode} needs "
+                           f"{flag}$"):
+            run("train", "--mode", mode,
+                *train_argv(TRAIN_MODES[mode] - {flag}), "--out", str(out))
+        assert not out.exists()
+
     def test_two_stage_smoke(self, synth_store, tmp_path):
         pre = tmp_path / "pre"
         run("train", "--mode", "pure", "--budget", "300", "--seed", "0",
@@ -185,6 +232,24 @@ class TestTrainEval:
                 "--out", str(tmp_path / "rep"))
         assert not (tmp_path / "rep").exists()
 
+    @pytest.mark.parametrize("scenario, argv, fault", [
+        ("builtin:s53", ["--n-scenarios", "5", "--seed", "3"],
+         "does not take --n-scenarios"),
+        ("builtin:s53", ["--seed", "3"], "does not take --seed"),
+        ("replay:{csv}", ["--n-scenarios", "2"], "does not take --n-scenarios"),
+        ("suite:synthetic", ["--n-scenarios", "2"], "needs --seed"),
+        ("suite:synthetic", ["--seed", "3"], "needs --n-scenarios")])
+    def test_eval_takes_only_its_scenarios_flags(self, tmp_path, scenario,
+                                                 argv, fault):
+        # builtin:s53 once ran with --n-scenarios 5 --seed 3 and ignored them
+        csv_path = tmp_path / "ep.csv"
+        scenario = scenario.format(csv=csv_path)
+        with pytest.raises(SystemExit, match=f"^eval --scenario "
+                           f"{re.escape(scenario)} {fault}$"):
+            run("eval", "--agents", "idm", "--scenario", scenario, *argv,
+                "--out", str(tmp_path / "rep"))
+        assert not (tmp_path / "rep").exists()
+
     @pytest.mark.parametrize("spec", ["builtin:s99", "suite:foo", "replay:",
                                       "s53"])
     def test_eval_rejects_unknown_scenario(self, tmp_path, spec):
@@ -205,7 +270,8 @@ class TestBadCounts:
     def test_eval_zero_scenarios(self, tmp_path):
         with pytest.raises(ValueError, match="n_scenarios must be >= 1, got 0"):
             run("eval", "--agents", "idm", "--scenario", "suite:synthetic",
-                "--n-scenarios", "0", "--out", str(tmp_path / "rep"))
+                "--n-scenarios", "0", "--seed", "0", "--out",
+                str(tmp_path / "rep"))
         assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("make, fault", [
@@ -260,6 +326,45 @@ class TestControlCli:
         out = capsys.readouterr().out
         assert "throttle=" in out and "brake=" in out
 
+    @pytest.mark.parametrize("write, fault", [
+        (lambda p: np.savez(p, mean=np.zeros(3), std=np.array([1.0, 0.0, 1.0])),
+         "std must be positive"),
+        (lambda p: np.savez(p, mean=np.zeros(3), std=-np.ones(3)),
+         "std must be positive"),
+        (lambda p: np.savez(p, mean=np.array([0.0, np.nan, 0.0]),
+                            std=np.ones(3)), "mean and std must be finite"),
+        (lambda p: np.savez(p, mean=np.zeros(3), std=np.full(3, np.inf)),
+         "mean and std must be finite"),
+        (lambda p: np.savez(p, mean=np.zeros(2), std=np.ones(2)),
+         r"mean and std must be shaped \(3,\), got \(2,\) and \(2,\)"),
+        (lambda p: np.savez(p, mean=np.zeros((1, 3)), std=np.ones(3)),
+         r"mean and std must be shaped \(3,\), got \(1, 3\) and \(3,\)"),
+        (lambda p: np.savez(p, mean=np.zeros(3)), "not a norm file"),
+        (lambda p: np.savez(p, std=np.ones(3)), "not a norm file"),
+        (lambda p: np.savez(p, mean=np.array(["a", "b", "c"]),
+                            std=np.ones(3)), "not a norm file"),
+        (lambda p: p.write_bytes(b""), "not a norm file"),
+        (lambda p: p.write_text("mean,std\n"), "not a norm file"),
+        (lambda p: p.write_bytes(npy_bytes(np.zeros(3))), "not a norm file"),
+        (lambda p: (np.savez(p, mean=np.zeros(3), std=np.ones(3)),
+                    p.write_bytes(p.read_bytes()[:100])), "not a norm file")],
+        ids=["zero-std", "negative-std", "nan-mean", "inf-std", "shape-2",
+             "shape-1x3", "no-std", "no-mean", "text-mean", "empty", "text",
+             "npy", "truncated"])
+    def test_probe_rejects_bad_norm_file(self, tmp_path, capsys, write,
+                                         fault):
+        # a zero std or a NaN mean once printed throttle=nan brake=nan and
+        # exited 0; a truncated file raised BadZipFile and a file missing
+        # std a KeyError, neither naming the file
+        net = tmp_path / "ctrl.bin"
+        MlpNet([3, 16, 16, 2], "tanh", seed=0).save(str(net))
+        norm = tmp_path / "ctrl.bin.norm.npz"
+        write(norm)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(norm))}: "
+                           f"{fault}"):
+            run("control", "probe", "--net", str(net), "--v", "10")
+        assert capsys.readouterr().out == ""
+
     def test_collect_reads_powertrain_config(self, tmp_path):
         cfg = tmp_path / "lab.cfg"
         cfg.write_text("[powertrain]\nc_throttle = 3.0\n")
@@ -304,6 +409,16 @@ class TestConfigFile:
         with pytest.raises(ValueError,
                            match=rf"^\[{section}\] {key}: '{re.escape(raw)}' "
                            "is not a finite float$"):
+            load_config(str(cfg))
+
+    @pytest.mark.parametrize("key", ["stage1_budget", "stage2_budget"])
+    def test_budget_key_rejected(self, tmp_path, key):
+        # --budget is the one budget setting: [ddpg] stage1_budget once set
+        # the pure and off-policy budgets whenever --budget was left out
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text(f"[ddpg]\n{key} = 5\n")
+        with pytest.raises(ValueError, match=rf"^unknown key '{key}' in "
+                           r"section \[ddpg\]$"):
             load_config(str(cfg))
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -429,11 +544,12 @@ class TestConfigFile:
 # members carry timestamps) each array's name, dtype, shape and bytes.  The
 # hash was re-taken when long.csv, the nets' .manifest.json files and the
 # stage2_explore config field went, and when leader.csv and the config.json
-# key sim.vehicle_length went, after checking that every other file stayed
-# byte-identical.  As with the hashes in test_ddpg.py, record any move
-# with a numpy or BLAS upgrade in CHANGES.md.
+# key sim.vehicle_length went, and when the config.json keys
+# ddpg.stage1_budget and ddpg.stage2_budget went, after checking that every
+# other file stayed byte-identical.  As with the hashes in test_ddpg.py,
+# record any move with a numpy or BLAS upgrade in CHANGES.md.
 GOLDEN_CLI_SHA256 = \
-    "d36f6d4ae2d9d7c21062061f7b4951913371735f95a10201cf088d4851c0d87c"
+    "cc9219dcccaf64c16ad9dda9e1b50a36426114ff70b4b8ad03e88ec753d0d81b"
 
 
 # the relative path of every file the pipeline writes

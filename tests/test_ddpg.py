@@ -717,8 +717,7 @@ class TestStackedUpdate:
 class TestConfigChecks:
     @pytest.mark.parametrize("kwargs", [
         {"lr": 0.0}, {"lr": -1.0}, {"batch_size": 0},
-        {"batch_size": 64, "buffer_size": 10}, {"hidden": (32, 0)},
-        {"stage1_budget": -5}, {"stage2_budget": -1}],
+        {"batch_size": 64, "buffer_size": 10}, {"hidden": (32, 0)}],
         ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
     def test_bad_values_rejected(self, kwargs):
         # each once ran silently (gradient ascent on the critic loss, no

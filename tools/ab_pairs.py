@@ -11,8 +11,11 @@ pair's end-to-end metrics, each side's median and quartiles per metric,
 the change's wins, and whether the gain rule holds for ``--metric``: the
 change is better in at least nine tenths of the pairs, ties counting for
 neither side, and its median is better than the parent's by more than the
-parent's interquartile range.  Each metric's better direction is read
-from this checkout's BENCHMARK.json.
+parent's interquartile range.  It also prints, per metric, how much
+worse the change's median is than the parent's, as a fraction of the
+parent's median, and whether that stays within the metric's bound.  Each
+metric's better direction and bound are read from this checkout's
+BENCHMARK.json.
 
 Exits 1 when a run fails, reports ``"correct": false``, or prints a
 round digest other than its pair partner's: the two trees must compute the
@@ -35,10 +38,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
-def summarize(parent, change, better="lower"):
+def summarize(parent, change, better="lower", bound=None):
     """The gain rule on paired values of one metric: parent[i] and
     change[i] are pair i's runs.  Quartiles are statistics.quantiles'
-    (the exclusive method), so at least two pairs are needed."""
+    (the exclusive method), so at least two pairs are needed.
+
+    ``median_worse`` is how much worse the change's median is than the
+    parent's, as a fraction of the parent's (negative when it is better),
+    and ``within_bound`` whether that is at most ``bound`` (None when no
+    bound is given)."""
     if len(parent) != len(change) or len(parent) < 2:
         raise ValueError("need two or more pairs, one value per side each")
     sign = 1 if better == "lower" else -1
@@ -52,10 +60,28 @@ def summarize(parent, change, better="lower"):
     parent_iqr = out["parent"]["q3"] - out["parent"]["q1"]
     gain = sign * (out["parent"]["median"] - out["change"]["median"])
     out["median_gain"] = gain
+    base = abs(out["parent"]["median"])
+    out["median_worse"] = (-gain / base if base
+                           else math.copysign(math.inf, -gain) if gain else 0.0)
+    out["bound"] = bound
+    out["within_bound"] = None if bound is None else out["median_worse"] <= bound
     out["parent_iqr"] = parent_iqr
     out["rule_holds"] = (wins >= math.ceil(0.9 * len(parent))
                          and gain > parent_iqr)
     return out
+
+
+def summary_line(name, s):
+    """One printed line of a metric's summary."""
+    bound = ("no bound" if s["bound"] is None else
+             f"bound {s['bound']:.0%}: "
+             f"{'within' if s['within_bound'] else 'OUTSIDE'}")
+    return (f"{name}: parent median {s['parent']['median']:.4f} "
+            f"[{s['parent']['q1']:.4f}, {s['parent']['q3']:.4f}], change "
+            f"median {s['change']['median']:.4f} [{s['change']['q1']:.4f}, "
+            f"{s['change']['q3']:.4f}]; change better in {s['wins']} of "
+            f"{s['pairs']} ({s['ties']} ties); median {s['median_worse']:+.1%} "
+            f"worse, {bound}")
 
 
 def parse_run(stdout):
@@ -119,9 +145,11 @@ def checkout_state():
 
 
 def end_to_end_metrics():
-    """{name: better} of the end-to-end metrics BENCHMARK.json declares."""
+    """{name: (better, bound)} of the end-to-end metrics BENCHMARK.json
+    declares; a metric without a bound has None."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: (m["better"], m.get("bound"))
+            for m in spec["end_to_end"]}
 
 
 def parse_args(argv):
@@ -180,15 +208,11 @@ def main(argv=None):
                 break
     summary = {}
     if not failed:
-        for name, better in metrics.items():
-            summary[name] = s = summarize(
+        for name, (better, bound) in metrics.items():
+            summary[name] = summarize(
                 [r["parent"]["metrics"][name] for r in runs],
-                [r["change"]["metrics"][name] for r in runs], better)
-            print(f"{name}: parent median {s['parent']['median']:.4f} "
-                  f"[{s['parent']['q1']:.4f}, {s['parent']['q3']:.4f}], change "
-                  f"median {s['change']['median']:.4f} [{s['change']['q1']:.4f}"
-                  f", {s['change']['q3']:.4f}]; change better in {s['wins']} "
-                  f"of {s['pairs']} ({s['ties']} ties)")
+                [r["change"]["metrics"][name] for r in runs], better, bound)
+            print(summary_line(name, summary[name]))
         digests = {r[side]["digest"] for r in runs for side in SIDES}
         print(f"digests: {' '.join(sorted(map(str, digests)))}")
         holds = summary[args.metric]["rule_holds"]
