@@ -108,7 +108,10 @@ def cmd_train(args, cfg):
         agent.save(args.out)
         _write_history(os.path.join(args.out, "rewards.csv"), history)
         print(f"trained mode={args.mode}; {len(history)} reward rows -> {args.out}")
-    snapshot = {k: dataclasses.asdict(cfg[k]) for k in ("sim", "reward", "ddpg")}
+    # the config sections the mode reads
+    sections = (("sim",) if args.mode == "bc"
+                else ("sim", "reward", "ddpg", "leader_ou"))
+    snapshot = {k: dataclasses.asdict(cfg[k]) for k in sections}
     with open(os.path.join(args.out, "config.json"), "w") as fh:
         json.dump(snapshot, fh, indent=2, default=str)
 

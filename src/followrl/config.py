@@ -20,6 +20,8 @@ class SimConfig:
     g_max: float = 200.0            # m
     init_gap_low: float = 0.0       # m
     init_gap_high: float = 100.0    # m
+    # steps in each generated training episode and recorded synthetic one;
+    # an episode itself runs to the end of its leader profile
     max_steps: int = 1000
 
     def __post_init__(self):

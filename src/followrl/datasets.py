@@ -14,14 +14,14 @@ import glob
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .baselines import IdmController
 from .config import LEADER_OU, RewardConfig, SimConfig
 from .ddpg import Batch, ReplayBuffer
-from .evaluate import Scenario, run_scenario
+from .evaluate import Scenario, initial_gap_range, run_scenario
 from .reward import reward_total
 from .simcore import (STATE_DIM, FollowEnv, gen_leader_profile, normalize_state,
                       read_csv, write_csv)
@@ -281,11 +281,8 @@ def rollout_episode(controller, profile, cfg: SimConfig, rcfg: RewardConfig,
                     initial_gap, episode_id="synthetic"):
     """Roll an act(v, a, v_l, g) controller from standstill through
     run_scenario: a start row, then the trace's first four columns and
-    rewards, less a collision row (gap <= 0), which is no valid record."""
-    if len(profile) <= cfg.max_steps:
-        raise ValueError(f"leader profile has {len(profile)} samples; "
-                         f"{cfg.max_steps} steps need {cfg.max_steps + 1}")
-    profile = profile[:cfg.max_steps + 1]
+    rewards, less a collision row (gap <= 0), which is no valid record.
+    An N-sample profile gives N rows, fewer after a collision or escape."""
     # the start row is the env's: its gap (g0 + L) - 0 - L may not be g0
     v, _, v_l, g = FollowEnv(cfg, rcfg).reset(profile, initial_gap)
     trace = run_scenario(controller, Scenario(episode_id, profile, initial_gap),
@@ -301,18 +298,20 @@ def make_synthetic(n_episodes, seed, cfg: SimConfig, rcfg: RewardConfig,
                    controller=None, leader_ou=LEADER_OU, duration=None):
     """Fabricate a stand-in human dataset by rolling out IDM (clipped to
     cfg's accel bounds) or any act-style controller behind OU leaders.
-    ``duration`` (seconds) optionally shortens the episode horizon."""
+    Episodes last ``duration`` seconds, or cfg.max_steps steps without it,
+    each to the end of its leader profile unless it collides or escapes;
+    initial gaps are uniform in [max(init_gap_low, 5 m), init_gap_high]."""
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
-    if duration is not None:
-        cfg = replace(cfg, max_steps=int(round(duration / cfg.dt)))
+    steps = cfg.max_steps if duration is None else int(round(duration / cfg.dt))
+    gaps = initial_gap_range(max(cfg.init_gap_low, 5.0), cfg)
     controller = controller or IdmController(sim_cfg=cfg)
     rng = np.random.default_rng(seed)
     episodes = []
     for k in range(n_episodes):
         profile = gen_leader_profile(int(rng.integers(0, 2 ** 31 - 1)),
-                                     (cfg.max_steps + 1) * cfg.dt, cfg, leader_ou)
-        gap0 = float(rng.uniform(max(cfg.init_gap_low, 5.0), cfg.init_gap_high))
+                                     (steps + 1) * cfg.dt, cfg, leader_ou)
+        gap0 = float(rng.uniform(*gaps))
         ep, _ = rollout_episode(controller, profile, cfg, rcfg, gap0,
                                 episode_id=f"synthetic-{k:03d}")
         episodes.append(ep)

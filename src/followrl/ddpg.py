@@ -338,17 +338,19 @@ class EpisodeStats:
     mean_reward: float
     collisions: int
     # why the episode ended: "collision", "escape" (gap > g_max), "horizon"
-    # (max_steps reached) or "budget" (training budget ran out mid-episode);
-    # "" where no single episode is meant (off-policy evaluation points)
+    # (the leader profile's last sample reached) or "budget" (training
+    # budget ran out mid-episode); "" where no single episode is meant
+    # (off-policy evaluation points)
     end: str = ""
     # share of the applied actions that sat exactly at a_min or a_max
     at_bound: float = 0.0
 
 
 def _episode_scenario(rng, sim_cfg, leader_ou):
-    """A fresh episode start: an OU leader profile long enough for
-    max_steps, then an initial gap uniform in [init_gap_low,
-    init_gap_high], each from its own seed drawn from rng in that order."""
+    """A fresh episode start: an OU leader profile of max_steps + 1
+    samples (an episode of at most max_steps steps), then an initial gap
+    uniform in [init_gap_low, init_gap_high], each from its own seed drawn
+    from rng in that order."""
     profile_seed = int(rng.integers(0, 2 ** 31 - 1))
     gap_seed = int(rng.integers(0, 2 ** 31 - 1))
     duration = (sim_cfg.max_steps + 1) * sim_cfg.dt

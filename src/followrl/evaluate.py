@@ -7,7 +7,6 @@ computed over finite values up to TTC_THRESHOLD (10 s), with TTC under
 """
 
 import csv
-import dataclasses
 import math
 import os
 from dataclasses import dataclass
@@ -101,7 +100,6 @@ def run_scenario(agent, sc: Scenario, cfg: SimConfig = None,
     stand-in human data (datasets.rollout_episode).  Collision terminates
     the trace on the collision row, with the collided flag set and a NaN
     TTC."""
-    cfg = dataclasses.replace(cfg or SimConfig(), max_steps=len(sc.profile) - 1)
     env = FollowEnv(cfg, rcfg)
     v, a, v_l, g = env.reset(sc.profile, sc.initial_gap, sc.follower_speed)
     rows = []
@@ -137,18 +135,30 @@ def self_defined_profile(dt=0.1):
                     follower_speed=0.0)
 
 
+def initial_gap_range(floor, cfg: SimConfig):
+    """(floor, [sim] init_gap_high), the range a generated scenario draws
+    its initial gap from; a ceiling below the floor raises ValueError
+    naming the key, before any draw."""
+    if cfg.init_gap_high < floor:
+        raise ValueError(f"[sim] init_gap_high = {cfg.init_gap_high} is below "
+                         f"the {floor} m floor of generated initial gaps")
+    return floor, cfg.init_gap_high
+
+
 def synthetic_suite(n_scenarios=20, seed=0, cfg: SimConfig = None,
                     leader_ou=LEADER_OU):
-    """Seeded suite of OU-leader scenarios with varied initial gaps."""
+    """Seeded suite of OU-leader scenarios with initial gaps uniform in
+    [10 m, init_gap_high]."""
     if n_scenarios < 1:
         raise ValueError(f"n_scenarios must be >= 1, got {n_scenarios}")
     cfg = cfg or SimConfig()
+    gaps = initial_gap_range(10.0, cfg)
     rng = np.random.default_rng(seed)
     out = []
     for k in range(n_scenarios):
         profile = gen_leader_profile(int(rng.integers(0, 2 ** 31 - 1)),
                                      SUITE_DURATION + cfg.dt, cfg, leader_ou)
-        gap0 = float(rng.uniform(10.0, cfg.init_gap_high))
+        gap0 = float(rng.uniform(*gaps))
         out.append(Scenario(f"synthetic-{k:02d}", profile, gap0))
     return out
 

@@ -176,10 +176,10 @@ class FollowEnv:
 
     reset and step return the state (v, a, v_l, g) as Python floats, in
     the argument order of every controller's act and of normalize_state.
-    Episodes terminate on collision (gap <= 0), on gap > g_max, or after
-    max_steps; reset rejects a profile too short for a full episode, a
-    non-finite or negative start and a gap <= 0.  It draws no random
-    numbers: callers choose each start.
+    Episodes terminate on collision (gap <= 0), on gap > g_max, or on the
+    step that reaches the leader profile's last sample; reset rejects a
+    profile of fewer than 2 samples, a non-finite or negative start and a
+    gap <= 0.  It draws no random numbers: callers choose each start.
     """
 
     def __init__(self, cfg: SimConfig = None, rcfg: RewardConfig = None):
@@ -189,17 +189,15 @@ class FollowEnv:
         self.follower = VehicleState()
         self.profile = None
         self.step_index = 0
+        self.last_step = 0
         self.done = True
 
     def reset(self, profile, initial_gap, follower_speed=0.0):
         """Start a new episode at the given gap, the follower at
         follower_speed and the leader at the profile's first speed."""
-        cfg = self.cfg
         profile = np.asarray(profile, dtype=float)
-        if len(profile) - 1 < cfg.max_steps:
-            raise ValueError(
-                f"leader profile has {len(profile)} samples; an episode of "
-                f"{cfg.max_steps} steps needs at least {cfg.max_steps + 1}")
+        if len(profile) < 2:
+            raise ValueError(f"leader profile has {len(profile)} samples, need 2")
         # a finite start keeps every state finite; speeds >= 0 keep accels in bounds
         bad = np.flatnonzero(~(np.isfinite(profile) & (profile >= 0.0)))
         if len(bad):
@@ -217,6 +215,7 @@ class FollowEnv:
         # leader speed (position, gap, reward, StepInfo) stays a float
         self.profile = profile.tolist()
         self.step_index = 0
+        self.last_step = len(profile) - 1
         self.done = False
         self.follower = VehicleState(0.0, float(follower_speed), 0.0)
         self.leader = VehicleState(float(initial_gap) + VEHICLE_LENGTH,
@@ -256,6 +255,6 @@ class FollowEnv:
         collision = gap <= 0.0
         reward = (COLLISION_REWARD if collision
                   else reward_total(v_new, vl_new, gap, jerk, self.rcfg).total)
-        self.done = collision or gap > cfg.g_max or self.step_index >= cfg.max_steps
+        self.done = collision or gap > cfg.g_max or self.step_index >= self.last_step
         info = StepInfo(self.step_index * cfg.dt, gap, jerk, collision)
         return (v_new, a_app, vl_new, gap), reward, self.done, info

@@ -130,3 +130,18 @@ def test_bounds_read_from_benchmark_json():
     metrics = ab_pairs.end_to_end_metrics()
     assert metrics["norm_wall_s"] == ("lower", 0.2)
     assert all(bound is not None for _, bound in metrics.values())
+
+
+def test_unknown_workload_exits_before_the_archive(monkeypatch, capsys):
+    # a typo once failed inside perfbench, after the ref was archived
+    def archive(ref, dest):
+        raise AssertionError("archived the ref")
+
+    monkeypatch.setattr(ab_pairs, "archive", archive)
+    with pytest.raises(SystemExit) as exc:
+        ab_pairs.main(["HEAD", "--workload", "trian", "--seed", "1",
+                       "--seconds", "1", "--pairs", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'trian'" in err
+    assert "'train', 'rollout', 'offline'" in err

@@ -5,6 +5,7 @@ import csv
 import filecmp
 import hashlib
 import io
+import json
 import os
 import re
 
@@ -123,6 +124,22 @@ class TestPipeline:
 
 
 class TestTrainEval:
+    def test_config_json_holds_the_sections_read(self, synth_store, tmp_path):
+        # the DDPG modes once left out [leader_ou], which they read, so a
+        # run under [leader_ou] sigma = 3.0 wrote the default run's
+        # config.json; bc wrote [reward] and [ddpg], which it does not read
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("[leader_ou]\nsigma = 3.0\n")
+        run("train", "--mode", "pure", "--budget", "50", "--config", str(cfg),
+            "--out", str(tmp_path / "pure"))
+        run("train", "--mode", "bc", "--dataset", str(synth_store),
+            "--epochs", "1", "--out", str(tmp_path / "bc"))
+        pure = json.loads((tmp_path / "pure" / "config.json").read_text())
+        assert list(pure) == ["sim", "reward", "ddpg", "leader_ou"]
+        assert pure["leader_ou"]["sigma"] == 3.0
+        bc = json.loads((tmp_path / "bc" / "config.json").read_text())
+        assert list(bc) == ["sim"]
+
     def test_bc_train_and_eval(self, synth_store, tmp_path, capsys):
         out = tmp_path / "bc"
         run("train", "--mode", "bc", "--dataset", str(synth_store),
@@ -411,6 +428,22 @@ class TestConfigFile:
                            "is not a finite float$"):
             load_config(str(cfg))
 
+    @pytest.mark.parametrize("argv, ceiling, floor", [
+        (["make-synthetic", "--episodes", "1"], 3.0, 5.0),
+        (["eval", "--agents", "idm", "--scenario", "suite:synthetic",
+          "--n-scenarios", "2", "--seed", "0"], 8.0, 10.0)],
+        ids=["make-synthetic", "eval-suite"])
+    def test_gap_ceiling_below_floor_named(self, tmp_path, argv, ceiling,
+                                           floor):
+        # SimConfig accepts these ceilings, and numpy's uniform once died
+        # on "high - low < 0", naming no key
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text(f"[sim]\ninit_gap_high = {ceiling}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"[sim] init_gap_high = {ceiling} is below the {floor} m floor")):
+            run(*argv, "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["stage1_budget", "stage2_budget"])
     def test_budget_key_rejected(self, tmp_path, key):
         # --budget is the one budget setting: [ddpg] stage1_budget once set
@@ -544,12 +577,14 @@ class TestConfigFile:
 # members carry timestamps) each array's name, dtype, shape and bytes.  The
 # hash was re-taken when long.csv, the nets' .manifest.json files and the
 # stage2_explore config field went, and when leader.csv and the config.json
-# key sim.vehicle_length went, and when the config.json keys
-# ddpg.stage1_budget and ddpg.stage2_budget went, after checking that every
-# other file stayed byte-identical.  As with the hashes in test_ddpg.py,
+# key sim.vehicle_length went, when the config.json keys
+# ddpg.stage1_budget and ddpg.stage2_budget went, and when config.json came
+# to hold the sections its mode reads (leader_ou in, and out of bc's
+# reward and ddpg), after checking that every other file stayed
+# byte-identical.  As with the hashes in test_ddpg.py,
 # record any move with a numpy or BLAS upgrade in CHANGES.md.
 GOLDEN_CLI_SHA256 = \
-    "cc9219dcccaf64c16ad9dda9e1b50a36426114ff70b4b8ad03e88ec753d0d81b"
+    "e0cb2cd69e59f52b302f32cc5d733e8012d3e9f380200fa8292a9ce91ecbe778"
 
 
 # the relative path of every file the pipeline writes

@@ -207,7 +207,7 @@ class TestRollout:
     def test_matches_reference_loop(self, leader_seed, gap, controller,
                                     max_steps, extra):
         # IDM, seeded random actions beyond [a_min, a_max] or a constant
-        # command; profiles longer than the episode, start gaps such as
+        # command; profiles longer than max_steps + 1, start gaps such as
         # 3.7 m where the env's (g0 + L) - L differs from g0, and episodes
         # ending in a collision, an escape or the horizon
         cfg = SimConfig(max_steps=max_steps)
@@ -240,9 +240,31 @@ class TestRollout:
         assert 0 < ep.records[-1, 3] < 0.2
 
     def test_short_profile_rejected(self):
+        # only a profile without a step is rejected; one of 50 samples under
+        # max_steps = 50 once was too
         cfg = SimConfig(max_steps=50)
-        with pytest.raises(ValueError, match="50 steps need 51"):
-            rollout_episode(Constant(0.0), np.zeros(50), cfg, RCFG, 20.0)
+        for n in (0, 1):
+            with pytest.raises(ValueError,
+                               match=f"^leader profile has {n} samples, need 2$"):
+                rollout_episode(Constant(0.0), np.zeros(n), cfg, RCFG, 20.0)
+
+    @pytest.mark.parametrize("steps", [30, 80])
+    def test_one_row_per_profile_sample(self, steps):
+        # under max_steps = 50 a profile of steps + 1 samples once was
+        # rejected (30) or cut to 51 (80); standing 20 m behind a standing
+        # leader neither collides nor escapes
+        cfg = SimConfig(max_steps=50)
+        ep, rewards = rollout_episode(Constant(0.0), np.zeros(steps + 1), cfg,
+                                      RCFG, 20.0)
+        assert (len(ep), len(rewards)) == (steps + 1, steps)
+        assert ep.records[-1, 0] == steps * cfg.dt
+
+
+def test_make_synthetic_gap_floor_above_ceiling():
+    # numpy's uniform once died on "high - low < 0", naming no key
+    with pytest.raises(ValueError, match=r"^\[sim\] init_gap_high = 3\.0 is "
+                       r"below the 5\.0 m floor of generated initial gaps$"):
+        make_synthetic(1, 0, SimConfig(init_gap_high=3.0), RCFG)
 
 
 class TestSplit:

@@ -201,6 +201,12 @@ class TestScenarios:
         gaps = [s.initial_gap for s in synthetic_suite(20, seed=0)]
         assert min(gaps) >= 10.0 and max(gaps) <= 100.0
 
+    def test_synthetic_suite_gap_floor_above_ceiling(self):
+        # numpy's uniform once died on "high - low < 0", naming no key
+        with pytest.raises(ValueError, match=r"^\[sim\] init_gap_high = 8\.0 "
+                           r"is below the 10\.0 m floor of generated initial"):
+            synthetic_suite(2, seed=0, cfg=SimConfig(init_gap_high=8.0))
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_synthetic_suite_needs_a_scenario(self, n):
         # a count below 1 once returned an empty suite without error

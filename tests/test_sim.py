@@ -191,9 +191,16 @@ class TestReset:
         assert env.gap == pytest.approx(50.0)
 
     def test_rejects_short_profile(self):
+        # an episode runs to its profile's end, so only a profile without a
+        # step is rejected; one shorter than max_steps + 1 samples once was
         env = FollowEnv(short_cfg())
-        with pytest.raises(ValueError):
-            env.reset(make_profile(0, 100), 50.0)
+        for n in (0, 1):
+            with pytest.raises(ValueError,
+                               match=f"^leader profile has {n} samples, need 2$"):
+                env.reset(np.zeros(n), 50.0)
+        env.reset(make_profile(0, 1), 50.0)
+        _, _, done, info = env.step(0.0)
+        assert done and info.t == env.cfg.dt
 
     @pytest.mark.parametrize("where, value", [
         ("profile", math.nan), ("profile", math.inf),
@@ -306,6 +313,21 @@ class TestStep:
             n += 1
         assert n == 50
 
+    @pytest.mark.parametrize("steps", [30, 80])
+    def test_episode_ends_at_profile_end(self, steps):
+        # under max_steps = 50, a profile of steps + 1 samples runs exactly
+        # steps steps, fewer or more than 50: the follower matches a 5 m/s
+        # leader 50 m ahead, so it neither collides nor escapes
+        cfg = short_cfg(max_steps=50)
+        env = FollowEnv(cfg)
+        env.reset(make_profile(5, steps), 50.0, follower_speed=5.0)
+        n, done = 0, False
+        while not done:
+            _, _, done, info = env.step(0.0)
+            n += 1
+            assert 0.0 < info.gap <= cfg.g_max
+        assert n == steps and info.t == steps * cfg.dt
+
     def test_determinism_bit_identical(self):
         cfg = short_cfg()
         actions = np.random.default_rng(0).uniform(-3, 3, size=200)
@@ -351,8 +373,8 @@ class TestStep:
         # under a constant command or seeded ones uniform in [-11, 7]
         # m/s^2: speed never goes negative, the gap is the bumper-to-bumper
         # distance, and the episode ends on the first step that collides
-        # (gap <= 0), escapes (gap > g_max) or reaches max_steps, and on
-        # no other
+        # (gap <= 0), escapes (gap > g_max) or reaches the profile's last
+        # sample, and on no other
         cfg = short_cfg(max_steps=150)
         if isinstance(leader, float):
             profile = make_profile(leader, cfg.max_steps)
@@ -372,7 +394,7 @@ class TestStep:
             collision, escape = info.gap <= 0.0, info.gap > cfg.g_max
             assert info.collision == collision
             assert done == (collision or escape
-                            or env.step_index == cfg.max_steps)
+                            or env.step_index == len(profile) - 1)
 
     def test_observation_bounds(self):
         cfg = short_cfg()

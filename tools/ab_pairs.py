@@ -13,9 +13,10 @@ change is better in at least nine tenths of the pairs, ties counting for
 neither side, and its median is better than the parent's by more than the
 parent's interquartile range.  It also prints, per metric, how much
 worse the change's median is than the parent's, as a fraction of the
-parent's median, and whether that stays within the metric's bound.  Each
-metric's better direction and bound are read from this checkout's
-BENCHMARK.json.
+parent's median, and whether that stays within the metric's bound.  The
+``--workload`` choices, and each metric's better direction and bound, are
+read from this checkout's BENCHMARK.json; another workload exits 2 before
+the ref is archived.
 
 Exits 1 when a run fails, reports ``"correct": false``, or prints a
 round digest other than its pair partner's: the two trees must compute the
@@ -144,18 +145,23 @@ def checkout_state():
     return git("rev-parse", "HEAD"), bool(git("status", "--porcelain"))
 
 
+def benchmark_spec():
+    """This checkout's BENCHMARK.json."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
 def end_to_end_metrics():
     """{name: (better, bound)} of the end-to-end metrics BENCHMARK.json
     declares; a metric without a bound has None."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     return {m["name"]: (m["better"], m.get("bound"))
-            for m in spec["end_to_end"]}
+            for m in benchmark_spec()["end_to_end"]}
 
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("ref", help="git ref of the parent tree")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True,
+                   choices=[w["name"] for w in benchmark_spec()["workloads"]])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--pairs", type=int, required=True)
