@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -201,6 +202,19 @@ def cmd_control_probe(args, cfg):
     print(f"v={args.v} a_cmd={args.a} -> throttle={throttle:.3f} brake={brake:.3f}")
 
 
+def finite_float(raw):
+    """argparse type of the float options: like a config file's floats,
+    nan and inf are refused."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{raw!r} is not a valid float") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a finite float")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="followrl", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -213,10 +227,10 @@ def build_parser():
         return sp
 
     sp = add("reward-probe", cmd_reward_probe, help="print a reward breakdown")
-    sp.add_argument("--v", type=float, required=True)
-    sp.add_argument("--vl", type=float, required=True)
-    sp.add_argument("--g", type=float, required=True)
-    sp.add_argument("--jerk", type=float, default=0.0)
+    sp.add_argument("--v", type=finite_float, required=True)
+    sp.add_argument("--vl", type=finite_float, required=True)
+    sp.add_argument("--g", type=finite_float, required=True)
+    sp.add_argument("--jerk", type=finite_float, default=0.0)
 
     sp = add("make-synthetic", cmd_make_synthetic,
              help="fabricate IDM-driven stand-in human episodes")
@@ -234,7 +248,8 @@ def build_parser():
 
     sp = add("train", cmd_train, help="train an agent")
     sp.add_argument("--mode", choices=list(TRAIN_MODES), required=True)
-    sp.add_argument("--ratio", type=float, help="batch share of the dataset")
+    sp.add_argument("--ratio", type=finite_float,
+                    help="batch share of the dataset")
     sp.add_argument("--budget", type=int, help="environment or update steps")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--dataset", help="transition store (.npz)")
@@ -257,7 +272,7 @@ def build_parser():
     ctl = sub.add_parser("control", help="reverse-data control pipeline") \
         .add_subparsers(dest="control_cmd", required=True)
     sp = add("collect", cmd_control_collect, ctl, help="record reverse data")
-    sp.add_argument("--duration-s", type=float, default=600.0)
+    sp.add_argument("--duration-s", type=finite_float, default=600.0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True, help="reverse-data CSV")
 
@@ -268,8 +283,8 @@ def build_parser():
 
     sp = add("probe", cmd_control_probe, ctl, help="print one pedal command")
     sp.add_argument("--net", required=True, help="trained pedal net")
-    sp.add_argument("--v", type=float, default=0.0)
-    sp.add_argument("--a", type=float, default=0.0)
+    sp.add_argument("--v", type=finite_float, default=0.0)
+    sp.add_argument("--a", type=finite_float, default=0.0)
     return p
 
 

@@ -18,6 +18,9 @@ class SimConfig:
     a_min: float = -9.0             # m/s^2
     a_max: float = 5.0              # m/s^2
     g_max: float = 200.0            # m
+    # every generated initial gap is uniform in [max(init_gap_low, floor),
+    # init_gap_high]: the floor is 0 for training and greedy_eval, 5 m for
+    # make_synthetic and 10 m for synthetic_suite
     init_gap_low: float = 0.0       # m
     init_gap_high: float = 100.0    # m
     # steps in each generated training episode and recorded synthetic one;

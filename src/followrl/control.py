@@ -50,10 +50,11 @@ def collect_reverse_data(model: PowertrainParams, duration, seed):
     policy (never pressing both pedals; brake released at standstill,
     where it carries no information) and record one sample per PEDAL_DT:
     an (n, 5) array in REVERSE_HEADER order."""
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    rng = np.random.default_rng(seed)
     n = int(round(duration / PEDAL_DT))
+    if n < 1:
+        raise ValueError(f"duration {duration} s rounds to {n} samples of "
+                         f"PEDAL_DT = {PEDAL_DT} s; need at least 1")
+    rng = np.random.default_rng(seed)
     samples = []
     v = 0.0
     throttle = brake = 0.0

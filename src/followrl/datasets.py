@@ -21,10 +21,9 @@ import numpy as np
 from .baselines import IdmController
 from .config import LEADER_OU, RewardConfig, SimConfig
 from .ddpg import Batch, ReplayBuffer
-from .evaluate import Scenario, initial_gap_range, run_scenario
+from .evaluate import Scenario, _ou_scenarios, run_scenario
 from .reward import reward_total
-from .simcore import (STATE_DIM, FollowEnv, gen_leader_profile, normalize_state,
-                      read_csv, write_csv)
+from .simcore import STATE_DIM, FollowEnv, normalize_state, read_csv, write_csv
 
 HEADER = ["t_s", "v_leader_mps", "v_follower_mps", "gap_m"]
 
@@ -304,15 +303,9 @@ def make_synthetic(n_episodes, seed, cfg: SimConfig, rcfg: RewardConfig,
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     steps = cfg.max_steps if duration is None else int(round(duration / cfg.dt))
-    gaps = initial_gap_range(max(cfg.init_gap_low, 5.0), cfg)
+    scenarios = _ou_scenarios(n_episodes, seed, 5.0, (steps + 1) * cfg.dt, cfg,
+                              leader_ou)
     controller = controller or IdmController(sim_cfg=cfg)
-    rng = np.random.default_rng(seed)
-    episodes = []
-    for k in range(n_episodes):
-        profile = gen_leader_profile(int(rng.integers(0, 2 ** 31 - 1)),
-                                     (steps + 1) * cfg.dt, cfg, leader_ou)
-        gap0 = float(rng.uniform(*gaps))
-        ep, _ = rollout_episode(controller, profile, cfg, rcfg, gap0,
-                                episode_id=f"synthetic-{k:03d}")
-        episodes.append(ep)
-    return episodes
+    return [rollout_episode(controller, sc.profile, cfg, rcfg, sc.initial_gap,
+                            episode_id=f"synthetic-{k:03d}")[0]
+            for k, sc in enumerate(scenarios)]

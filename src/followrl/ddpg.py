@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import LEADER_OU, DdpgConfig, OuParams, RewardConfig, SimConfig
-from .evaluate import Scenario, run_scenario
+from .evaluate import episode_scenario, run_scenario
 from .nets import (ONE, TWO, AdamState, MlpNet, const, hard_update,
                    member_cache, opt_step, soft_update)
-from .simcore import (STATE_DIM, FollowEnv, OuNoise, gen_leader_profile,
-                      normalize_state, scale_action, unscale_action)
+from .simcore import (STATE_DIM, FollowEnv, OuNoise, normalize_state,
+                      scale_action, unscale_action)
 
 # Adam turns a fresh critic's noise-sized dQ/da into full lr-sized actor
 # steps, which pinned the tanh actor at an action bound within its first
@@ -346,20 +346,6 @@ class EpisodeStats:
     at_bound: float = 0.0
 
 
-def _episode_scenario(rng, sim_cfg, leader_ou):
-    """A fresh episode start: an OU leader profile of max_steps + 1
-    samples (an episode of at most max_steps steps), then an initial gap
-    uniform in [init_gap_low, init_gap_high], each from its own seed drawn
-    from rng in that order."""
-    profile_seed = int(rng.integers(0, 2 ** 31 - 1))
-    gap_seed = int(rng.integers(0, 2 ** 31 - 1))
-    duration = (sim_cfg.max_steps + 1) * sim_cfg.dt
-    profile = gen_leader_profile(profile_seed, duration, sim_cfg, leader_ou)
-    gap = np.random.default_rng(gap_seed).uniform(sim_cfg.init_gap_low,
-                                                  sim_cfg.init_gap_high)
-    return Scenario("episode", profile, float(gap))
-
-
 def _train_online(agent, budget, rng, rcfg, leader_ou, sample_fn, progress,
                   actor_from=0):
     """Algorithm-1 style interaction for budget env steps: act with OU
@@ -376,7 +362,7 @@ def _train_online(agent, budget, rng, rcfg, leader_ou, sample_fn, progress,
     history = []
     for used in range(budget):
         if env.done:
-            sc = _episode_scenario(rng, sim_cfg, leader_ou)
+            sc = episode_scenario(rng, sim_cfg, leader_ou)
             obs = normalize_state(*env.reset(sc.profile, sc.initial_gap), sim_cfg)
             agent.noise.reset()
             total, at_bound = 0.0, 0
@@ -475,7 +461,7 @@ def greedy_eval(agent: DdpgAgent, n_episodes=20, seed=0, rcfg=None,
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
     traces = []
     for _ in range(n_episodes):
-        sc = _episode_scenario(rng, agent.sim_cfg, leader_ou)
+        sc = episode_scenario(rng, agent.sim_cfg, leader_ou)
         traces.append(run_scenario(agent, sc, agent.sim_cfg, rcfg))
     rewards = np.concatenate([t.reward for t in traces])
     return {"mean_reward": float(np.mean(rewards)),

@@ -1,9 +1,13 @@
-"""Scenario execution, time-to-collision analysis, and comparison reports.
+"""Scenario generation and execution, time-to-collision analysis, and
+comparison reports.
 
 A scenario is a leader speed profile plus initial conditions; any object
-with an ``act(v, a, v_l, g)`` method can follow it.  TTC statistics are
-computed over finite values up to TTC_THRESHOLD (10 s), with TTC under
-2 s counted as safety-critical.
+with an ``act(v, a, v_l, g)`` method can follow it.  This module draws
+every generated scenario: the OU-leader episodes of training and greedy
+evaluation (episode_scenario), and the synthetic eval suite and the
+stand-in human data of datasets.make_synthetic (both _ou_scenarios).  TTC
+statistics are computed over finite values up to TTC_THRESHOLD (10 s),
+with TTC under 2 s counted as safety-critical.
 """
 
 import csv
@@ -135,32 +139,48 @@ def self_defined_profile(dt=0.1):
                     follower_speed=0.0)
 
 
-def initial_gap_range(floor, cfg: SimConfig):
-    """(floor, [sim] init_gap_high), the range a generated scenario draws
-    its initial gap from; a ceiling below the floor raises ValueError
-    naming the key, before any draw."""
+def episode_scenario(rng, sim_cfg, leader_ou):
+    """A training or greedy-evaluation episode start: an OU leader profile
+    of max_steps + 1 samples (an episode of at most max_steps steps), then
+    an initial gap uniform in [init_gap_low, init_gap_high], each from its
+    own seed drawn from rng in that order."""
+    profile_seed = int(rng.integers(0, 2 ** 31 - 1))
+    gap_seed = int(rng.integers(0, 2 ** 31 - 1))
+    duration = (sim_cfg.max_steps + 1) * sim_cfg.dt
+    profile = gen_leader_profile(profile_seed, duration, sim_cfg, leader_ou)
+    gap = np.random.default_rng(gap_seed).uniform(sim_cfg.init_gap_low,
+                                                  sim_cfg.init_gap_high)
+    return Scenario("episode", profile, float(gap))
+
+
+def _ou_scenarios(n, seed, floor, duration, cfg: SimConfig, leader_ou):
+    """n scenarios synthetic-00, synthetic-01, ... behind OU leaders of
+    ``duration`` seconds: one generator seeded with seed draws each one's
+    profile seed and then its initial gap, uniform in
+    [max(init_gap_low, floor), init_gap_high].  A ceiling below the floor
+    raises ValueError naming the key, before any draw."""
     if cfg.init_gap_high < floor:
         raise ValueError(f"[sim] init_gap_high = {cfg.init_gap_high} is below "
                          f"the {floor} m floor of generated initial gaps")
-    return floor, cfg.init_gap_high
+    low = max(cfg.init_gap_low, floor)
+    rng = np.random.default_rng(seed)
+    # arguments are evaluated left to right: the profile seed, then the gap
+    return [Scenario(f"synthetic-{k:02d}",
+                     gen_leader_profile(int(rng.integers(0, 2 ** 31 - 1)),
+                                        duration, cfg, leader_ou),
+                     float(rng.uniform(low, cfg.init_gap_high)))
+            for k in range(n)]
 
 
 def synthetic_suite(n_scenarios=20, seed=0, cfg: SimConfig = None,
                     leader_ou=LEADER_OU):
-    """Seeded suite of OU-leader scenarios with initial gaps uniform in
-    [10 m, init_gap_high]."""
+    """Seeded suite of SUITE_DURATION s OU-leader scenarios with initial
+    gaps uniform in [max(init_gap_low, 10 m), init_gap_high]."""
     if n_scenarios < 1:
         raise ValueError(f"n_scenarios must be >= 1, got {n_scenarios}")
     cfg = cfg or SimConfig()
-    gaps = initial_gap_range(10.0, cfg)
-    rng = np.random.default_rng(seed)
-    out = []
-    for k in range(n_scenarios):
-        profile = gen_leader_profile(int(rng.integers(0, 2 ** 31 - 1)),
-                                     SUITE_DURATION + cfg.dt, cfg, leader_ou)
-        gap0 = float(rng.uniform(*gaps))
-        out.append(Scenario(f"synthetic-{k:02d}", profile, gap0))
-    return out
+    return _ou_scenarios(n_scenarios, seed, 10.0, SUITE_DURATION + cfg.dt, cfg,
+                         leader_ou)
 
 
 def scenario_from_episode(ep):

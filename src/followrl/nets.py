@@ -282,7 +282,8 @@ class AdamState:
     """Adaptive-moment optimizer state for one MlpNet."""
 
     def __init__(self, net: MlpNet, lr=0.001):
-        self.lr = lr
+        # opt_step's operand, a read-only 0-d array
+        self.lr = const(lr)
         self.t = 0
         self.m = np.zeros_like(net.flat)
         self.v = np.zeros_like(net.flat)
@@ -290,15 +291,6 @@ class AdamState:
         self.grads = _grad_set(net)
         # opt_step's scratch: it writes its temporaries here
         self.work = (np.empty_like(net.flat), np.empty_like(net.flat))
-
-    @property
-    def lr(self):
-        return float(self._lr)
-
-    @lr.setter
-    def lr(self, value):
-        # opt_step's operand, kept as a 0-d array with the setting
-        self._lr = const(value)
 
 
 def opt_step(net: MlpNet, grads, state: AdamState):
@@ -326,10 +318,10 @@ def opt_step(net: MlpNet, grads, state: AdamState):
     step *= g
     v += step
     if bias1 == 1.0:
-        np.multiply(state._lr, m, step)
+        np.multiply(state.lr, m, step)
     else:
         np.divide(m, bias1, step)
-        np.multiply(state._lr, step, step)
+        np.multiply(state.lr, step, step)
     if bias2 == 1.0:
         np.sqrt(v, denom)
     else:

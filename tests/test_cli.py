@@ -392,6 +392,46 @@ class TestControlCli:
         assert not filecmp.cmp(*outs, shallow=False)
 
 
+# an argv per command with float flags, each value finite and each path
+# absent, so a run that got past argparse would fail or write
+FLOAT_ARGV = {
+    "reward-probe": ["reward-probe", "--v", "1", "--vl", "1", "--g", "5",
+                     "--jerk", "0"],
+    "train": ["train", "--mode", "two-stage", "--ratio", "0.5", "--dataset",
+              "store.npz", "--from", "runs/pure", "--budget", "10", "--out",
+              "out"],
+    "control collect": ["control", "collect", "--duration-s", "1", "--out",
+                        "rev.csv"],
+    "control probe": ["control", "probe", "--net", "net.bin", "--v", "1",
+                      "--a", "0"]}
+FLOAT_FLAGS = [("reward-probe", "--v"), ("reward-probe", "--vl"),
+               ("reward-probe", "--g"), ("reward-probe", "--jerk"),
+               ("train", "--ratio"), ("control collect", "--duration-s"),
+               ("control probe", "--v"), ("control probe", "--a")]
+
+
+class TestFloatFlags:
+    @pytest.mark.parametrize("raw, kind", [
+        ("nan", "finite"), ("inf", "finite"), ("abc", "valid")])
+    @pytest.mark.parametrize("command, flag", FLOAT_FLAGS,
+                             ids=[c.replace(" ", "-") + f
+                                  for c, f in FLOAT_FLAGS])
+    def test_bad_float_named(self, tmp_path, monkeypatch, capsys, command,
+                             flag, raw, kind):
+        # type=float took nan and inf: reward-probe --v nan printed
+        # "total nan", and control collect --duration-s inf died on an
+        # OverflowError naming no flag
+        monkeypatch.chdir(tmp_path)
+        argv = list(FLOAT_ARGV[command])
+        argv[argv.index(flag) + 1] = raw
+        with pytest.raises(SystemExit) as exit_:
+            run(*argv)
+        assert exit_.value.code == 2
+        assert (f"argument {flag}: '{raw}' is not a {kind} float"
+                in capsys.readouterr().err)
+        assert os.listdir(tmp_path) == []
+
+
 class TestConfigFile:
     def test_override_applies(self, tmp_path, capsys):
         cfg = tmp_path / "lab.cfg"

@@ -93,6 +93,16 @@ class TestCollection:
         with pytest.raises(ValueError):
             collect_reverse_data(PowertrainParams(), 0.0, seed=0)
 
+    @pytest.mark.parametrize("duration", [0.04, 0.05])
+    def test_duration_without_a_sample_rejected(self, duration):
+        # under half a PEDAL_DT once gave a header-only CSV that only
+        # control train refused
+        with pytest.raises(ValueError, match=rf"^duration {duration} s rounds "
+                           r"to 0 samples of PEDAL_DT = 0\.1 s; need at least 1$"):
+            collect_reverse_data(PowertrainParams(), duration, seed=0)
+        assert collect_reverse_data(PowertrainParams(), 0.06, seed=0).shape \
+            == (1, 5)
+
 
 @pytest.fixture(scope="module")
 def trained_net():

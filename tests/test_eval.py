@@ -201,6 +201,13 @@ class TestScenarios:
         gaps = [s.initial_gap for s in synthetic_suite(20, seed=0)]
         assert min(gaps) >= 10.0 and max(gaps) <= 100.0
 
+    def test_synthetic_suite_honours_init_gap_low(self):
+        # the suite once drew its gaps from [10 m, init_gap_high] whatever
+        # init_gap_low said: 7 of these 20 fell below 50 m
+        gaps = [s.initial_gap for s in
+                synthetic_suite(20, seed=0, cfg=SimConfig(init_gap_low=50))]
+        assert min(gaps) >= 50.0 and max(gaps) <= 100.0
+
     def test_synthetic_suite_gap_floor_above_ceiling(self):
         # numpy's uniform once died on "high - low < 0", naming no key
         with pytest.raises(ValueError, match=r"^\[sim\] init_gap_high = 8\.0 "

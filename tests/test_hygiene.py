@@ -2,8 +2,8 @@
 module-level function and class and every method is named by the program
 or the acceptance tests, every config field is read by the code it
 configures, every command-line option is read by its command, no module
-names np.dot, and the 0-d operands of nets, simcore and ddpg cannot be
-changed in place."""
+names np.dot, only evaluate generates leader profiles, and the 0-d
+operands of nets, simcore and ddpg cannot be changed in place."""
 
 import argparse
 import ast
@@ -213,6 +213,29 @@ def test_no_numpy_dot(path):
     assert numpy_dot_uses(path.read_text()) == []
 
 
+def calls_of(source, name):
+    """Lines calling ``name``, bare or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and name in (getattr(node.func, "id", None),
+                               getattr(node.func, "attr", None)))
+
+
+def test_checker_finds_a_call():
+    source = "from m import f\nf(1)\nm.f(2)\ng = f\nh(f)\nm.f\n"
+    assert calls_of(source, "f") == [2, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "evaluate.py"],
+                         ids=lambda p: p.name)
+def test_only_evaluate_generates_leader_profiles(path):
+    # evaluate draws every generated scenario, so the seed and initial-gap
+    # rules of training, the eval suite and the stand-in human data sit in
+    # one module
+    assert calls_of(path.read_text(), "gen_leader_profile") == []
+
+
 def arrays_of(namespace):
     return {name: value for name, value in vars(namespace).items()
             if isinstance(value, np.ndarray)}
@@ -236,7 +259,10 @@ def test_nets_operands_read_only_0d():
     keep, tau = nets._polyak_operands(0.005)
     assert (keep, tau) == (1.0 - 0.005, 0.005)
     assert nets._polyak_operands(0.005)[0] is keep      # made once
-    assert_read_only_0d({**operands, "1 - tau": keep, "tau": tau})
+    lr = nets.AdamState(nets.MlpNet([3, 8, 1], "linear", seed=1), lr=3e-4).lr
+    assert lr == 3e-4
+    assert_read_only_0d({**operands, "1 - tau": keep, "tau": tau,
+                         "AdamState.lr": lr})
 
 
 def test_unscale_operands_read_only_0d():

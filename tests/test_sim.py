@@ -11,7 +11,7 @@ from followrl import FollowEnv, OuParams, SimConfig, gen_leader_profile, normali
 from followrl.config import LEADER_OU
 from followrl.control import REVERSE_HEADER, read_reverse_csv
 from followrl.datasets import HEADER, parse_trajectory_csv
-from followrl.ddpg import _episode_scenario
+from followrl.evaluate import episode_scenario
 from followrl.simcore import VEHICLE_LENGTH, unscale_action, write_csv
 
 CFG = SimConfig()
@@ -152,11 +152,11 @@ class TestLeaderProfile:
 
 
 class TestReset:
-    # training and evaluation episodes start where _episode_scenario says:
+    # training and evaluation episodes start where episode_scenario says:
     # a leader profile and then a gap, each from a seed drawn from the rng
     def test_deterministic_gap(self):
         cfg = short_cfg()
-        sc = _episode_scenario(np.random.default_rng(7), cfg, LEADER_OU)
+        sc = episode_scenario(np.random.default_rng(7), cfg, LEADER_OU)
         rng = np.random.default_rng(7)
         profile_seed = int(rng.integers(0, 2 ** 31 - 1))
         gap_seed = int(rng.integers(0, 2 ** 31 - 1))
@@ -178,13 +178,13 @@ class TestReset:
     def test_gap_distribution(self):
         cfg = short_cfg(max_steps=1)
         rng = np.random.default_rng(0)
-        gaps = [_episode_scenario(rng, cfg, LEADER_OU).initial_gap
+        gaps = [episode_scenario(rng, cfg, LEADER_OU).initial_gap
                 for _ in range(10 ** 4)]
         assert 47.5 <= np.mean(gaps) <= 52.5
 
     def test_degenerate_interval(self):
         cfg = short_cfg(init_gap_low=50, init_gap_high=50)
-        sc = _episode_scenario(np.random.default_rng(0), cfg, LEADER_OU)
+        sc = episode_scenario(np.random.default_rng(0), cfg, LEADER_OU)
         env = FollowEnv(cfg)
         env.reset(sc.profile, sc.initial_gap)
         assert sc.initial_gap == 50.0
