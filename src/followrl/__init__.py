@@ -2,7 +2,7 @@
 
 from .config import (DdpgConfig, IdmParams, OuParams, PowertrainParams,
                      RewardConfig, SimConfig, load_config)
-from .simcore import FollowEnv, gen_leader_profile, normalize_state, ou_path
+from .simcore import FollowEnv, gen_leader_profile, normalize_state
 from .reward import RewardBreakdown, reward_total
 from .nets import AdamState, MlpNet, opt_step, soft_update
 from .ddpg import (DdpgAgent, ReplayBuffer, Transition, greedy_eval,

@@ -215,6 +215,19 @@ def finite_float(raw):
     return value
 
 
+def non_negative_int(raw):
+    """argparse type of the --seed options: numpy's generators take only
+    non-negative seeds."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{raw!r} is not a valid integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a non-negative integer")
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="followrl", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -235,7 +248,7 @@ def build_parser():
     sp = add("make-synthetic", cmd_make_synthetic,
              help="fabricate IDM-driven stand-in human episodes")
     sp.add_argument("--episodes", type=int, default=25)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=non_negative_int, default=0)
     sp.add_argument("--out", required=True)
 
     sp = add("ingest", cmd_ingest, help="parse and relabel trajectory CSVs")
@@ -251,7 +264,7 @@ def build_parser():
     sp.add_argument("--ratio", type=finite_float,
                     help="batch share of the dataset")
     sp.add_argument("--budget", type=int, help="environment or update steps")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=non_negative_int, default=0)
     sp.add_argument("--dataset", help="transition store (.npz)")
     sp.add_argument("--from", dest="resume_from", help="stage-1 parameter directory")
     sp.add_argument("--epochs", type=int, help="BC epochs")
@@ -263,7 +276,7 @@ def build_parser():
     sp.add_argument("--scenario", required=True,
                     help="builtin:s53 | replay:FILE | suite:synthetic")
     sp.add_argument("--n-scenarios", type=int, help="suite:synthetic only")
-    sp.add_argument("--seed", type=int, help="suite:synthetic only")
+    sp.add_argument("--seed", type=non_negative_int, help="suite:synthetic only")
     sp.add_argument("--out", required=True)
 
     sp = add("report", cmd_report, help="print TTC summaries from an eval dir")
@@ -273,12 +286,12 @@ def build_parser():
         .add_subparsers(dest="control_cmd", required=True)
     sp = add("collect", cmd_control_collect, ctl, help="record reverse data")
     sp.add_argument("--duration-s", type=finite_float, default=600.0)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=non_negative_int, default=0)
     sp.add_argument("--out", required=True, help="reverse-data CSV")
 
     sp = add("train", cmd_control_train, ctl, help="fit the pedal net")
     sp.add_argument("--data", required=True, help="reverse-data CSV")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=non_negative_int, default=0)
     sp.add_argument("--out", required=True, help="pedal net file")
 
     sp = add("probe", cmd_control_probe, ctl, help="print one pedal command")

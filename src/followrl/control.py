@@ -50,6 +50,8 @@ def collect_reverse_data(model: PowertrainParams, duration, seed):
     policy (never pressing both pedals; brake released at standstill,
     where it carries no information) and record one sample per PEDAL_DT:
     an (n, 5) array in REVERSE_HEADER order."""
+    if not 0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration}")
     n = int(round(duration / PEDAL_DT))
     if n < 1:
         raise ValueError(f"duration {duration} s rounds to {n} samples of "

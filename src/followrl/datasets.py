@@ -12,6 +12,7 @@ across recordings.
 
 import glob
 import json
+import math
 import os
 import zipfile
 from dataclasses import dataclass, field, fields
@@ -302,6 +303,8 @@ def make_synthetic(n_episodes, seed, cfg: SimConfig, rcfg: RewardConfig,
     initial gaps are uniform in [max(init_gap_low, 5 m), init_gap_high]."""
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
+    if duration is not None and not 0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration}")
     steps = cfg.max_steps if duration is None else int(round(duration / cfg.dt))
     scenarios = _ou_scenarios(n_episodes, seed, 5.0, (steps + 1) * cfg.dt, cfg,
                               leader_ou)

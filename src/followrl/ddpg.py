@@ -1,9 +1,10 @@
-"""DDPG with dual replay buffers and the five training regimes.
+"""DDPG with dual replay buffers and its three training regimes.
 
 Stage 1 learns purely from simulator interaction; stage 2 resumes
 training with minibatches mixed at ratio r from a practical buffer of
-relabeled human transitions and the live simulation buffer.  A fully
+relabeled human transitions and the live simulation buffer; the fully
 off-policy mode (no interaction at all) demonstrates extrapolation error.
+Behavior cloning is in baselines.
 """
 
 import functools

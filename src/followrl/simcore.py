@@ -69,24 +69,6 @@ def _unscale_operands(a_min, a_max):
     return const(a_min), const(a_max - a_min)
 
 
-def ou_path(params: OuParams, n_steps, dt, seed=None):
-    """Euler-Maruyama discretization of an Ornstein-Uhlenbeck process:
-    x_{k+1} = x_k + theta*(mu - x_k)*dt + sigma*sqrt(dt)*xi_k.
-
-    Returns n_steps samples starting at x0; deterministic for a fixed seed.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    rng = np.random.default_rng(seed)
-    x = [float(params.x0)]
-    if n_steps > 1:
-        noise = params.sigma * math.sqrt(dt) * rng.standard_normal(n_steps - 1)
-        # Python floats: the same IEEE arithmetic as numpy scalars, faster
-        for xi in noise.tolist():
-            x.append(x[-1] + params.theta * (params.mu - x[-1]) * dt + xi)
-    return np.array(x)
-
-
 class OuNoise:
     """Stateful OU exploration noise in normalized action units."""
 
@@ -106,15 +88,20 @@ class OuNoise:
 
 
 def gen_leader_profile(seed, duration, cfg: SimConfig, ou: OuParams = LEADER_OU):
-    """OU speed trajectory starting at 0 m/s, clamped to [0, v_des] with
-    implied accelerations held within [a_min, a_max]."""
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    """Leader speeds from 0 m/s, one per cfg.dt over ``duration`` seconds.
+    One pass steps the Euler-Maruyama OU state x from 0 (whatever ou.x0),
+    x += theta*(mu - x)*dt + sigma*sqrt(dt)*xi, and appends it clamped to
+    [0, v_des] with the implied acceleration within [a_min, a_max]."""
+    if not 0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration}")
     n = max(1, int(round(duration / cfg.dt)))
-    raw = ou_path(OuParams(ou.theta, ou.sigma, ou.mu, 0.0), n, cfg.dt, seed=seed)
+    rng = np.random.default_rng(seed)
+    noise = ou.sigma * math.sqrt(cfg.dt) * rng.standard_normal(n - 1)
     dv_min, dv_max = cfg.a_min * cfg.dt, cfg.a_max * cfg.dt
-    v = [0.0]
-    for x in raw.tolist()[1:]:
+    x, v = 0.0, [0.0]
+    # Python floats: the same IEEE arithmetic as numpy scalars, faster
+    for xi in noise.tolist():
+        x = x + ou.theta * (ou.mu - x) * cfg.dt + xi
         lo, hi = v[-1] + dv_min, v[-1] + dv_max
         v.append(min(max(min(max(x, lo), hi), 0.0), cfg.v_des))
     return np.array(v)

@@ -432,6 +432,40 @@ class TestFloatFlags:
         assert os.listdir(tmp_path) == []
 
 
+# an argv per command with a --seed, each path absent, so a run that got
+# past argparse would fail or write
+SEED_ARGV = {
+    "make-synthetic": ["make-synthetic", "--seed", "0", "--out", "data"],
+    "train": ["train", "--mode", "pure", "--budget", "5", "--seed", "0",
+              "--out", "out"],
+    "eval": ["eval", "--agents", "idm", "--scenario", "suite:synthetic",
+             "--n-scenarios", "1", "--seed", "0", "--out", "report"],
+    "control collect": ["control", "collect", "--seed", "0", "--out",
+                        "rev.csv"],
+    "control train": ["control", "train", "--data", "rev.csv", "--seed", "0",
+                      "--out", "net.bin"]}
+
+
+class TestSeedFlags:
+    @pytest.mark.parametrize("raw, kind", [("-1", "non-negative"),
+                                           ("abc", "valid")])
+    @pytest.mark.parametrize("command", list(SEED_ARGV),
+                             ids=[c.replace(" ", "-") for c in SEED_ARGV])
+    def test_bad_seed_named(self, tmp_path, monkeypatch, capsys, command, raw,
+                            kind):
+        # a negative seed reached numpy, whose "expected non-negative
+        # integer" traceback named no flag
+        monkeypatch.chdir(tmp_path)
+        argv = list(SEED_ARGV[command])
+        argv[argv.index("--seed") + 1] = raw
+        with pytest.raises(SystemExit) as exit_:
+            run(*argv)
+        assert exit_.value.code == 2
+        assert (f"argument --seed: '{raw}' is not a {kind} integer"
+                in capsys.readouterr().err)
+        assert os.listdir(tmp_path) == []
+
+
 class TestConfigFile:
     def test_override_applies(self, tmp_path, capsys):
         cfg = tmp_path / "lab.cfg"

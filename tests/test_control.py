@@ -93,6 +93,13 @@ class TestCollection:
         with pytest.raises(ValueError):
             collect_reverse_data(PowertrainParams(), 0.0, seed=0)
 
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -5.0])
+    def test_bad_duration_named(self, duration):
+        # nan and inf once died in int(round(...)) naming nothing
+        with pytest.raises(ValueError, match=rf"^duration must be positive "
+                           rf"and finite, got {duration}$"):
+            collect_reverse_data(PowertrainParams(), duration, seed=0)
+
     @pytest.mark.parametrize("duration", [0.04, 0.05])
     def test_duration_without_a_sample_rejected(self, duration):
         # under half a PEDAL_DT once gave a header-only CSV that only

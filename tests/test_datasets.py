@@ -387,6 +387,15 @@ def test_make_synthetic_needs_an_episode(n):
         make_synthetic(n, 0, CFG, RCFG)
 
 
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"), -5.0])
+def test_make_synthetic_bad_duration_named(duration):
+    # nan and inf once died in int(round(...)) naming nothing, and -5 s
+    # was reported as the -4.9 s it derived
+    with pytest.raises(ValueError, match=re.escape(
+            f"duration must be positive and finite, got {duration}")):
+        make_synthetic(1, 0, CFG, RCFG, duration=duration)
+
+
 class TestStore:
     def test_save_load_round_trip(self, tmp_path):
         eps = make_synthetic(2, 5, CFG, RCFG)

@@ -1,7 +1,8 @@
 """Source hygiene: no followrl module imports a name it never uses, every
 module-level function and class and every method is named by the program
 or the acceptance tests, every config field is read by the code it
-configures, every command-line option is read by its command, no module
+configures, every command-line option is read by its command and none
+takes type=float or a --seed other than cli.non_negative_int, no module
 names np.dot, only evaluate generates leader profiles, and the 0-d
 operands of nets, simcore and ddpg cannot be changed in place."""
 
@@ -189,6 +190,42 @@ def test_every_cli_option_read():
     parser = cli.build_parser()
     assert len(list(leaf_parsers(parser))) == 10
     assert unread_options(parser) == []
+
+
+def option_types(parser):
+    """(prog, option, type) of each option of each leaf subparser."""
+    return [(sp.prog, a.option_strings[0], a.type)
+            for sp in leaf_parsers(parser) for a in sp._actions
+            if a.option_strings]
+
+
+def mistyped_options(parser):
+    """(prog, option) of each option that takes type=float, which accepts
+    nan and inf, or a --seed that does not take cli.non_negative_int."""
+    return [(prog, option) for prog, option, kind in option_types(parser)
+            if kind is float
+            or option == "--seed" and kind is not cli.non_negative_int]
+
+
+def test_checker_finds_a_mistyped_option():
+    p = argparse.ArgumentParser(prog="toy")
+    sub = p.add_subparsers()
+    sp = sub.add_parser("run")
+    sp.add_argument("--ratio", type=float)
+    sp.add_argument("--v", type=cli.finite_float)
+    sp.add_argument("--seed", type=int)
+    leaf = sub.add_parser("group").add_subparsers().add_parser("leaf")
+    leaf.add_argument("--seed", type=cli.non_negative_int)
+    leaf.add_argument("--n", type=int)
+    assert mistyped_options(p) == [("toy run", "--ratio"), ("toy run", "--seed")]
+
+
+def test_every_cli_option_typed():
+    # type=float took nan and inf, and type=int a negative seed that only
+    # numpy refused, naming no flag
+    parser = cli.build_parser()
+    assert sum(option == "--seed" for _, option, _ in option_types(parser)) == 5
+    assert mistyped_options(parser) == []
 
 
 def numpy_dot_uses(source):

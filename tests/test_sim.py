@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from followrl import FollowEnv, OuParams, SimConfig, gen_leader_profile, normalize_state, ou_path
+from followrl import FollowEnv, OuParams, SimConfig, gen_leader_profile, normalize_state
 from followrl.config import LEADER_OU
 from followrl.control import REVERSE_HEADER, read_reverse_csv
 from followrl.datasets import HEADER, parse_trajectory_csv
@@ -65,55 +65,49 @@ def test_unscale_action_is_the_python_float_formula(a_min, a_max):
     assert unscale_action(a_min, cfg) == -1.0 and unscale_action(a_max, cfg) == 1.0
 
 
+# clamps that cannot bind: gen_leader_profile then returns its OU state
+LOOSE = SimConfig(dt=0.1, v_des=1e9, a_min=-1e9, a_max=1e9)
+
+
 class TestOuPath:
+    # the OU process inside gen_leader_profile, under LOOSE and a mu far
+    # enough above 0 that the path stays positive
     def test_noise_free_relaxation(self):
-        p = OuParams(theta=0.5, sigma=0.0, mu=3.0, x0=0.0)
-        x = ou_path(p, 100, 0.1, seed=0)
+        p = OuParams(theta=0.5, sigma=0.0, mu=3.0)
+        x = gen_leader_profile(0, 100 * LOOSE.dt, LOOSE, p)
         # exponential Euler relaxation toward mu, monotone from below
+        assert len(x) == 100 and x[0] == 0.0
         assert np.all(np.diff(x) > 0)
         assert x[-1] < 3.0
         assert x[-1] == pytest.approx(3.0 * (1 - (1 - 0.5 * 0.1) ** 99), abs=1e-12)
 
-    def test_pure_random_walk_variance(self):
-        p = OuParams(theta=0.0, sigma=1.0, mu=0.0, x0=0.0)
-        x = ou_path(p, 20000, 0.1, seed=3)
-        steps = np.diff(x)
-        assert np.var(steps) == pytest.approx(1.0 * 0.1, rel=0.05)
-
     def test_stationary_moments(self):
-        p = OuParams(theta=0.15, sigma=0.2, mu=0.0, x0=0.0)
-        x = ou_path(p, 10 ** 6, 0.1, seed=42)
-        assert -0.05 < np.mean(x) < 0.05
+        p = OuParams(theta=0.15, sigma=0.2, mu=10.0)
+        x = gen_leader_profile(42, 10 ** 6 * LOOSE.dt, LOOSE, p)
+        assert len(x) == 10 ** 6 and np.all(x[1:] > 0)
+        # past the transient from 0: 1,000 samples are 15 time constants
+        x = x[1000:]
+        assert -0.05 < np.mean(x) - p.mu < 0.05
         assert np.var(x) == pytest.approx(p.sigma ** 2 / (2 * p.theta), rel=0.10)
 
     def test_deterministic(self):
-        p = OuParams()
-        assert np.array_equal(ou_path(p, 100, 0.1, seed=9), ou_path(p, 100, 0.1, seed=9))
-
-
-def reference_ou_path(params, n_steps, dt, seed):
-    """ou_path stepping numpy elements one by one: the bit-for-bit
-    reference for its Python-float loop."""
-    rng = np.random.default_rng(seed)
-    x = np.empty(n_steps)
-    x[0] = params.x0
-    noise = params.sigma * math.sqrt(dt) * rng.standard_normal(n_steps - 1)
-    for k in range(n_steps - 1):
-        x[k + 1] = x[k] + params.theta * (params.mu - x[k]) * dt + noise[k]
-    return x
+        assert np.array_equal(gen_leader_profile(9, 10.0, CFG, OuParams()),
+                              gen_leader_profile(9, 10.0, CFG, OuParams()))
 
 
 def reference_leader_profile(seed, duration, cfg, ou):
-    """gen_leader_profile over numpy elements, as reference_ou_path."""
+    """gen_leader_profile stepping numpy elements one by one: the
+    bit-for-bit reference for its Python-float loop."""
     n = max(1, int(round(duration / cfg.dt)))
-    raw = reference_ou_path(OuParams(ou.theta, ou.sigma, ou.mu, 0.0), n,
-                            cfg.dt, seed)
-    v = np.empty(n)
-    v[0] = 0.0
+    rng = np.random.default_rng(seed)
+    noise = ou.sigma * math.sqrt(cfg.dt) * rng.standard_normal(n - 1)
+    x = np.zeros(n)
+    v = np.zeros(n)
     for k in range(1, n):
+        x[k] = x[k - 1] + ou.theta * (ou.mu - x[k - 1]) * cfg.dt + noise[k - 1]
         lo = v[k - 1] + cfg.a_min * cfg.dt
         hi = v[k - 1] + cfg.a_max * cfg.dt
-        v[k] = min(max(min(max(raw[k], lo), hi), 0.0), cfg.v_des)
+        v[k] = min(max(min(max(x[k], lo), hi), 0.0), cfg.v_des)
     return v
 
 
@@ -123,9 +117,8 @@ def reference_leader_profile(seed, duration, cfg, ou):
        mu=st.floats(-10.0, 30.0), x0=st.floats(-10.0, 30.0),
        dt=st.sampled_from([0.01, 0.05, 0.1, 0.3]))
 def test_episode_starts_match_element_loops(seed, n, theta, sigma, mu, x0, dt):
+    # the reference starts at 0, so x0 is drawn to show it is ignored
     ou = OuParams(theta, sigma, mu, x0)
-    assert (ou_path(ou, n, dt, seed=seed).tobytes()
-            == reference_ou_path(ou, n, dt, seed).tobytes())
     cfg = SimConfig(dt=dt)
     assert (gen_leader_profile(seed, n * dt, cfg, ou).tobytes()
             == reference_leader_profile(seed, n * dt, cfg, ou).tobytes())
@@ -143,6 +136,13 @@ class TestLeaderProfile:
             dv = np.diff(prof) / CFG.dt
             assert np.all(dv <= CFG.a_max + 1e-12)
             assert np.all(dv >= CFG.a_min - 1e-12)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -5.0, 0.0])
+    def test_bad_duration_named(self, duration):
+        # nan and inf once died in int(round(...)) naming nothing
+        with pytest.raises(ValueError, match=rf"^duration must be positive "
+                           rf"and finite, got {duration}$"):
+            gen_leader_profile(0, duration, CFG)
 
     def test_mean_near_ou_mean(self):
         prof = gen_leader_profile(42, 140.0, CFG)
