@@ -216,15 +216,25 @@ def finite_float(raw):
 
 
 def non_negative_int(raw):
-    """argparse type of the --seed options: numpy's generators take only
-    non-negative seeds."""
+    """argparse type of --seed, which numpy's generators take only
+    non-negative, and of the --budget and --epochs counts, where 0 is a
+    legal run."""
+    return _int_at_least(raw, 0, "non-negative")
+
+
+def positive_int(raw):
+    """argparse type of the --episodes and --n-scenarios counts."""
+    return _int_at_least(raw, 1, "positive")
+
+
+def _int_at_least(raw, low, kind):
     try:
         value = int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"{raw!r} is not a valid integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{raw!r} is not a non-negative integer")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a {kind} integer")
     return value
 
 
@@ -247,7 +257,7 @@ def build_parser():
 
     sp = add("make-synthetic", cmd_make_synthetic,
              help="fabricate IDM-driven stand-in human episodes")
-    sp.add_argument("--episodes", type=int, default=25)
+    sp.add_argument("--episodes", type=positive_int, default=25)
     sp.add_argument("--seed", type=non_negative_int, default=0)
     sp.add_argument("--out", required=True)
 
@@ -263,11 +273,12 @@ def build_parser():
     sp.add_argument("--mode", choices=list(TRAIN_MODES), required=True)
     sp.add_argument("--ratio", type=finite_float,
                     help="batch share of the dataset")
-    sp.add_argument("--budget", type=int, help="environment or update steps")
+    sp.add_argument("--budget", type=non_negative_int,
+                    help="environment or update steps")
     sp.add_argument("--seed", type=non_negative_int, default=0)
     sp.add_argument("--dataset", help="transition store (.npz)")
     sp.add_argument("--from", dest="resume_from", help="stage-1 parameter directory")
-    sp.add_argument("--epochs", type=int, help="BC epochs")
+    sp.add_argument("--epochs", type=non_negative_int, help="BC epochs")
     sp.add_argument("--out", required=True)
 
     sp = add("eval", cmd_eval, help="run agents through scenarios")
@@ -275,7 +286,8 @@ def build_parser():
                     help="comma list: idm | ddpg:DIR | bc:FILE")
     sp.add_argument("--scenario", required=True,
                     help="builtin:s53 | replay:FILE | suite:synthetic")
-    sp.add_argument("--n-scenarios", type=int, help="suite:synthetic only")
+    sp.add_argument("--n-scenarios", type=positive_int,
+                    help="suite:synthetic only")
     sp.add_argument("--seed", type=non_negative_int, help="suite:synthetic only")
     sp.add_argument("--out", required=True)
 

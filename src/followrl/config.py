@@ -77,7 +77,6 @@ class OuParams:
     # mean per-step reward from 0.43 to 0.2, below criterion 4's 0.3 bar
     sigma: float = 0.05     # unit/sqrt(s)
     mu: float = 0.0
-    x0: float = 0.0
 
     def __post_init__(self):
         if self.theta < 0 or self.sigma < 0:
@@ -86,7 +85,7 @@ class OuParams:
 
 # Leader-speed OU generator defaults; chosen to produce 0-14 m/s wandering
 # profiles within the configured speed/accel envelope.
-LEADER_OU = OuParams(theta=0.05, sigma=1.5, mu=8.0, x0=0.0)
+LEADER_OU = OuParams(theta=0.05, sigma=1.5, mu=8.0)
 
 
 @dataclass
@@ -202,8 +201,6 @@ def load_config(path):
                 f.name: getattr(defaults, f.name)
                 for f in dataclasses.fields(cls)
                 if not dataclasses.is_dataclass(getattr(defaults, f.name))
-                # every leader profile starts at 0 m/s, whatever x0 says
-                and (name, f.name) != ("leader_ou", "x0")
             }
             for key, raw in parser.items(name):
                 if key not in valid:

@@ -70,15 +70,16 @@ def _unscale_operands(a_min, a_max):
 
 
 class OuNoise:
-    """Stateful OU exploration noise in normalized action units."""
+    """Stateful OU exploration noise in normalized action units, starting
+    and reset at 0."""
 
     def __init__(self, params: OuParams, dt):
         self.params = params
         self.dt = dt
-        self.x = params.x0
+        self.x = 0.0
 
     def reset(self):
-        self.x = self.params.x0
+        self.x = 0.0
 
     def sample(self, rng):
         p = self.params
@@ -89,7 +90,7 @@ class OuNoise:
 
 def gen_leader_profile(seed, duration, cfg: SimConfig, ou: OuParams = LEADER_OU):
     """Leader speeds from 0 m/s, one per cfg.dt over ``duration`` seconds.
-    One pass steps the Euler-Maruyama OU state x from 0 (whatever ou.x0),
+    One pass steps the Euler-Maruyama OU state x from 0,
     x += theta*(mu - x)*dt + sigma*sqrt(dt)*xi, and appends it clamped to
     [0, v_des] with the implied acceleration within [a_min, a_max]."""
     if not 0 < duration < math.inf:

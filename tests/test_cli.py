@@ -277,19 +277,45 @@ class TestTrainEval:
         assert not (tmp_path / "rep").exists()
 
 
-class TestBadCounts:
-    def test_make_synthetic_negative_episodes(self, tmp_path):
-        with pytest.raises(ValueError, match="n_episodes must be >= 1, got -2"):
-            run("make-synthetic", "--episodes", "-2", "--out",
-                str(tmp_path / "data"))
-        assert not (tmp_path / "data").exists()
+# an argv per count flag, each path absent, so a run that got past
+# argparse would fail or write
+COUNT_ARGV = {
+    "--episodes": ["make-synthetic", "--episodes", "1", "--out", "data"],
+    "--budget": ["train", "--mode", "pure", "--budget", "5", "--out", "out"],
+    "--epochs": ["train", "--mode", "bc", "--dataset", "store.npz",
+                 "--epochs", "2", "--out", "out"],
+    "--n-scenarios": ["eval", "--agents", "idm", "--scenario",
+                      "suite:synthetic", "--n-scenarios", "1", "--seed", "0",
+                      "--out", "report"]}
+# a value each flag refuses, and the kind of integer it takes
+COUNT_CASES = [("--episodes", "-1", "positive"), ("--episodes", "0", "positive"),
+               ("--budget", "-1", "non-negative"),
+               ("--epochs", "-1", "non-negative"),
+               ("--n-scenarios", "-1", "positive"),
+               ("--n-scenarios", "0", "positive")]
+COUNT_IDS = [f"{flag[2:]}={raw}" for flag, raw, _ in COUNT_CASES]
 
-    def test_eval_zero_scenarios(self, tmp_path):
-        with pytest.raises(ValueError, match="n_scenarios must be >= 1, got 0"):
-            run("eval", "--agents", "idm", "--scenario", "suite:synthetic",
-                "--n-scenarios", "0", "--seed", "0", "--out",
-                str(tmp_path / "rep"))
-        assert not (tmp_path / "rep").exists()
+
+class TestBadCounts:
+    def test_make_synthetic_negative_episodes(self):
+        # the command line refuses it first; a library caller gets this
+        with pytest.raises(ValueError, match="n_episodes must be >= 1, got -2"):
+            make_synthetic(-2, 0, SimConfig(), RewardConfig())
+
+    @pytest.mark.parametrize("flag, raw, kind", COUNT_CASES, ids=COUNT_IDS)
+    def test_bad_count_named(self, tmp_path, monkeypatch, capsys, flag, raw,
+                             kind):
+        # each reached the library, whose "must be >= ..." traceback named
+        # no flag
+        monkeypatch.chdir(tmp_path)
+        argv = list(COUNT_ARGV[flag])
+        argv[argv.index(flag) + 1] = raw
+        with pytest.raises(SystemExit) as exit_:
+            run(*argv)
+        assert exit_.value.code == 2
+        assert (f"argument {flag}: '{raw}' is not a {kind} integer"
+                in capsys.readouterr().err)
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("make, fault", [
         (lambda path: None, "not a directory"),
@@ -546,15 +572,15 @@ class TestConfigFile:
             load_config(str(cfg))
 
     def test_leader_ou_x0_rejected(self, tmp_path):
-        # every leader profile starts at 0 m/s, so a leader x0 once loaded
-        # and changed nothing; the exploration noise's x0 is still read
+        # every leader profile and the exploration noise start at 0, so
+        # an x0 once loaded and changed nothing (leader) or was set only
+        # to check it was read (noise)
         cfg = tmp_path / "lab.cfg"
-        cfg.write_text("[leader_ou]\nx0 = 12.5\n")
-        with pytest.raises(ValueError, match=r"unknown key 'x0' in section "
-                           r"\[leader_ou\]"):
-            load_config(str(cfg))
-        cfg.write_text("[noise_ou]\nx0 = 0.25\n")
-        assert load_config(str(cfg))["ddpg"].noise.x0 == 0.25
+        for section, raw in (("leader_ou", "12.5"), ("noise_ou", "0.25")):
+            cfg.write_text(f"[{section}]\nx0 = {raw}\n")
+            with pytest.raises(ValueError, match=r"unknown key 'x0' in "
+                               rf"section \[{section}\]"):
+                load_config(str(cfg))
 
     @pytest.mark.parametrize("section, key, raw, want", [
         ("reward", "T", "1.0", 1.0), ("reward", "T_lim", "12", 12.0),
@@ -654,11 +680,12 @@ class TestConfigFile:
 # key sim.vehicle_length went, when the config.json keys
 # ddpg.stage1_budget and ddpg.stage2_budget went, and when config.json came
 # to hold the sections its mode reads (leader_ou in, and out of bc's
-# reward and ddpg), after checking that every other file stayed
+# reward and ddpg), and when the config.json keys ddpg.noise.x0 and
+# leader_ou.x0 went, after checking that every other file stayed
 # byte-identical.  As with the hashes in test_ddpg.py,
 # record any move with a numpy or BLAS upgrade in CHANGES.md.
 GOLDEN_CLI_SHA256 = \
-    "e0cb2cd69e59f52b302f32cc5d733e8012d3e9f380200fa8292a9ce91ecbe778"
+    "920686c8e3455299c8c150e14d0f4c9245c7c43ac923dbcd66a9805bba4f8b42"
 
 
 # the relative path of every file the pipeline writes

@@ -19,7 +19,7 @@ from followrl.control import (collect_reverse_data, read_reverse_csv,
                               train_control_net, write_reverse_csv)
 from followrl.ddpg import (PREACT_L2, STATE_DIM, Batch, mix_count,
                            train_fully_offpolicy, train_stage1, train_stage2)
-from followrl.nets import AdamState, member_cache, opt_step, soft_update
+from followrl.nets import AdamState, opt_step
 from followrl.evaluate import compare_report, run_scenario, self_defined_profile
 from followrl.simcore import unscale_action
 
@@ -253,25 +253,6 @@ class TestSampleMixed:
         for c in counts:
             assert abs(c - draws * p) < 3.5 * sigma
 
-    @pytest.mark.parametrize("r", [0.0, 0.6, 1.0])
-    def test_matches_list_reference(self, r):
-        sim_rows, prac_rows = tagged_rows(45, 22), tagged_rows(30, 23, start=100)
-        sim, prac = buffer_of(sim_rows, capacity=40), buffer_of(prac_rows)
-        sim_rows = ring(sim_rows, 40)
-        rng, ref_rng = np.random.default_rng(24), np.random.default_rng(24)
-        for _ in range(20):
-            batch = sample_mixed(sim, prac, 32, r, rng)
-            # the draws of the list-only sampler: practical, sim, permutation
-            n_prac, ref = mix_count(r, 32), []
-            if n_prac:
-                ref += [prac_rows[i] for i in
-                        ref_rng.integers(0, len(prac_rows), size=n_prac)]
-            if n_prac < 32:
-                ref += [sim_rows[i] for i in
-                        ref_rng.integers(0, len(sim_rows), size=32 - n_prac)]
-            ref = [ref[i] for i in ref_rng.permutation(32)]
-            assert_columns(batch.columns, ref)
-
     def test_empty_required_buffer_rejected(self):
         full = filled_buffer(10, 9)
         empty = ReplayBuffer(10)
@@ -450,9 +431,9 @@ class TestTrainStep:
 
 
 def reference_train_step(ref, batch, update_actor=True):
-    """DdpgAgent.train_step as five solo forwards on four separate nets:
-    the bit-for-bit reference for the stacked update.  ``ref`` holds the
-    four nets, both AdamStates, cfg and sim_cfg."""
+    """DdpgAgent.train_step as solo forwards on four separate nets, with
+    Python-float operands: the bit-for-bit reference for the update.
+    ``ref`` holds the four nets, both AdamStates, cfg and sim_cfg."""
     n = len(batch)
     s, a, r, s2, done = batch.columns
     a = unscale_action(a[:, None], ref.sim_cfg)
@@ -468,61 +449,22 @@ def reference_train_step(ref, batch, update_actor=True):
     grads = ref.critic.backward(cache, 2.0 * diff / n)
     opt_step(ref.critic, grads, ref.critic_opt)
 
-    u, acache = ref.actor.forward(s, cache=True)
-    qa, ccache = ref.critic.forward(np.concatenate((s, u), axis=1), cache=True)
+    actor_q = None
     if update_actor:
+        u, acache = ref.actor.forward(s, cache=True)
+        qa, ccache = ref.critic.forward(np.concatenate((s, u), axis=1),
+                                        cache=True)
         dq = ref.critic.input_grad(ccache, np.full((n, 1), 1.0 / n))
         da = dq[:, STATE_DIM:]
         dpre = 2.0 * PREACT_L2 * acache["pre"][-1] / n
         opt_step(ref.actor, ref.actor.backward(acache, -da, dpre),
                  ref.actor_opt)
-
-    soft_update(ref.actor_target, ref.actor, ref.cfg.tau)
-    soft_update(ref.critic_target, ref.critic, ref.cfg.tau)
-    return {"critic_loss": critic_loss, "actor_q": float(qa.sum() / n)}
-
-
-def python_float_train_step(agent, batch, update_actor=True):
-    """DdpgAgent.train_step with its operands as Python floats, np.full's
-    mean gradient and soft_update's Python-float arithmetic: the
-    bit-for-bit reference for the 0-d operands.  Runs on ``agent``."""
-    n = len(batch)
-    s, a, r, s2, done = batch.columns
-    c = agent.sim_cfg
-    a = 2.0 * (a[:, None] - c.a_min) / (c.a_max - c.a_min) - 1.0
-    live = 1.0 - done[:, None]
-    actor, critic = agent.actor, agent.critic
-    if update_actor:
-        xs = np.empty((2, n, STATE_DIM))
-        xs[0], xs[1] = s, s2
-        (u, a2), acache = agent.actors.forward(xs, cache=True)
-    else:
-        a2 = agent.actor_target.forward(s2)
-    xc = np.empty((2, n, STATE_DIM + 1))
-    xc[0, :, :STATE_DIM], xc[1, :, :STATE_DIM] = s, s2
-    xc[0, :, STATE_DIM:], xc[1, :, STATE_DIM:] = a, a2
-    (q, q2), ccache = agent.critics.forward(xc, cache=True)
-    y = r[:, None] + agent.cfg.gamma * live * q2
-    diff = q - y
-    critic_loss = float((diff ** 2).sum() / n)
-    grads = critic.backward(member_cache(ccache, 0), 2.0 * diff / n,
-                            out=agent.critic_opt.grads)
-    opt_step(critic, grads, agent.critic_opt)
-    actor_q = None
-    if update_actor:
-        qa, qcache = critic.forward(np.concatenate((s, u), axis=1),
-                                    cache=True)
-        dq = critic.input_grad(qcache, np.full((n, 1), 1.0 / n))
-        da = dq[:, STATE_DIM:]
-        acache = member_cache(acache, 0)
-        dpre = 2.0 * PREACT_L2 * acache["pre"][-1] / n
-        opt_step(actor, actor.backward(acache, -da, dpre,
-                                       out=agent.actor_opt.grads),
-                 agent.actor_opt)
         actor_q = float(qa.sum() / n)
-    tau = agent.cfg.tau
-    for target, source in ((agent.actor_target, actor),
-                           (agent.critic_target, critic)):
+
+    # Polyak averaging as Python-float arithmetic, not soft_update
+    tau = ref.cfg.tau
+    for target, source in ((ref.actor_target, ref.actor),
+                           (ref.critic_target, ref.critic)):
         target.flat *= 1.0 - tau
         target.flat += tau * source.flat
     return {"critic_loss": critic_loss, "actor_q": actor_q}
@@ -542,11 +484,25 @@ def net_bytes(nets):
     return [getattr(nets, name).flat.tobytes() for name in NETS]
 
 
+def assert_same_update(agent, ref, got, want):
+    """train_step's result, the four nets and both Adam states are the
+    reference's, bit for bit."""
+    # repr tells float from np.float64 and -0.0 from 0.0
+    assert repr(got) == repr(want)
+    assert net_bytes(agent) == net_bytes(ref)
+    for name in ("actor_opt", "critic_opt"):
+        mine, theirs = getattr(agent, name), getattr(ref, name)
+        assert mine.t == theirs.t
+        assert mine.m.tobytes() == theirs.m.tobytes()
+        assert mine.v.tobytes() == theirs.v.tobytes()
+
+
 class TestStackedUpdate:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_five_forward_reference(self, seed):
         # 50 consecutive updates, some with the actor held, on batches
-        # with done rows: every parameter, loss and actor Q bit for bit
+        # with done rows: every parameter, Adam moment, loss and actor Q
+        # bit for bit
         agent = DdpgAgent(seed=seed)
         ref = reference_of(agent)
         rng = np.random.default_rng(100 + seed)
@@ -556,35 +512,8 @@ class TestStackedUpdate:
             update_actor = step >= 10 and bool(rng.integers(2))
             got = agent.train_step(batch, update_actor)
             want = reference_train_step(ref, batch, update_actor)
-            assert got["critic_loss"] == want["critic_loss"]
-            assert got["actor_q"] == (want["actor_q"] if update_actor else None)
-            assert net_bytes(agent) == net_bytes(ref)
+            assert_same_update(agent, ref, got, want)
         assert agent.actor_opt.t == ref.actor_opt.t > 0
-
-    def test_matches_python_float_reference(self):
-        # 40 held updates, then 40 actor updates, on sampled batches with
-        # terminal rows, then one batch of a single row: nets, Adam
-        # moments and steps, loss and actor Q all bit for bit
-        agent, ref = DdpgAgent(seed=3), DdpgAgent(seed=3)
-        rng = np.random.default_rng(31)
-        buf = ReplayBuffer(500)
-        for _ in range(500):
-            buf.add(make_transition(rng, done=bool(rng.random() < 0.2)))
-        batches = [buf.sample(rng, 32) for _ in range(80)] + [buf.sample(rng, 1)]
-        assert sum(b.dones.any() for b in batches) > 40
-        for step, batch in enumerate(batches):
-            update_actor = step >= 40
-            got = agent.train_step(batch, update_actor)
-            want = python_float_train_step(ref, batch, update_actor)
-            # repr tells float from np.float64 and -0.0 from 0.0
-            assert repr(got) == repr(want)
-            assert net_bytes(agent) == net_bytes(ref)
-            for name in ("actor_opt", "critic_opt"):
-                mine, theirs = getattr(agent, name), getattr(ref, name)
-                assert mine.t == theirs.t
-                assert mine.m.tobytes() == theirs.m.tobytes()
-                assert mine.v.tobytes() == theirs.v.tobytes()
-        assert agent.actor_opt.t == 41 and agent.critic_opt.t == 81
 
     def test_config_edits_reach_every_step(self):
         # gamma and the action range are read when train_step runs: an
@@ -619,9 +548,7 @@ class TestStackedUpdate:
                               for _ in range(n)])
             got = agent.train_step(batch, update_actor)
             want = reference_train_step(ref, batch, update_actor)
-            assert got["critic_loss"] == want["critic_loss"]
-            assert got["actor_q"] == (want["actor_q"] if update_actor else None)
-            assert net_bytes(agent) == net_bytes(ref)
+            assert_same_update(agent, ref, got, want)
         assert agent.actor_opt.t == 4 and agent.critic_opt.t == 8
 
     def test_assigned_nets_train_as_loaded_ones(self, tmp_path):

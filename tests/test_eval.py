@@ -284,7 +284,6 @@ def reference_run_scenario(agent, sc, cfg, rcfg):
     a scalar TTC per step, and the leader profile a numpy array in the env
     as FollowEnv held it then, so that every value derived from the leader
     speed is a numpy scalar.  The bit-for-bit reference for run_scenario."""
-    cfg = dataclasses.replace(cfg, max_steps=len(sc.profile) - 1)
     env = FollowEnv(cfg, rcfg)
     env.reset(sc.profile, initial_gap=sc.initial_gap,
               follower_speed=sc.follower_speed)

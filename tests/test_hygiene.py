@@ -2,9 +2,9 @@
 module-level function and class and every method is named by the program
 or the acceptance tests, every config field is read by the code it
 configures, every command-line option is read by its command and none
-takes type=float or a --seed other than cli.non_negative_int, no module
-names np.dot, only evaluate generates leader profiles, and the 0-d
-operands of nets, simcore and ddpg cannot be changed in place."""
+takes type=float, type=int or a --seed other than cli.non_negative_int,
+no module names np.dot, only evaluate generates leader profiles, and the
+0-d operands of nets, simcore and ddpg cannot be changed in place."""
 
 import argparse
 import ast
@@ -201,9 +201,10 @@ def option_types(parser):
 
 def mistyped_options(parser):
     """(prog, option) of each option that takes type=float, which accepts
-    nan and inf, or a --seed that does not take cli.non_negative_int."""
+    nan and inf, or type=int, which accepts any count, or a --seed that
+    does not take cli.non_negative_int."""
     return [(prog, option) for prog, option, kind in option_types(parser)
-            if kind is float
+            if kind in (float, int)
             or option == "--seed" and kind is not cli.non_negative_int]
 
 
@@ -214,15 +215,18 @@ def test_checker_finds_a_mistyped_option():
     sp.add_argument("--ratio", type=float)
     sp.add_argument("--v", type=cli.finite_float)
     sp.add_argument("--seed", type=int)
+    sp.add_argument("--budget", type=int)
     leaf = sub.add_parser("group").add_subparsers().add_parser("leaf")
     leaf.add_argument("--seed", type=cli.non_negative_int)
-    leaf.add_argument("--n", type=int)
-    assert mistyped_options(p) == [("toy run", "--ratio"), ("toy run", "--seed")]
+    leaf.add_argument("--n", type=cli.positive_int)
+    assert mistyped_options(p) == [("toy run", "--ratio"), ("toy run", "--seed"),
+                                   ("toy run", "--budget")]
 
 
 def test_every_cli_option_typed():
     # type=float took nan and inf, and type=int a negative seed that only
-    # numpy refused, naming no flag
+    # numpy refused, or a count below its floor that only the library
+    # refused, each naming no flag
     parser = cli.build_parser()
     assert sum(option == "--seed" for _, option, _ in option_types(parser)) == 5
     assert mistyped_options(parser) == []

@@ -11,24 +11,11 @@ from followrl.nets import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ADAM_FLUSH_EVERY,
                            member_cache)
 
 
-def straight_line_forward(net, x):
-    """Independent re-implementation of the forward arithmetic."""
-    h = np.asarray(x, dtype=float)
-    for i in range(len(net.weights)):
-        z = h @ net.weights[i] + net.biases[i]
-        if i < len(net.weights) - 1:
-            h = np.where(z > 0, z, 0.0)
-        elif net.out_activation == "tanh":
-            h = np.tanh(z)
-        else:
-            h = z
-    return h
-
-
 def matmul_forward(net, x):
-    """MlpNet.forward with every product through np.matmul: the
-    bit-for-bit reference for its ndarray.dot products.  Returns (output,
-    cache)."""
+    """MlpNet.forward as one plain loop over the layers, every product
+    through np.matmul: the bit-for-bit reference for forward and its cache,
+    whatever products, bias shapes and layer plan forward uses.  Returns
+    (output, cache)."""
     h = np.asarray(x, dtype=float)
     pre, post = [], [h]
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -67,35 +54,6 @@ def matmul_backward(net, cache, dout, dpre=None):
     return np.concatenate(parts), grad
 
 
-def per_layer_backprop(net, cache, dout, dpre=None, into=True):
-    """MlpNet._backprop as it ran before its layer plan: one loop over every
-    layer, branching per layer on the head, its activation and the gradient
-    target.  The bit-for-bit reference for the plan's head-then-hidden
-    passes.  Returns backward's "flat" when ``into``, else input_grad's
-    result."""
-    flat = np.empty_like(net.flat)
-    dw = [flat[w].reshape(shape) for w, shape, _ in net._layout]
-    db = [flat[b].reshape(1, -1) for _, _, b in net._layout]
-    last = len(net.weights) - 1
-    pre, post = cache["pre"], cache["post"]
-    grad = np.asarray(dout, dtype=float)
-    for i in range(last, -1, -1):
-        if i == last:
-            if net.out_activation == "tanh":
-                grad = grad * (1.0 - post[i + 1] ** 2)
-            if dpre is not None:
-                grad = grad + dpre
-        else:
-            grad *= pre[i] > 0.0
-        if into:
-            net._product(post[i].T, grad, dw[i])
-            np.add.reduce(grad, 0, None, db[i], keepdims=True)
-            if i == 0:
-                return flat
-        grad = net._product(grad, net.weights[i].T)
-    return grad
-
-
 def numeric_grad(f, x, h=1e-5):
     g = np.zeros_like(x)
     it = np.nditer(x, flags=["multi_index"])
@@ -131,13 +89,6 @@ class TestForward:
         net.weights[0][...] = 1.0
         net.biases[0][...] = 0.0
         assert net.forward(np.zeros((1, 1)))[0, 0] == 0.0
-
-    def test_matches_straight_line_oracle(self):
-        rng = np.random.default_rng(7)
-        for sizes, act in ARCHS:
-            net = MlpNet(sizes, act, seed=11)
-            x = rng.standard_normal((5, sizes[0]))
-            assert np.allclose(net.forward(x), straight_line_forward(net, x), atol=1e-12)
 
     def test_tanh_bounded(self):
         net = MlpNet([4, 32, 32, 1], "tanh", seed=3)
@@ -225,12 +176,15 @@ class TestBackward:
         _, cache = net.forward(rng.standard_normal((9, sizes[0])), cache=True)
         dout = rng.standard_normal((9, sizes[-1]))
         dpre = rng.standard_normal((9, sizes[-1]))
+        dout_before = dout.tobytes()
         grads = net.backward(cache, dout, dpre)
         assert set(grads) == {"flat", "weights", "biases"}
+        got = net.input_grad(cache, dout)
+        # the head's first step makes a fresh array: dout is the caller's
+        assert dout.tobytes() == dout_before
         assert (grads["flat"].tobytes()
                 == matmul_backward(net, cache, dout, dpre)[0].tobytes())
-        assert (net.input_grad(cache, dout).tobytes()
-                == matmul_backward(net, cache, dout)[1].tobytes())
+        assert got.tobytes() == matmul_backward(net, cache, dout)[1].tobytes()
 
     @pytest.mark.parametrize("sizes,act", ARCHS)
     def test_net_state_unchanged(self, sizes, act):
@@ -353,63 +307,10 @@ class TestDotProducts:
         assert net._product is want
 
 
-def vector_biases(net, flat=None):
-    """The bias views a solo net or a member held when they were (n_out,)
-    vectors, into ``flat`` (the net's own by default); a stack's were
-    (K, 1, n_out) then as now."""
-    if net.flat.ndim == 2:
-        return net.biases
-    flat = net.flat if flat is None else flat
-    return [flat[b] for _, _, b in net._layout]
-
-
-def vector_bias_forward(net, x):
-    """MlpNet.forward as it ran with vector biases and a Python-float
-    zero: the bit-for-bit reference for the (1, n_out) bias rows and the
-    0-d zero.  Returns (output, cache)."""
-    h = np.asarray(x, dtype=float)
-    pre, post = [], [h]
-    for i, (w, b) in enumerate(zip(net.weights, vector_biases(net))):
-        z = net._product(h, w)
-        z += b
-        pre.append(z)
-        if i < len(net.weights) - 1:
-            h = np.maximum(z, 0.0)
-        elif net.out_activation == "tanh":
-            h = np.tanh(z)
-        else:
-            h = z
-        post.append(h)
-    return h, {"pre": pre, "post": post}
-
-
-def vector_bias_backward(net, cache, dout, dpre=None):
-    """MlpNet.backward's "flat" and input_grad's result as they ran with
-    vector bias gradients and a Python-float zero, the reference as
-    vector_bias_forward is."""
-    flat = np.empty_like(net.flat)
-    dw = [flat[w].reshape(shape) for w, shape, _ in net._layout]
-    db = vector_biases(net, flat)
-    pre, post = cache["pre"], cache["post"]
-    last = len(net.weights) - 1
-    grad = np.asarray(dout, dtype=float)
-    for i in range(last, -1, -1):
-        if i == last:
-            if net.out_activation == "tanh":
-                grad = grad * (1.0 - post[i + 1] ** 2)
-            if dpre is not None:
-                grad = grad + dpre
-        else:
-            grad *= pre[i] > 0.0
-        net._product(post[i].T, grad, dw[i])
-        np.add.reduce(grad, 0, None, db[i])
-        grad = net._product(grad, net.weights[i].T)
-    return flat, grad
-
-
-def vector_bias_init(sizes, act, seed):
-    """MlpNet(sizes, act, seed).flat as drawn when each bias was an
-    (n_out,) vector."""
+def fan_in_uniform_init(sizes, act, seed):
+    """MlpNet(sizes, act, seed).flat as one generator draws it: per layer,
+    the (n_in, n_out) weights and then the n_out biases, each uniform in
+    +-1/sqrt(n_in)."""
     rng = np.random.default_rng(seed)
     parts = []
     for n_in, n_out in zip(sizes[:-1], sizes[1:]):
@@ -425,39 +326,7 @@ BIAS_ARCHS = ARCHS + [([1, 1, 1], "linear"), ([3, 1, 1, 2], "tanh")]
 class TestBiasRows:
     """A solo net's and a member's biases are (1, n_out) rows, the row of a
     stack's (K, 1, n_out), so that a one-row forward adds them on numpy's
-    same-shape loop; the bits are those of the vector biases before."""
-
-    @pytest.mark.parametrize("n", [1, 32])
-    @pytest.mark.parametrize("form", ["solo", "member", "stack"])
-    @pytest.mark.parametrize("sizes, act", BIAS_ARCHS)
-    def test_match_vector_bias_reference(self, sizes, act, form, n):
-        rng = np.random.default_rng(n + len(sizes))
-        pair = MlpNet.stack(solo_nets(sizes, act, 2, 8))
-        nets = {"solo": [MlpNet(sizes, act, seed=8)],
-                "member": [pair.member(0), pair.member(1)],
-                "stack": [pair]}[form]
-        for net in nets:
-            shape = net.flat.shape[:-1] + (n, sizes[0])
-            x = rng.standard_normal(shape) * 3.0
-            out, cache = net.forward(x, cache=True)
-            want, want_cache = vector_bias_forward(net, x)
-            assert out.tobytes() == want.tobytes()
-            for key in ("pre", "post"):
-                assert [a.tobytes() for a in cache[key]] == \
-                       [a.tobytes() for a in want_cache[key]]
-            members = ([(pair.member(k), member_cache(cache, k))
-                        for k in range(2)] if form == "stack" else [(net, cache)])
-            for member, mcache in members:
-                dout = rng.standard_normal((n, sizes[-1]))
-                dpre = rng.standard_normal((n, sizes[-1]))
-                flat, _ = vector_bias_backward(member, mcache, dout, dpre)
-                assert member.backward(mcache, dout, dpre)["flat"].tobytes() \
-                    == flat.tobytes()
-                into = member.backward(mcache, dout, dpre,
-                                       out=AdamState(member).grads)
-                assert into["flat"].tobytes() == flat.tobytes()
-                assert (member.input_grad(mcache, dout).tobytes()
-                        == vector_bias_backward(member, mcache, dout)[1].tobytes())
+    same-shape loop."""
 
     @pytest.mark.parametrize("sizes, act", BIAS_ARCHS)
     def test_shapes_and_views(self, sizes, act):
@@ -482,13 +351,13 @@ class TestBiasRows:
     def test_init_unchanged(self, sizes, act, seed):
         # a (1, n) draw takes the same values as an (n,) one
         assert (MlpNet(sizes, act, seed=seed).flat.tobytes()
-                == vector_bias_init(sizes, act, seed).tobytes())
+                == fan_in_uniform_init(sizes, act, seed).tobytes())
 
 
 class TestLayerPlan:
     """forward and _backprop run a plan fixed when the net is bound: the
     hidden layers as one uniform loop, the head on its own, no cache lists
-    unless asked for.  The bits are those of the per-layer loop before."""
+    unless asked for."""
 
     @pytest.mark.parametrize("n", [1, 32])
     @pytest.mark.parametrize("form", ["solo", "member", "stack"])
@@ -503,29 +372,6 @@ class TestLayerPlan:
             x = rng.standard_normal(net.flat.shape[:-1] + (n, sizes[0])) * 3.0
             assert (net.forward(x).tobytes()
                     == net.forward(x, cache=True)[0].tobytes())
-
-    @pytest.mark.parametrize("with_dpre", [False, True])
-    @pytest.mark.parametrize("n", [1, 32])
-    @pytest.mark.parametrize("form", ["solo", "member"])
-    @pytest.mark.parametrize("sizes, act", BIAS_ARCHS + [([4, 1], "tanh")])
-    def test_backprop_matches_per_layer_loop(self, sizes, act, form, n,
-                                             with_dpre):
-        rng = np.random.default_rng(7 * n + len(sizes))
-        net = (MlpNet(sizes, act, seed=5) if form == "solo"
-               else MlpNet.stack(solo_nets(sizes, act, 2, 5)).member(1))
-        x = rng.standard_normal((n, sizes[0])) * 3.0
-        dout = rng.standard_normal((n, sizes[-1]))
-        dpre = rng.standard_normal((n, sizes[-1])) if with_dpre else None
-        dout_before = dout.tobytes()
-        _, cache = net.forward(x, cache=True)
-        want = per_layer_backprop(net, cache, dout, dpre)
-        assert net.backward(cache, dout, dpre)["flat"].tobytes() == want.tobytes()
-        into = net.backward(cache, dout, dpre, out=AdamState(net).grads)
-        assert into["flat"].tobytes() == want.tobytes()
-        assert (net.input_grad(cache, dout).tobytes()
-                == per_layer_backprop(net, cache, dout, into=False).tobytes())
-        # the head's first step makes a fresh array: dout is the caller's
-        assert dout.tobytes() == dout_before
 
 
 def reference_fit_mse(sizes, x, y, lo, hi, epochs, seed):

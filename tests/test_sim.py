@@ -114,11 +114,9 @@ def reference_leader_profile(seed, duration, cfg, ou):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 400),
        theta=st.floats(0.0, 2.0), sigma=st.floats(0.0, 5.0),
-       mu=st.floats(-10.0, 30.0), x0=st.floats(-10.0, 30.0),
-       dt=st.sampled_from([0.01, 0.05, 0.1, 0.3]))
-def test_episode_starts_match_element_loops(seed, n, theta, sigma, mu, x0, dt):
-    # the reference starts at 0, so x0 is drawn to show it is ignored
-    ou = OuParams(theta, sigma, mu, x0)
+       mu=st.floats(-10.0, 30.0), dt=st.sampled_from([0.01, 0.05, 0.1, 0.3]))
+def test_episode_starts_match_element_loops(seed, n, theta, sigma, mu, dt):
+    ou = OuParams(theta, sigma, mu)
     cfg = SimConfig(dt=dt)
     assert (gen_leader_profile(seed, n * dt, cfg, ou).tobytes()
             == reference_leader_profile(seed, n * dt, cfg, ou).tobytes())
@@ -464,23 +462,13 @@ def test_write_csv_writes_each_float_as_its_repr(tmp_path):
 
 
 def reference_write_csv(path, header, rows):
-    """write_csv as it was when csv.writer wrote every row: the
-    byte-for-byte reference for the one-format version."""
+    """write_csv as csv.writer writes every row, the form write_csv
+    documents: its byte-for-byte reference."""
     rows = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows.tolist())
-
-
-def per_row_write_csv(path, header, rows):
-    """write_csv as it was when it formatted each row with one %r format:
-    the byte-for-byte reference for the one format over the whole array."""
-    rows = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
-    line = ",".join(["%r"] * len(header)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        fh.write("".join([line % tuple(row) for row in rows.tolist()]))
 
 
 SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2e-308,
@@ -498,10 +486,9 @@ SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2e-308,
 def test_write_csv_matches_csv_writer_bytes(tmp_path, rows):
     header = [f"c{k}" for k in range(rows.shape[1])]
     write_csv(tmp_path / "got.csv", header, rows)
-    got = (tmp_path / "got.csv").read_bytes()
-    for reference in (reference_write_csv, per_row_write_csv):
-        reference(tmp_path / "want.csv", header, rows)
-        assert got == (tmp_path / "want.csv").read_bytes(), reference.__name__
+    reference_write_csv(tmp_path / "want.csv", header, rows)
+    assert ((tmp_path / "got.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())
 
 
 def test_csv_readers_accept_valid_files(tmp_path):
