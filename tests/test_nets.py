@@ -176,15 +176,12 @@ class TestBackward:
         _, cache = net.forward(rng.standard_normal((9, sizes[0])), cache=True)
         dout = rng.standard_normal((9, sizes[-1]))
         dpre = rng.standard_normal((9, sizes[-1]))
-        dout_before = dout.tobytes()
         grads = net.backward(cache, dout, dpre)
         assert set(grads) == {"flat", "weights", "biases"}
-        got = net.input_grad(cache, dout)
-        # the head's first step makes a fresh array: dout is the caller's
-        assert dout.tobytes() == dout_before
         assert (grads["flat"].tobytes()
                 == matmul_backward(net, cache, dout, dpre)[0].tobytes())
-        assert got.tobytes() == matmul_backward(net, cache, dout)[1].tobytes()
+        assert (net.input_grad(cache, dout).tobytes()
+                == matmul_backward(net, cache, dout)[1].tobytes())
 
     @pytest.mark.parametrize("sizes,act", ARCHS)
     def test_net_state_unchanged(self, sizes, act):
@@ -357,7 +354,8 @@ class TestBiasRows:
 class TestLayerPlan:
     """forward and _backprop run a plan fixed when the net is bound: the
     hidden layers as one uniform loop, the head on its own, no cache lists
-    unless asked for."""
+    unless asked for.  The bits are those of the per-layer loop of
+    matmul_backward."""
 
     @pytest.mark.parametrize("n", [1, 32])
     @pytest.mark.parametrize("form", ["solo", "member", "stack"])
@@ -372,6 +370,31 @@ class TestLayerPlan:
             x = rng.standard_normal(net.flat.shape[:-1] + (n, sizes[0])) * 3.0
             assert (net.forward(x).tobytes()
                     == net.forward(x, cache=True)[0].tobytes())
+
+    @pytest.mark.parametrize("with_dpre", [False, True])
+    @pytest.mark.parametrize("n", [1, 32])
+    @pytest.mark.parametrize("form", ["solo", "member"])
+    @pytest.mark.parametrize("sizes, act", BIAS_ARCHS + [([4, 1], "tanh")])
+    def test_backprop_matches_per_layer_loop(self, sizes, act, form, n,
+                                             with_dpre):
+        # every plan shape, a head-only net and 1 -> 1 layers among them,
+        # into a fresh "flat" and into an optimizer's buffer
+        rng = np.random.default_rng(7 * n + len(sizes))
+        net = (MlpNet(sizes, act, seed=5) if form == "solo"
+               else MlpNet.stack(solo_nets(sizes, act, 2, 5)).member(1))
+        x = rng.standard_normal((n, sizes[0])) * 3.0
+        dout = rng.standard_normal((n, sizes[-1]))
+        dpre = rng.standard_normal((n, sizes[-1])) if with_dpre else None
+        dout_before = dout.tobytes()
+        _, cache = net.forward(x, cache=True)
+        want = matmul_backward(net, cache, dout, dpre)[0]
+        assert net.backward(cache, dout, dpre)["flat"].tobytes() == want.tobytes()
+        into = net.backward(cache, dout, dpre, out=AdamState(net).grads)
+        assert into["flat"].tobytes() == want.tobytes()
+        assert (net.input_grad(cache, dout).tobytes()
+                == matmul_backward(net, cache, dout)[1].tobytes())
+        # the head's first step makes a fresh array: dout is the caller's
+        assert dout.tobytes() == dout_before
 
 
 def reference_fit_mse(sizes, x, y, lo, hi, epochs, seed):
